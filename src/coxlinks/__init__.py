@@ -10,8 +10,8 @@ modules layer roughly bottom-up:
   matrices, generalized Young tableaux;
 * :mod:`coxlinks.weights` — recursive weight vectors and tangent /
   obstruction bookkeeping per chart;
-* :mod:`coxlinks.localization` — fixed-point sums: verbatim chart terms
-  and the calibrated superpolynomial;
+* :mod:`coxlinks.localization` — fixed-point sums: the calibrated
+  superpolynomial;
 * :mod:`coxlinks.twostrand` — closed-form two-strand homology, the
   independent oracle the calibrated sum is checked against;
 * :mod:`coxlinks.homfly` — Hecke-algebra Markov traces and a planar
@@ -51,11 +51,8 @@ from .errors import (
 from .homfly import BraidWord, coxeter_braid, homfly, markov_trace, parse_braid
 from .localization import (
     CalibratedSuperpolynomial,
-    Superpolynomial,
     calibrated_superpolynomial,
     detect_degenerate,
-    omega,
-    superpolynomial_even,
 )
 from .polyalg import BinomialRational, LaurentPoly, parse_poly
 from .twostrand import GradedDim, homology_T2_even, homology_T2_odd
@@ -87,7 +84,6 @@ __all__ = [
     "NotDivisibleError",
     "PositivityRegimeWarning",
     "SingularMatrixError",
-    "Superpolynomial",
     "all_charts",
     "build_chart",
     "calibrated_superpolynomial",
@@ -105,11 +101,9 @@ __all__ = [
     "markov_trace",
     "monomial_vector",
     "obstruction_weights",
-    "omega",
     "parse_braid",
     "parse_poly",
     "standard_tableau_images",
-    "superpolynomial_even",
     "tangent_weights",
     "to_gyt",
     "weight_data",

@@ -2,7 +2,7 @@
 
 Global flags come before the subcommand::
 
-    coxlinks [--format plain|tree] [--degree D] [--seed S] [--jobs J] <command> ...
+    coxlinks [--format plain|tree] [--degree D] [--seed S] <command> ...
 
 Output formats:
 
@@ -18,21 +18,18 @@ error is reported with the module it came from and a one-line remedy);
 3 a consistency check ran and failed (``check``, ``mfcheck``).
 
 Both formats are bit-stable for a fixed configuration: the only
-randomness is seeded (``--seed``, default 0) and parallel work
-(``--jobs``) is reassembled in deterministic order.
+randomness is seeded (``--seed``, default 0).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__, acceptance
-from .charts import Chart, all_charts, gyt_injectivity_report
+from .charts import all_charts, gyt_injectivity_report
 from .errors import (
     BraidSyntaxError,
     CapacityError,
@@ -44,11 +41,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .homfly import coxeter_braid, homfly, parse_braid
-from .localization import (
-    calibrated_superpolynomial,
-    detect_degenerate,
-    superpolynomial_even,
-)
+from .localization import calibrated_superpolynomial, detect_degenerate
 from .mfcheck import containment_suite
 from .twostrand import homology_T2_even, homology_T2_odd
 from .weights import fixed_dim_check, weight_data
@@ -120,20 +113,11 @@ def _emit(args: argparse.Namespace, records: List[dict], lines: Iterable[str]) -
             print(line)
 
 
-def _chart_map(jobs: int, build: Callable[[Chart], dict], charts: Sequence[Chart]) -> List[dict]:
-    """Apply ``build`` to every chart, in order, optionally in parallel."""
-    if jobs > 1 and len(charts) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(build, charts))
-    return [build(chart) for chart in charts]
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 
 def _cmd_charts(args: argparse.Namespace) -> int:
-    charts = all_charts(args.n)
-    records = _chart_map(args.jobs, lambda chart: chart.to_record(), charts)
+    records = [chart.to_record() for chart in all_charts(args.n)]
     lines = [
         "label sx={sx} sy={sy} monomials={monomials} commutes={commutes}".format(
             sx=json.dumps(record["label"]["sx"]),
@@ -148,13 +132,14 @@ def _cmd_charts(args: argparse.Namespace) -> int:
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
-    def build(chart: Chart) -> dict:
-        record = weight_data(chart).to_record()
-        record["label"] = chart.label.to_record()
-        record["fixed_dim"] = fixed_dim_check(chart)
-        return record
-
-    records = _chart_map(args.jobs, build, all_charts(args.n))
+    records = [
+        {
+            **weight_data(chart).to_record(),
+            "label": chart.label.to_record(),
+            "fixed_dim": fixed_dim_check(chart),
+        }
+        for chart in all_charts(args.n)
+    ]
     lines = [
         "wx={wx} wy={wy} dimT0={t0} dimOb0={ob0} inequality={ineq}"
         " vanishing_factors={vf}".format(
@@ -172,25 +157,16 @@ def _cmd_weights(args: argparse.Namespace) -> int:
 
 
 def _cmd_superpoly(args: argparse.Namespace) -> int:
-    if args.variant == "even":
-        result = superpolynomial_even(args.n, args.k, args.link_s)
-        record = result.to_record()
-        lines = [
-            f"P_even(n={args.n}, k={list(args.k)}, link_s={list(args.link_s)})"
-            f" = {result.value}",
-            f"canonical (a,q,t) image = {result.image}",
-        ]
-    else:
-        result = calibrated_superpolynomial(args.n, args.k, args.link_s)
-        record = result.to_record()
-        record["truncated"] = str(result.truncated(args.degree))
-        lines = [
-            f"P(n={args.n}, k={list(args.k)}, link_s={list(args.link_s)})"
-            f" = {result.value}",
-            f"shift_exponent = {result.shift_exponent}",
-            f"in_conjecture_regime = {result.in_conjecture_regime}",
-            f"series to total degree {args.degree}: {record['truncated']}",
-        ]
+    result = calibrated_superpolynomial(args.n, args.k, args.link_s)
+    record = result.to_record()
+    record["truncated"] = str(result.truncated(args.degree))
+    lines = [
+        f"P(n={args.n}, k={list(args.k)}, link_s={list(args.link_s)})"
+        f" = {result.value}",
+        f"shift_exponent = {result.shift_exponent}",
+        f"in_conjecture_regime = {result.in_conjecture_regime}",
+        f"series to total degree {args.degree}: {record['truncated']}",
+    ]
     _emit(args, [record], lines)
     return EXIT_OK
 
@@ -313,12 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed for the randomized suites (default: 0)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=os.cpu_count() or 1,
-        help="parallel workers for chart-level work (default: cpu count)",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("charts", help="enumerate all chart records for size n")
@@ -337,12 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--link-s", type=_int_list, default=(), dest="link_s",
         help="skipped generator indices (experimental; comma list)",
-    )
-    sub.add_argument(
-        "--variant",
-        choices=("calibrated", "even"),
-        default="calibrated",
-        help="calibrated (a,q,t) sum or the verbatim even-t surrogate in (a,Q,T)",
     )
     sub.set_defaults(handler=_cmd_superpoly)
 

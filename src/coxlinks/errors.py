@@ -32,11 +32,12 @@ class ConsistencyError(CoxlinksError):
 
 
 class DegenerateChartError(CoxlinksError):
-    """A chart has a torus-fixed tangent direction ((dx, dy) = (0, 0)).
+    """A chart has a torus-fixed tangent direction in the calibrated weights.
 
-    The per-chart localization factor divides by (1 - Q^dx T^dy), so such
-    charts have no well-defined contribution and must be handled (or
-    excluded) explicitly by the caller.
+    The calibrated localization term divides by (1 - u^i v^j) for every free
+    coordinate; when some coordinate has (i, j) = (0, 0) that factor is
+    (1 - 1), so the chart has no well-defined contribution and must be
+    handled (or excluded) explicitly by the caller.
     """
 
     def __init__(self, message: str, charts: tuple = ()):  # noqa: ANN001

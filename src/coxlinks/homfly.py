@@ -24,6 +24,7 @@ bug, not a number).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -316,8 +317,6 @@ def braid_to_hecke(braid: BraidWord) -> HeckeElement:
 
 _ZETA = BinomialRational(LaurentPoly.variable(AZ, "z"), {(2, 0): 1})
 
-_trace_cache: Dict[Perm, BinomialRational] = {}
-
 
 def _trim(perm: Perm) -> Perm:
     end = len(perm)
@@ -328,12 +327,18 @@ def _trim(perm: Perm) -> Perm:
 
 def _basis_trace(perm: Perm) -> BinomialRational:
     """Markov trace of a single basis element ``T_w``, normalized tr(1)=1."""
-    key = _trim(perm)
+    return _trimmed_trace(_trim(perm))
+
+
+@functools.cache
+def _trimmed_trace(key: Perm) -> BinomialRational:
+    """:func:`_basis_trace` keyed by the permutation without its fixed tail.
+
+    Braids are capped at six strands, so the cache holds fewer than 1000
+    keys; ``_trimmed_trace.cache_info()`` reports its hits.
+    """
     if not key:
         return BinomialRational.from_poly(LaurentPoly.one(AZ))
-    cached = _trace_cache.get(key)
-    if cached is not None:
-        return cached
     m = len(key)  # largest moved point
     j = key.index(m)  # 0-based position of value m
     u = tuple(v for v in key if v != m) + (m,)
@@ -343,9 +348,7 @@ def _basis_trace(perm: Perm) -> BinomialRational:
     total = BinomialRational.zero(AZ)
     for inner_perm, coeff in element.items():
         total = total + coeff * _basis_trace(inner_perm)
-    result = _ZETA * total
-    _trace_cache[key] = result
-    return result
+    return _ZETA * total
 
 
 def _left_generator(element: HeckeElement, index: int) -> HeckeElement:

@@ -1,20 +1,11 @@
-"""Fixed-point localization sums for the even superpolynomial.
+"""Fixed-point localization sums for the calibrated superpolynomial.
 
 Each commuting chart contributes one exactly-factored rational term; the
-invariant candidate is the normalized sum over all of them.  Two variants
-are provided:
-
-* :func:`superpolynomial_even` — the bookkeeping weights verbatim, in the
-  display variables ``(a, Q, T)``: prefactor ``Q^{k.wx} T^{k.wy}``, one
-  exterior-power factor ``(1 - a Q^{wx_i} T^{wy_i})`` per level ``i < n``,
-  obstruction factors ``(1 - Q^{ox} T^{oy})`` in the numerator and tangent
-  factors ``(1 - Q^{dx} T^{dy})`` in the denominator.  The ``(q, t, a)``
-  image under the canonical substitution ``Q = q^2/t^2``, ``T = t^2`` is
-  attached.
-* :func:`calibrated_superpolynomial` — the same sum with the weights that
-  make the ``n = 2`` family agree *exactly* with the two-strand homology
-  oracle (:mod:`coxlinks.twostrand`).  The calibration was fixed once at
-  ``n = 2, k = (1,)`` and is applied uniformly; no per-``k`` fitting.
+invariant candidate is the normalized sum over all of them.
+:func:`calibrated_superpolynomial` uses the weights that make the ``n = 2``
+family agree *exactly* with the two-strand homology oracle
+(:mod:`coxlinks.twostrand`).  The calibration was fixed once at
+``n = 2, k = (1,)`` and is applied uniformly; no per-``k`` fitting.
 
 Calibrated weights, in the series variables ``u = q^2`` and ``v = t^2/q^2``
 (the degrees of a free x- and y-coordinate):
@@ -29,9 +20,8 @@ Calibrated weights, in the series variables ``u = q^2`` and ``v = t^2/q^2``
 
 A chart whose tangent factor would be ``(1 - 1)`` has no well-defined
 contribution (:class:`~coxlinks.errors.DegenerateChartError`).  No commuting
-chart is degenerate, in either variant's bookkeeping, for ``n <= 6``
-(checked exhaustively); the guards remain for larger ``n`` and for callers
-that evaluate single charts.
+chart is degenerate for ``n <= 6`` (checked exhaustively); the guard remains
+for larger ``n`` and for callers that evaluate single charts.
 """
 
 from __future__ import annotations
@@ -50,16 +40,6 @@ from .errors import (
 from .polyalg import BinomialRational, LaurentPoly
 from .twostrand import AQT
 from .weights import WeightData, weight_data
-
-#: Canonical variable order for the display-variable frame.
-QTA = ("a", "Q", "T")
-
-#: The substitution taking the display frame to the homological one.
-CANONICAL_SUBSTITUTION = {
-    "a": LaurentPoly.monomial(AQT, (1, 0, 0)),
-    "Q": LaurentPoly.monomial(AQT, (0, 2, -2)),
-    "T": LaurentPoly.monomial(AQT, (0, 0, 2)),
-}
 
 #: Chart enumeration is factorial; summing past this is a typo, not a plan.
 MAX_LOCALIZATION_N = 7
@@ -118,168 +98,6 @@ def _warn_flags(k: Sequence[int], link_s: Sequence[int]) -> bool:
             stacklevel=3,
         )
     return regime
-
-
-# -- verbatim display-variable formula ---------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class FixedPointTerm:
-    """One chart's contribution to the localization sum, fully factored.
-
-    ``prefactor`` is the exponent pair of ``Q^{k.wx} T^{k.wy}``;
-    ``lambda_factors`` lists the level weights ``(wx_i, wy_i)`` of the
-    ``(1 - a Q T)``-style exterior-power factors; ``numerator_factors`` and
-    ``denominator_factors`` carry the obstruction and tangent weight pairs.
-    """
-
-    chart: Chart
-    prefactor: Tuple[int, int]
-    lambda_factors: Tuple[Tuple[int, int], ...]
-    numerator_factors: Tuple[Tuple[int, int], ...]
-    denominator_factors: Tuple[Tuple[int, int], ...]
-
-    def value(self) -> BinomialRational:
-        """The term as an exact rational in ``(a, Q, T)``.
-
-        Raises:
-            DegenerateChartError: a tangent factor is ``(1 - 1)``.
-        """
-        num = LaurentPoly.monomial(
-            QTA, (0, self.prefactor[0], self.prefactor[1])
-        )
-        for wx_i, wy_i in self.lambda_factors:
-            num = num * (
-                LaurentPoly.one(QTA)
-                - LaurentPoly.monomial(QTA, (1, wx_i, wy_i))
-            )
-        for ox, oy in self.numerator_factors:
-            num = num * (
-                LaurentPoly.one(QTA) - LaurentPoly.monomial(QTA, (0, ox, oy))
-            )
-        den: Dict[tuple, int] = {}
-        for dx, dy in self.denominator_factors:
-            if dx == 0 and dy == 0:
-                raise DegenerateChartError(
-                    f"chart {self.chart.label.flat_key()} has a torus-fixed "
-                    "tangent direction; its localization term divides by zero",
-                    charts=(self.chart,),
-                )
-            exponent = (0, dx, dy)
-            den[exponent] = den.get(exponent, 0) + 1
-        return BinomialRational(num, den)
-
-
-def fixed_point_term(
-    chart: Chart, k: Sequence[int], link_s: Sequence[int] = ()
-) -> FixedPointTerm:
-    """Assemble the factored localization term of one chart.
-
-    The factor lists mirror the weights module record-for-record: one
-    denominator entry per free coordinate, one numerator entry per
-    obstruction pair, one exterior-power factor per level below ``n``.
-    """
-    n = chart.n
-    k = tuple(int(v) for v in k)
-    if len(k) != n - 1:
-        raise ValueError(f"k must have length n-1 = {n - 1}, got {len(k)}")
-    data = weight_data(chart, link_s)
-    prefactor = (
-        sum(ki * wxi for ki, wxi in zip(k, data.wx)),
-        sum(ki * wyi for ki, wyi in zip(k, data.wy)),
-    )
-    term = FixedPointTerm(
-        chart=chart,
-        prefactor=prefactor,
-        lambda_factors=tuple(zip(data.wx[: n - 1], data.wy[: n - 1])),
-        numerator_factors=tuple((r.ox, r.oy) for r in data.obstruction),
-        denominator_factors=tuple((r.dx, r.dy) for r in data.tangent),
-    )
-    assert len(term.denominator_factors) == n * (n - 1) // 2
-    assert len(term.lambda_factors) == n - 1
-    return term
-
-
-def omega(chart: Chart, link_s: Sequence[int] = ()) -> BinomialRational:
-    """The chart's localization factor with no prefactor, in ``(a, Q, T)``.
-
-    ``omega = prod (1 - Q^ox T^oy) * prod (1 - a Q^wx_i T^wy_i)
-    / prod (1 - Q^dx T^dy)`` over the chart's obstruction pairs, levels,
-    and free coordinates.
-
-    Raises:
-        DegenerateChartError: some free coordinate has weight ``(0, 0)``.
-
-    Examples:
-        >>> from .charts import all_charts
-        >>> y_chart, x_chart = all_charts(2)  # flat-key order: y-pivot first
-        >>> print(omega(x_chart))
-        (-a*Q + 1) / (1 - Q*T)
-        >>> print(omega(y_chart))
-        (-a*T + 1) / (1 - Q*T)
-    """
-    zero_k = (0,) * (chart.n - 1)
-    return fixed_point_term(chart, zero_k, link_s).value()
-
-
-@dataclass(frozen=True, slots=True)
-class Superpolynomial:
-    """Normalized localization sum with both variable frames attached.
-
-    ``value`` lives in the display frame ``(a, Q, T)``; ``image`` is its
-    substitution under ``Q = q^2/t^2, T = t^2`` and is recomputable from
-    ``value`` (tested, not trusted).
-    """
-
-    n: int
-    k: Tuple[int, ...]
-    link_s: Tuple[int, ...]
-    value: BinomialRational
-    image: BinomialRational
-    in_conjecture_regime: bool
-
-    def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "k": list(self.k),
-            "link_s": list(self.link_s),
-            "value": self.value.to_record(),
-            "image": self.image.to_record(),
-            "in_conjecture_regime": self.in_conjecture_regime,
-            "experimental": bool(self.link_s),
-        }
-
-
-def superpolynomial_even(
-    n: int, k: Sequence[int], link_s: Sequence[int] = ()
-) -> Superpolynomial:
-    """Sum ``Q^{k.wx} T^{k.wy} omega(S)`` over the commuting charts.
-
-    Emits :class:`~coxlinks.errors.PositivityRegimeWarning` when ``k`` is
-    outside the monotone cone and :class:`ExperimentalFeatureWarning` when
-    ``link_s`` is nonempty; both paths still compute.
-
-    Examples:
-        >>> p = superpolynomial_even(2, (1,))
-        >>> print(p.value)
-        (-a*Q^2 - a*T^2 + Q + T) / (1 - Q*T)
-    """
-    k, link_s = _validate_inputs(n, k, link_s)
-    regime = _warn_flags(k, link_s)
-    total = BinomialRational.zero(QTA)
-    for chart in commuting_charts(n):
-        total = total + fixed_point_term(chart, k, link_s).value()
-    value = total.normalize()
-    a_exponents = value.num.exponents_of("a")
-    assert all(0 <= e <= n - 1 for e in a_exponents), a_exponents
-    return Superpolynomial(
-        n=n,
-        k=k,
-        link_s=link_s,
-        value=value,
-        image=value.substitute(CANONICAL_SUBSTITUTION).normalize(),
-        in_conjecture_regime=regime,
-    )
 
 
 # -- calibrated homological-variable formula ---------------------------------
@@ -407,8 +225,8 @@ def calibrated_superpolynomial(
 def detect_degenerate(n: int) -> List[Chart]:
     """All charts (commuting or not) with a tangent weight pair ``(0, 0)``.
 
-    These are exactly the charts whose verbatim localization factor is
-    undefined.  The scan is exhaustive over all ``n!`` charts.
+    These are the charts whose verbatim bookkeeping has a torus-fixed
+    tangent direction.  The scan is exhaustive over all ``n!`` charts.
 
     Examples:
         >>> detect_degenerate(2)

@@ -766,9 +766,3 @@ def divide_by_binomial(poly: LaurentPoly, monomial_exponent: Exponent) -> Lauren
             remainder.pop(shifted, None)
     return LaurentPoly(variables, quotient)
 
-
-def truncate_series(
-    rational: BinomialRational, weights: Mapping[str, int], bound: int
-) -> LaurentPoly:
-    """Module-level alias for :meth:`BinomialRational.truncate_series`."""
-    return rational.truncate_series(weights, bound)

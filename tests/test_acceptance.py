@@ -33,3 +33,17 @@ def test_result_lines_are_well_formed():
     assert line.startswith("PASS")
     assert " 1  chart-count" in line
     assert "[bound 10 s]" in line
+
+
+def test_bridge_criterion_fails_on_report_drift(monkeypatch, tmp_path):
+    report = tmp_path / "reports" / "specialization_bridge.md"
+    report.parent.mkdir()
+    report.write_text(
+        acceptance.bridge_report_text().replace("T(2,7)", "T(2,11)"),
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(acceptance, "_repo_root", lambda: tmp_path)
+    result = acceptance.run_criterion(9, seed=0)
+    assert not result.passed
+    assert str(report) in result.detail
+    assert "regenerate it from acceptance.bridge_report_text()" in result.detail

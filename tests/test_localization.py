@@ -1,11 +1,11 @@
-"""Localization sums: per-chart factors, even/calibrated variants, guards."""
+"""Localization sums: the calibrated sum, regime flags, degeneracy guards."""
 
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxlinks.charts import NestedSetPair, all_charts, build_chart
+from coxlinks.charts import NestedSetPair, build_chart
 from coxlinks.errors import (
     CapacityError,
     DegenerateChartError,
@@ -13,74 +13,20 @@ from coxlinks.errors import (
     PositivityRegimeWarning,
 )
 from coxlinks.localization import (
-    CANONICAL_SUBSTITUTION,
+    _calibrated_term,
     calibrated_superpolynomial,
     detect_degenerate,
-    fixed_point_term,
     in_positivity_regime,
-    omega,
-    superpolynomial_even,
 )
-from coxlinks.polyalg import BinomialRational, parse_poly
 from coxlinks.twostrand import homology_T2_odd
-
-AQT = ("a", "q", "t")
-QTA = ("a", "Q", "T")
+from coxlinks.weights import weight_data
 
 FAMILY_CHART = build_chart(
     NestedSetPair.from_lists(4, [{3, 4}, {3}, (), ()], [{4}, {4}, {4}, ()])
 )
 
 
-def _ratio(variables, num_text, den_factors):
-    return BinomialRational(parse_poly(num_text, variables), den_factors)
-
-
-# -- per-chart factors ----------------------------------------------------------------
-
-
-def test_omega_at_n2_golden():
-    y_chart, x_chart = all_charts(2)
-    assert omega(x_chart) == _ratio(QTA, "1 - a*Q", {(0, 1, 1): 1})
-    assert omega(y_chart) == _ratio(QTA, "1 - a*T", {(0, 1, 1): 1})
-
-
-def test_fixed_point_term_shapes():
-    chart = all_charts(3)[0]
-    term = fixed_point_term(chart, (1, 0))
-    assert len(term.denominator_factors) == 3
-    assert len(term.lambda_factors) == 2
-    with pytest.raises(ValueError):
-        fixed_point_term(chart, (1, 0, 0))
-
-
-# -- the even variant -----------------------------------------------------------------
-
-
-def test_even_sum_at_n2_golden():
-    p = superpolynomial_even(2, (1,))
-    assert p.value == _ratio(QTA, "Q + T - a*Q^2 - a*T^2", {(0, 1, 1): 1})
-    assert p.in_conjecture_regime
-
-
-def test_canonical_substitution_frame():
-    assert set(CANONICAL_SUBSTITUTION) == {"a", "Q", "T"}
-    assert str(CANONICAL_SUBSTITUTION["Q"]) == "q^2*t^-2"
-    assert str(CANONICAL_SUBSTITUTION["T"]) == "t^2"
-
-
-def test_even_image_is_recomputable_from_value():
-    p = superpolynomial_even(2, (2,))
-    num = p.value.num.substitute(CANONICAL_SUBSTITUTION)
-    den_poly = parse_poly("1", AQT)
-    one = parse_poly("1", QTA)
-    for exps, mult in p.value.den.items():
-        factor = one - parse_poly("1", QTA).monomial(QTA, exps)
-        den_poly = den_poly * factor.substitute(CANONICAL_SUBSTITUTION) ** mult
-    assert p.image * BinomialRational(den_poly) == BinomialRational(num)
-
-
-# -- the calibrated variant -----------------------------------------------------------
+# -- the calibrated sum ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -160,9 +106,17 @@ def test_family_chart_is_detected_and_unusable():
     flagged = {chart.label.flat_key() for chart in detect_degenerate(4)}
     assert FAMILY_CHART.label.flat_key() in flagged
     assert FAMILY_CHART.label.mirror().flat_key() in flagged
+
+
+def test_calibrated_term_rejects_fixed_tangent_direction():
+    # The y-record (1, 2) has (dx, dy) = (0, 2): a torus-fixed direction in
+    # the calibrated weights, so its factor would be (1 - 1).
+    chart = build_chart(
+        NestedSetPair.from_lists(4, [{3, 4}, {4}, (), ()], [{4}, {4}, {4}, ()])
+    )
     with pytest.raises(DegenerateChartError) as excinfo:
-        omega(FAMILY_CHART)
-    assert excinfo.value.charts == (FAMILY_CHART,)
+        _calibrated_term(weight_data(chart), (0, 0, 0))
+    assert excinfo.value.charts == (chart,)
 
 
 def test_localization_capacity_cap():

@@ -11,7 +11,6 @@ from coxlinks.polyalg import (
     LaurentPoly,
     divide_by_binomial,
     parse_poly,
-    truncate_series,
 )
 
 AQ = ("a", "q")
