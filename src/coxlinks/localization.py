@@ -33,6 +33,7 @@ from typing import Dict, List, Sequence, Tuple
 from .charts import Chart, all_charts, commuting_charts
 from .errors import (
     CapacityError,
+    ConsistencyError,
     DegenerateChartError,
     ExperimentalFeatureWarning,
     PositivityRegimeWarning,
@@ -207,8 +208,12 @@ def calibrated_superpolynomial(
     )
     value = (shift * total * tensor).normalize()
     a_exponents = value.num.exponents_of("a")
-    if a_exponents:
-        assert max(a_exponents) - min(a_exponents) <= n - 1, a_exponents
+    if a_exponents and max(a_exponents) - min(a_exponents) > n - 1:
+        raise ConsistencyError(
+            f"numerator a-degrees {sorted(a_exponents)} span "
+            f"{max(a_exponents) - min(a_exponents)} steps; at n = {n} "
+            f"the span is at most {n - 1}"
+        )
     return CalibratedSuperpolynomial(
         n=n,
         k=k,

@@ -9,7 +9,8 @@ homology oracle, the Hecke trace) runs on two exact types:
 * :class:`BinomialRational` — a fraction ``numerator / prod (1 - m)^d`` whose
   denominator is a *multiset of binomial factors*, each ``m`` a monomial.
   Denominators are never expanded; cancellation happens only by exact
-  division of the numerator by a single binomial factor.
+  division of the numerator by a single binomial factor, which works chain
+  by chain along ``e + Z*m`` (see :func:`divide_by_binomial`).
 
 Canonical string grammar (used by ``str()`` and :func:`parse_poly`)::
 
@@ -659,23 +660,32 @@ class BinomialRational:
         weight_vector = tuple(weights[name] for name in self.variables)
         if self.num.is_zero():
             return self.num
-        result = self.num.truncate(weights, bound)
+
+        def degree(exponent: Exponent) -> int:
+            return sum(w * e for w, e in zip(weight_vector, exponent))
+
+        terms = self.num.truncate(weights, bound).terms
         for exponent, multiplicity in sorted(self.den.items(), key=lambda t: _glex_key(t[0])):
-            step = sum(w * e for w, e in zip(weight_vector, exponent))
+            step = degree(exponent)
             if step <= 0:
                 raise ExpansionError(
                     f"denominator monomial with exponent {exponent} has "
                     f"non-positive grading value {step}"
                 )
-            monomial = LaurentPoly.monomial(self.variables, exponent)
             for _ in range(multiplicity):
-                acc = result
-                shifted = (result * monomial).truncate(weights, bound)
-                while not shifted.is_zero():
-                    acc = acc + shifted
-                    shifted = (shifted * monomial).truncate(weights, bound)
-                result = acc
-        return result.truncate(weights, bound)
+                # Multiply by 1/(1 - m) = 1 + m + m^2 + ...: walk each term
+                # along its chain while the degree stays within the bound.
+                # Every step raises the degree by step > 0, so a term beyond
+                # the bound never comes back.
+                expanded: Dict[Exponent, int] = {}
+                for start, coefficient in terms.items():
+                    current, current_degree = start, degree(start)
+                    while current_degree <= bound:
+                        expanded[current] = expanded.get(current, 0) + coefficient
+                        current = tuple(a + b for a, b in zip(current, exponent))
+                        current_degree += step
+                terms = {e: c for e, c in expanded.items() if c}
+        return LaurentPoly(self.variables, terms)
 
     # -- comparison and display --------------------------------------------
 
@@ -726,15 +736,19 @@ class BinomialRational:
 
 
 def divide_by_binomial(poly: LaurentPoly, monomial_exponent: Exponent) -> LaurentPoly:
-    """Exact division of ``poly`` by ``(1 - x^monomial_exponent)``.
+    """Exact division of ``poly`` by ``(1 - m)``, ``m = x^monomial_exponent``.
 
     The factor must be in canonical orientation (monomial graded-lex greater
-    than 1).  Works from the graded-lex-minimal term upward: if
-    ``q * (1 - m) == poly`` then the minimal term of ``poly`` is the minimal
-    term of ``q``, so it can be peeled off and the remainder shrinks.  The
-    quotient's terms all lie glex-between the minimal and maximal terms of
-    ``poly``, which bounds the loop; crossing the maximal term proves the
-    division is not exact.
+    than 1).  Multiplying by ``(1 - m)`` only relates exponents on one chain
+    ``base + s*m``, so the division splits into independent chains.  The
+    step ``s`` of an exponent is its coordinate at the first nonzero entry
+    of ``m``, floor-divided by that entry.  On each chain
+    ``q * (1 - m) == poly`` holds exactly when ``q`` at step ``s`` is the
+    sum of ``poly`` over steps ``<= s`` and the chain's total is zero.  The
+    quotient is therefore read off as running sums, from each chain's lowest
+    step up to its highest step minus one.  No term order is involved, so
+    this terminates for every grading and every ``m != 0``, in
+    ``O(N log N + |quotient|)`` for ``N`` terms.
 
     Raises:
         NotDivisibleError: if the factor does not exactly divide ``poly``.
@@ -746,23 +760,36 @@ def divide_by_binomial(poly: LaurentPoly, monomial_exponent: Exponent) -> Lauren
         raise ValueError("binomial factor must be in canonical orientation")
     if poly.is_zero():
         return poly
-    bound = max(_glex_key(e) for e in poly.terms)
-    remainder = dict(poly.terms)
-    quotient: Dict[Exponent, int] = {}
-    while remainder:
-        exponent = min(remainder, key=_glex_key)
-        if _glex_key(exponent) > bound:
+    pivot = next(i for i, e in enumerate(monomial_exponent) if e)
+    pivot_step = monomial_exponent[pivot]
+    chains: Dict[Exponent, Dict[int, int]] = {}
+    for exponent, coefficient in poly.terms.items():
+        step = exponent[pivot] // pivot_step
+        base = tuple(e - step * m for e, m in zip(exponent, monomial_exponent))
+        chains.setdefault(base, {})[step] = coefficient
+    for base, chain in chains.items():
+        total = sum(chain.values())
+        if total:
+            # Name the chain, not the whole polynomial: normalize() expects
+            # and discards many of these errors, so the message stays cheap.
             raise NotDivisibleError(
                 f"(1 - {LaurentPoly.monomial(variables, monomial_exponent)}) "
-                f"does not divide {poly}"
+                f"does not divide a {len(poly.terms)}-term polynomial: its "
+                f"terms on the chain through "
+                f"{LaurentPoly.monomial(variables, base)} sum to {total}, not 0"
             )
-        coefficient = remainder.pop(exponent)
-        quotient[exponent] = quotient.get(exponent, 0) + coefficient
-        shifted = tuple(a + b for a, b in zip(exponent, monomial_exponent))
-        updated = remainder.get(shifted, 0) + coefficient
-        if updated:
-            remainder[shifted] = updated
-        else:
-            remainder.pop(shifted, None)
+    quotient: Dict[Exponent, int] = {}
+    for base, chain in chains.items():
+        steps = sorted(chain)
+        running = 0
+        for step, next_step in zip(steps, steps[1:]):
+            running += chain[step]
+            if not running:
+                continue
+            for gap_step in range(step, next_step):
+                exponent = tuple(
+                    b + gap_step * m for b, m in zip(base, monomial_exponent)
+                )
+                quotient[exponent] = running
     return LaurentPoly(variables, quotient)
 

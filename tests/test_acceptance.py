@@ -8,6 +8,8 @@ reports/gyt_injectivity.md.  Run with ``-v`` to see the per-criterion lines.
 import pytest
 
 from coxlinks import acceptance
+from coxlinks.homfly import coxeter_braid, homfly
+from coxlinks.localization import calibrated_superpolynomial
 
 _IDS = [f"{number:02d}-{name}" for number, name, _, _ in acceptance.CRITERIA]
 
@@ -47,3 +49,16 @@ def test_bridge_criterion_fails_on_report_drift(monkeypatch, tmp_path):
     assert not result.passed
     assert str(report) in result.detail
     assert "regenerate it from acceptance.bridge_report_text()" in result.detail
+
+
+@pytest.mark.parametrize(
+    "k", [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2), (3, 1)], ids=str
+)
+def test_nonmonomial_bridge_holds_at_three_strands(k):
+    # Criterion 9 checks the bridge at n = 2; the same specialization maps
+    # the n = 3 sum onto the HOMFLY polynomial of its Coxeter braid.
+    superpoly = calibrated_superpolynomial(3, k)
+    assert superpoly.value.den == {(0, 2, 0): 1}
+    left = superpoly.value.num.substitute(acceptance._BRIDGE_SPECIALIZATION)
+    right = homfly(coxeter_braid(3, (), k)).substitute(acceptance._Z_IMAGE)
+    assert left == right

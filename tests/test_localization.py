@@ -5,9 +5,11 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxlinks import localization
 from coxlinks.charts import NestedSetPair, build_chart
 from coxlinks.errors import (
     CapacityError,
+    ConsistencyError,
     DegenerateChartError,
     ExperimentalFeatureWarning,
     PositivityRegimeWarning,
@@ -18,7 +20,8 @@ from coxlinks.localization import (
     detect_degenerate,
     in_positivity_regime,
 )
-from coxlinks.twostrand import homology_T2_odd
+from coxlinks.polyalg import BinomialRational, LaurentPoly
+from coxlinks.twostrand import AQT, homology_T2_odd
 from coxlinks.weights import weight_data
 
 FAMILY_CHART = build_chart(
@@ -59,6 +62,15 @@ def test_calibrated_a_window_is_narrow(n, data):
     cal = calibrated_superpolynomial(n, k)
     a_degrees = {exps[0] for exps in cal.value.num.terms}
     assert max(a_degrees) - min(a_degrees) <= n - 1
+
+
+def test_calibrated_a_window_violation_raises(monkeypatch):
+    # A term whose a-degrees span 5 steps cannot come from an n = 2 chart;
+    # the check must raise, also under python -O.
+    wide = BinomialRational(LaurentPoly(AQT, {(0, 0, 0): 1, (5, 0, 0): 1}))
+    monkeypatch.setattr(localization, "_calibrated_term", lambda data, k: wide)
+    with pytest.raises(ConsistencyError, match=r"span 5 steps; at n = 2"):
+        calibrated_superpolynomial(2, (1,))
 
 
 def test_calibrated_truncation_has_no_negative_coefficients():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from coxlinks.errors import ExpansionError, NotDivisibleError
 from coxlinks.polyalg import (
@@ -15,6 +15,7 @@ from coxlinks.polyalg import (
 
 AQ = ("a", "q")
 AQT = ("a", "q", "t")
+QT = ("Q", "T")
 
 
 def poly(text: str, variables=AQ) -> LaurentPoly:
@@ -122,10 +123,51 @@ def test_division_failure_raises():
         divide_by_binomial(poly("1 + q"), (0, 1))
 
 
-@given(laurent_polys(max_terms=4, max_exp=3))
-def test_division_inverts_multiplication(f):
-    factor = poly("1 - q")
-    assert divide_by_binomial(f * factor, (0, 1)) == f
+def is_canonical(exponent) -> bool:
+    """Graded-lex above 1: the orientation every stored factor ``(1 - m)`` has."""
+    return (sum(exponent), tuple(exponent)) > (0, (0,) * len(exponent))
+
+
+# Factors over (a, q, t) in canonical orientation, including total degree 0
+# (e.g. a*q^-1) and negative components.
+canonical_monomials = st.tuples(
+    *[st.integers(min_value=-3, max_value=3) for _ in AQT]
+).filter(is_canonical)
+
+
+def test_division_by_degree_zero_binomial_terminates():
+    # (1 - Q*T^-1) has total degree 0: a non-exact division must fail fast.
+    with pytest.raises(NotDivisibleError, match="sum to 1, not 0"):
+        divide_by_binomial(poly("1 + Q", QT), (1, -1))
+    product = poly("1 - Q*T^-1", QT) * poly("1 + Q + T", QT)
+    assert divide_by_binomial(product, (1, -1)) == poly("1 + Q + T", QT)
+
+
+def test_division_rejects_factor_in_flipped_orientation():
+    with pytest.raises(ValueError, match="canonical orientation"):
+        divide_by_binomial(poly("1 - q"), (0, -1))
+
+
+@given(laurent_polys(AQT, max_terms=4, max_exp=3), canonical_monomials)
+@example(LaurentPoly(AQT, {(0, 0, 0): 1, (1, 0, 0): 1}), (1, -1, 0))
+def test_division_inverts_multiplication(f, m):
+    factor = LaurentPoly(AQT, {(0, 0, 0): 1, m: -1})
+    assert divide_by_binomial(f * factor, m) == f
+
+
+@given(
+    laurent_polys(AQT, max_terms=4, max_exp=3),
+    canonical_monomials,
+    st.tuples(*[st.integers(min_value=-6, max_value=6) for _ in AQT]),
+    st.integers(min_value=-9, max_value=9).filter(bool),
+)
+@example(LaurentPoly.zero(AQT), (1, -1, 0), (0, 0, 0), 1)
+def test_division_rejects_any_single_extra_term(f, m, extra, coefficient):
+    # A nonzero multiple of (1 - m) never has exactly one term.
+    factor = LaurentPoly(AQT, {(0, 0, 0): 1, m: -1})
+    perturbed = f * factor + LaurentPoly.monomial(AQT, extra, coefficient)
+    with pytest.raises(NotDivisibleError):
+        divide_by_binomial(perturbed, m)
 
 
 def test_truncate_series_geometric():
@@ -133,6 +175,40 @@ def test_truncate_series_geometric():
     rational = BinomialRational(LaurentPoly.one(AQ), {(0, 1): 1})
     series = rational.truncate_series({"a": 1, "q": 1}, 4)
     assert series == poly("1 + q + q^2 + q^3 + q^4")
+
+
+@st.composite
+def expandable_rationals(draw):
+    """(rational, weights, bound) with every denominator step positive."""
+    weights = dict(
+        zip(AQT, draw(st.tuples(*[st.integers(min_value=-1, max_value=3) for _ in AQT])))
+    )
+
+    def step(exponent):
+        return sum(weights[name] * e for name, e in zip(AQT, exponent))
+
+    factors = st.tuples(*[st.integers(min_value=-2, max_value=3) for _ in AQT]).filter(
+        lambda m: is_canonical(m) and step(m) > 0
+    )
+    den = draw(
+        st.dictionaries(
+            factors, st.integers(min_value=1, max_value=3), min_size=2, max_size=3
+        )
+    )
+    num = draw(laurent_polys(AQT, max_terms=4, max_exp=3))
+    bound = draw(st.integers(min_value=-4, max_value=10))
+    return BinomialRational(num, den), weights, bound
+
+
+@given(expandable_rationals())
+def test_truncate_series_times_denominator_recovers_numerator(case):
+    # Every term of r - s has degree > bound and the denominator has no term
+    # of negative degree, so s * den agrees with num up to the bound.
+    rational, weights, bound = case
+    series = rational.truncate_series(weights, bound)
+    assert series.truncate(weights, bound) == series
+    recovered = (series * rational.denominator_poly()).truncate(weights, bound)
+    assert recovered == rational.num.truncate(weights, bound)
 
 
 def test_truncate_series_rejects_nonpositive_weights():
