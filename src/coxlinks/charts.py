@@ -25,8 +25,10 @@ All values are immutable; every function is pure and thread-safe.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import CapacityError, ConsistencyError
@@ -103,6 +105,16 @@ class NestedSetPair:
         }
 
 
+def _check_enumeration_size(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if n > MAX_ENUMERATION_N:
+        raise CapacityError(
+            f"chart enumeration is limited to n <= {MAX_ENUMERATION_N} "
+            f"(the census is n!, which grows too fast); got n = {n}"
+        )
+
+
 def enumerate_nested_pairs(n: int) -> List[NestedSetPair]:
     """All nested set pairs for matrix size ``n``, in flat-key order.
 
@@ -114,13 +126,7 @@ def enumerate_nested_pairs(n: int) -> List[NestedSetPair]:
         ValueError: if ``n < 1``.
         CapacityError: if ``n > 9`` (factorial growth).
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > MAX_ENUMERATION_N:
-        raise CapacityError(
-            f"chart enumeration is limited to n <= {MAX_ENUMERATION_N} "
-            f"(the census is n!, which grows too fast); got n = {n}"
-        )
+    _check_enumeration_size(n)
     results: List[NestedSetPair] = []
     empty: FrozenSet[int] = frozenset()
 
@@ -187,7 +193,7 @@ class Chart:
             "zeros": {"x": sorted(self.zx), "y": sorted(self.zy)},
             "base_mx": [list(row) for row in self.mx],
             "base_my": [list(row) for row in self.my],
-            "monomials": [_word_str(word) for word in monomial_vector(self)],
+            "monomials": [word_str(word) for word in monomial_vector(self)],
             "commutes": is_commutative(self),
         }
 
@@ -291,7 +297,8 @@ def monomial_vector(chart: Chart) -> Tuple[str, ...]:
     return result
 
 
-def _word_str(word: str) -> str:
+def word_str(word: str) -> str:
+    """A monomial word as printed in records, with ``"1"`` for the empty word."""
     return word if word else "1"
 
 
@@ -378,18 +385,24 @@ def to_gyt(chart: Chart) -> GYT:
     return GYT.from_dict({cell: frozenset(labels) for cell, labels in cells.items()})
 
 
+def _product_entries(pa: FrozenSet[IndexPair], pb: FrozenSet[IndexPair]) -> Counter:
+    """Nonzero entries of the product of two base matrices, from their pivots.
+
+    A base matrix has a 1 exactly at its pivots, so entry ``(i, l)`` of the
+    product counts the pivots ``(i, j)`` of the first matrix that meet a
+    pivot ``(j, l)`` of the second.
+    """
+    return Counter((i, l) for i, j in pa for k, l in pb if j == k)
+
+
 def is_commutative(chart: Chart) -> bool:
-    """True iff the base-point matrices commute (exact integer arithmetic)."""
-    n = chart.n
-    mx, my = chart.mx, chart.my
+    """True iff the base-point matrices commute.
 
-    def matmul(a: Matrix, b: Matrix) -> Matrix:
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-
-    return matmul(mx, my) == matmul(my, mx)
+    Exact: both products are read off the pivot sets (see
+    ``_product_entries``), which costs ``O(|P_x| |P_y|)`` instead of two
+    dense ``n x n`` integer products.
+    """
+    return _product_entries(chart.px, chart.py) == _product_entries(chart.py, chart.px)
 
 
 def all_charts(n: int) -> List[Chart]:
@@ -398,16 +411,47 @@ def all_charts(n: int) -> List[Chart]:
 
 
 def commuting_charts(n: int) -> List[Chart]:
-    """The charts whose base-point matrices commute.
+    """The charts whose base-point matrices commute, in canonical label order.
 
-    These are exactly the charts whose tableau is a *hook-shaped* standard
-    Young tableau, so there are ``2^(n-1)`` of them.  The first non-hook
-    shape (two rows of two cells, n = 4) has a commuting flag of ideals
-    whose matrices carry four ones — one more than the ``n - 1`` pivots a
-    base point owns — so its tableau is reached only from charts whose base
-    points do not commute.
+    A chart commutes exactly when every word of its monomial vector is a pure
+    power ``X^a`` or ``Y^b``, i.e. when its tableau is a *hook-shaped*
+    standard Young tableau; so there are ``2^(n-1)`` of them.  They are
+    generated directly: each flag step ``k = 2..n`` extends one arm ``L`` of
+    the hook, ``m_k = L + m_e`` where ``m_e`` is the current end of that arm
+    (``e = 1`` while the arm is empty).  That is the pivot ``(n+1-k, n+1-e)``
+    on side ``L``, and ``S_L^i`` collects the ``L``-pivot columns at levels
+    ``>= i``.  The filter ``[c for c in all_charts(n) if is_commutative(c)]``
+    gives the same list and serves as the test oracle.
+
+    The first non-hook shape (two rows of two cells, n = 4) has a commuting
+    flag of ideals whose matrices carry four ones — one more than the
+    ``n - 1`` pivots a base point owns — so its tableau is reached only from
+    charts whose base points do not commute.
+
+    Raises:
+        ValueError: if ``n < 1``.
+        CapacityError: if ``n > 9``, the cap of ``all_charts``.
+
+    Examples:
+        >>> len(commuting_charts(7)) == 64
+        True
     """
-    return [chart for chart in all_charts(n) if is_commutative(chart)]
+    _check_enumeration_size(n)
+    labels = []
+    for sides in product("xy", repeat=n - 1):
+        # chains[L][-1] is the latest level's set; they grow toward level 1.
+        chains = {"x": [frozenset()], "y": [frozenset()]}
+        arm_end = {"x": 1, "y": 1}
+        for k, side in enumerate(sides, start=2):
+            column = n + 1 - arm_end[side]
+            for other, chain in chains.items():
+                chain.append(chain[-1] | {column} if other == side else chain[-1])
+            arm_end[side] = k
+        labels.append(
+            NestedSetPair(n, tuple(reversed(chains["x"])), tuple(reversed(chains["y"])))
+        )
+    labels.sort(key=NestedSetPair.flat_key)
+    return [build_chart(label) for label in labels]
 
 
 def standard_tableau_images(n: int) -> Dict[GYT, List[Chart]]:

@@ -26,10 +26,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__, acceptance
-from .charts import all_charts, gyt_injectivity_report
+from .charts import (
+    NestedSetPair,
+    all_charts,
+    gyt_injectivity_report,
+    is_commutative,
+    monomial_vector,
+    word_str,
+)
 from .errors import (
     BraidSyntaxError,
     CapacityError,
@@ -44,7 +52,7 @@ from .homfly import coxeter_braid, homfly, parse_braid
 from .localization import calibrated_superpolynomial, detect_degenerate
 from .mfcheck import containment_suite
 from .twostrand import homology_T2_even, homology_T2_odd
-from .weights import fixed_dim_check, weight_data
+from .weights import weight_data
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -104,55 +112,72 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(args: argparse.Namespace, records: List[dict], lines: Iterable[str]) -> None:
+def _emit(
+    args: argparse.Namespace, records: Callable[[], List[dict]], lines: Iterable[str]
+) -> None:
+    """Print ``lines`` (plain) or the document of ``records()`` (tree).
+
+    Each format builds only what it prints: ``records`` is called and
+    ``lines`` iterated only for their own format.
+    """
     if args.format == "tree":
-        document = {"command": args.command, "records": records}
+        document = {"command": args.command, "records": records()}
         print(json.dumps(document, sort_keys=True, indent=2))
     else:
         for line in lines:
             print(line)
 
 
+def _label_fields(label: NestedSetPair) -> str:
+    return "sx={} sy={}".format(
+        json.dumps([sorted(level) for level in label.sx]),
+        json.dumps([sorted(level) for level in label.sy]),
+    )
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 
 def _cmd_charts(args: argparse.Namespace) -> int:
-    records = [chart.to_record() for chart in all_charts(args.n)]
-    lines = [
-        "label sx={sx} sy={sy} monomials={monomials} commutes={commutes}".format(
-            sx=json.dumps(record["label"]["sx"]),
-            sy=json.dumps(record["label"]["sy"]),
-            monomials=json.dumps(record["monomials"]),
-            commutes=record["commutes"],
+    charts = all_charts(args.n)
+    lines = (
+        "label {label} monomials={monomials} commutes={commutes}".format(
+            label=_label_fields(chart.label),
+            monomials=json.dumps([word_str(word) for word in monomial_vector(chart)]),
+            commutes=is_commutative(chart),
         )
-        for record in records
-    ]
-    _emit(args, records, [f"charts n={args.n}: {len(records)} records"] + lines)
+        for chart in charts
+    )
+    _emit(
+        args,
+        lambda: [chart.to_record() for chart in charts],
+        chain([f"charts n={args.n}: {len(charts)} records"], lines),
+    )
     return EXIT_OK
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
-    records = [
-        {
-            **weight_data(chart).to_record(),
-            "label": chart.label.to_record(),
-            "fixed_dim": fixed_dim_check(chart),
-        }
-        for chart in all_charts(args.n)
-    ]
-    lines = [
+    rows = [(data, data.fixed_dim()) for data in map(weight_data, all_charts(args.n))]
+    lines = (
         "wx={wx} wy={wy} dimT0={t0} dimOb0={ob0} inequality={ineq}"
         " vanishing_factors={vf}".format(
-            wx=json.dumps(record["wx"]),
-            wy=json.dumps(record["wy"]),
-            t0=record["fixed_dim"]["dimT0"],
-            ob0=record["fixed_dim"]["dimOb0"],
-            ineq=record["fixed_dim"]["inequality"],
-            vf=record["fixed_dim"]["vanishing_factors"],
+            wx=json.dumps(data.wx),
+            wy=json.dumps(data.wy),
+            t0=fixed["dimT0"],
+            ob0=fixed["dimOb0"],
+            ineq=fixed["inequality"],
+            vf=fixed["vanishing_factors"],
         )
-        for record in records
-    ]
-    _emit(args, records, [f"weights n={args.n}: {len(records)} records"] + lines)
+        for data, fixed in rows
+    )
+    _emit(
+        args,
+        lambda: [
+            {**data.to_record(), "label": data.chart.label.to_record(), "fixed_dim": fixed}
+            for data, fixed in rows
+        ],
+        chain([f"weights n={args.n}: {len(rows)} records"], lines),
+    )
     return EXIT_OK
 
 
@@ -167,7 +192,7 @@ def _cmd_superpoly(args: argparse.Namespace) -> int:
         f"in_conjecture_regime = {result.in_conjecture_regime}",
         f"series to total degree {args.degree}: {record['truncated']}",
     ]
-    _emit(args, [record], lines)
+    _emit(args, lambda: [record], lines)
     return EXIT_OK
 
 
@@ -183,7 +208,7 @@ def _cmd_twostrand(args: argparse.Namespace) -> int:
         f"t-parities = {sorted(result.t_parities())}",
         f"series to total degree {args.degree}: {record['truncated']}",
     ]
-    _emit(args, [record], lines)
+    _emit(args, lambda: [record], lines)
     return EXIT_OK
 
 
@@ -197,7 +222,7 @@ def _cmd_homfly(args: argparse.Namespace) -> int:
         f"writhe = {braid.writhe()}, components = {braid.components()}",
         f"homfly = {value}",
     ]
-    _emit(args, [record], lines)
+    _emit(args, lambda: [record], lines)
     return EXIT_OK
 
 
@@ -208,21 +233,16 @@ def _cmd_coxbraid(args: argparse.Namespace) -> int:
         braid.to_text(),
         f"writhe = {braid.writhe()}, components = {braid.components()}",
     ]
-    _emit(args, [record], lines)
+    _emit(args, lambda: [record], lines)
     return EXIT_OK
 
 
 def _cmd_degenerate(args: argparse.Namespace) -> int:
     flagged = detect_degenerate(args.n)
-    records = [chart.to_record() for chart in flagged]
     lines = [f"degenerate charts at n={args.n}: {len(flagged)}"] + [
-        "label sx={sx} sy={sy}".format(
-            sx=json.dumps(record["label"]["sx"]),
-            sy=json.dumps(record["label"]["sy"]),
-        )
-        for record in records
+        f"label {_label_fields(chart.label)}" for chart in flagged
     ]
-    _emit(args, records, lines)
+    _emit(args, lambda: [chart.to_record() for chart in flagged], lines)
     return EXIT_OK
 
 
@@ -238,7 +258,7 @@ def _cmd_gyt(args: argparse.Namespace) -> int:
             lines.append(
                 f"  sx={json.dumps(label['sx'])} sy={json.dumps(label['sy'])}"
             )
-    _emit(args, [report], lines)
+    _emit(args, lambda: [report], lines)
     return EXIT_OK
 
 
@@ -248,7 +268,7 @@ def _cmd_mfcheck(args: argparse.Namespace) -> int:
         f"mfcheck n={args.n}: {args.samples} samples, seed {args.seed}: "
         + ("all passed" if report["passed"] else f"{len(report['failures'])} failures")
     ]
-    _emit(args, [report], lines)
+    _emit(args, lambda: [report], lines)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
@@ -258,7 +278,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     passed = sum(result.passed for result in results)
     lines = [result.line() for result in results]
     lines.append(f"{passed}/{len(results)} criteria passed (level {args.level})")
-    _emit(args, records, lines)
+    _emit(args, lambda: records, lines)
     return EXIT_OK if passed == len(results) else EXIT_CHECK_FAILED
 
 

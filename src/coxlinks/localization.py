@@ -40,7 +40,7 @@ from .errors import (
 )
 from .polyalg import BinomialRational, LaurentPoly
 from .twostrand import AQT
-from .weights import WeightData, weight_data
+from .weights import WeightData, tangent_weights, weight_data
 
 #: Chart enumeration is factorial; summing past this is a typo, not a plan.
 MAX_LOCALIZATION_N = 7
@@ -243,9 +243,8 @@ def detect_degenerate(n: int) -> List[Chart]:
         raise CapacityError(
             f"degeneracy scan is limited to n <= {MAX_LOCALIZATION_N}; got {n}"
         )
-    flagged = []
-    for chart in all_charts(n):
-        data = weight_data(chart)
-        if any(r.dx == 0 and r.dy == 0 for r in data.tangent):
-            flagged.append(chart)
-    return flagged
+    return [
+        chart
+        for chart in all_charts(n)
+        if any(rec.is_zero() for rec in tangent_weights(chart))
+    ]

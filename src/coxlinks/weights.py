@@ -27,7 +27,7 @@ by a diagonal matrix — shows the coordinate entry values scale as
 torus-fixed iff Δ = (1, 0) on the x side / (0, 1) on the y side, and a
 commutator entry [X,Y]_{ij} — the equation cutting the commuting locus —
 scales by ``t^{Δx-1} s^{Δy-1}`` and is fixed iff Δ = (1, 1).  The
-fixed-locus counts in ``fixed_dim_check`` use these honest conditions;
+fixed-locus counts in ``WeightData.fixed_dim`` use these honest conditions;
 that is the only bookkeeping under which the fixed-dimension inequality
 dimOb0 ≥ dimT0 holds for every chart with n ≤ 6 (verified exhaustively;
 counting literal (dx,dy) = (0,0) records instead already fails on the
@@ -119,6 +119,40 @@ class WeightData:
             "obstruction": [rec.to_record() for rec in self.obstruction],
         }
 
+    def fixed_dim(self) -> dict:
+        """Fixed-locus dimension counts and the degenerate-factor count.
+
+        Returns a dict with:
+
+        * ``dimT0`` — dimension of the torus-fixed tangent subspace: tangent
+          records whose coordinate direction has zero scaling weight (see
+          ``TangentRecord.is_fixed_direction``).
+        * ``dimOb0`` — dimension of the torus-fixed obstruction subspace:
+          records whose commutator equation has zero scaling weight.
+        * ``inequality`` — whether dimOb0 >= dimT0 (the virtual-dimension-zero
+          expectation; holds for every chart with n <= 6 and empty ``link_s``).
+        * ``vanishing_factors`` — number of tangent records with the stored
+          exponents (dx, dy) = (0, 0), i.e. vanishing denominator factors of
+          the fixed-point sum.  A nonzero count marks the chart as degenerate
+          for localization (the explicit n = 4 chart has one, at y_{12}).
+        * ``vanishing_obstruction_factors`` — same literal count on the
+          obstruction side, for the numerator product.
+
+        The obstruction counts run over this data's records, so they include
+        the adjacent pairs of a nonempty ``link_s``.
+        """
+        dim_t0 = sum(1 for rec in self.tangent if rec.is_fixed_direction())
+        dim_ob0 = sum(1 for rec in self.obstruction if rec.is_equation_fixed())
+        return {
+            "dimT0": dim_t0,
+            "dimOb0": dim_ob0,
+            "inequality": dim_ob0 >= dim_t0,
+            "vanishing_factors": sum(1 for rec in self.tangent if rec.is_zero()),
+            "vanishing_obstruction_factors": sum(
+                1 for rec in self.obstruction if rec.is_zero()
+            ),
+        }
+
 
 def weight_vectors(chart: Chart) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """The weight vectors (w_x, w_y), indices 1..n, from the pivot recursion.
@@ -151,7 +185,12 @@ def weight_vectors(chart: Chart) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
 def tangent_weights(chart: Chart) -> Tuple[TangentRecord, ...]:
     """One record per free coordinate, with the side-dependent +1 applied."""
-    wx, wy = weight_vectors(chart)
+    return _tangent_records(chart, *weight_vectors(chart))
+
+
+def _tangent_records(
+    chart: Chart, wx: Tuple[int, ...], wy: Tuple[int, ...]
+) -> Tuple[TangentRecord, ...]:
     records = []
     for i, j in sorted(chart.nx):
         records.append(
@@ -184,11 +223,16 @@ def obstruction_weights(
         link_s: strictly increasing generator indices in {1..n-1} (the set S
             of skipped Coxeter generators); empty for the plain case.
     """
+    return _obstruction_records(chart, *weight_vectors(chart), link_s)
+
+
+def _obstruction_records(
+    chart: Chart, wx: Tuple[int, ...], wy: Tuple[int, ...], link_s: Sequence[int]
+) -> Tuple[ObstructionRecord, ...]:
     n = chart.n
     link = sorted(set(link_s))
     if link and not (1 <= link[0] and link[-1] <= n - 1):
         raise ValueError(f"link_s entries must lie in 1..{n - 1}, got {link}")
-    wx, wy = weight_vectors(chart)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1)]
     pairs += [(i, i + 1) for i in link]
     records = tuple(
@@ -212,41 +256,14 @@ def weight_data(chart: Chart, link_s: Sequence[int] = ()) -> WeightData:
         chart=chart,
         wx=wx,
         wy=wy,
-        tangent=tangent_weights(chart),
-        obstruction=obstruction_weights(chart, link_s),
+        tangent=_tangent_records(chart, wx, wy),
+        obstruction=_obstruction_records(chart, wx, wy, link_s),
     )
 
 
 def fixed_dim_check(chart: Chart) -> dict:
-    """Fixed-locus dimension counts and the degenerate-factor count.
-
-    Returns a dict with:
-
-    * ``dimT0`` — dimension of the torus-fixed tangent subspace: tangent
-      records whose coordinate direction has zero scaling weight (see
-      ``TangentRecord.is_fixed_direction``).
-    * ``dimOb0`` — dimension of the torus-fixed obstruction subspace:
-      records whose commutator equation has zero scaling weight.
-    * ``inequality`` — whether dimOb0 >= dimT0 (the virtual-dimension-zero
-      expectation; holds for every chart with n <= 6).
-    * ``vanishing_factors`` — number of tangent records with the stored
-      exponents (dx, dy) = (0, 0), i.e. vanishing denominator factors of
-      the fixed-point sum.  A nonzero count marks the chart as degenerate
-      for localization (the explicit n = 4 chart has one, at y_{12}).
-    * ``vanishing_obstruction_factors`` — same literal count on the
-      obstruction side, for the numerator product.
-    """
-    tangent = tangent_weights(chart)
-    obstruction = obstruction_weights(chart)
-    dim_t0 = sum(1 for rec in tangent if rec.is_fixed_direction())
-    dim_ob0 = sum(1 for rec in obstruction if rec.is_equation_fixed())
-    return {
-        "dimT0": dim_t0,
-        "dimOb0": dim_ob0,
-        "inequality": dim_ob0 >= dim_t0,
-        "vanishing_factors": sum(1 for rec in tangent if rec.is_zero()),
-        "vanishing_obstruction_factors": sum(1 for rec in obstruction if rec.is_zero()),
-    }
+    """Fixed-locus dimension counts of a chart: ``weight_data(chart).fixed_dim()``."""
+    return weight_data(chart).fixed_dim()
 
 
 def torus_rescaling_check(chart: Chart, t: Fraction, s: Fraction) -> bool:

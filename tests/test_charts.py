@@ -143,6 +143,42 @@ def test_commuting_chart_tableaux_are_standard_hooks():
         assert all(r == 0 or c == 0 for r, c in cells)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_commuting_generator_equals_filter_and_yields_hooks(n):
+    generated = commuting_charts(n)
+    filtered = [chart for chart in all_charts(n) if is_commutative(chart)]
+    assert [chart.label for chart in generated] == [chart.label for chart in filtered]
+    assert generated == filtered
+    for chart in generated:
+        tableau = to_gyt(chart)
+        assert tableau.is_standard()
+        # Hook shape: every cell sits in row 0 or column 0.
+        assert all(r == 0 or c == 0 for r, c in tableau.as_dict())
+
+
+def test_commuting_generator_rejects_bad_sizes():
+    with pytest.raises(ValueError):
+        commuting_charts(0)
+    with pytest.raises(CapacityError):
+        commuting_charts(10)
+
+
+def _dense_product(a, b):
+    size = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(size)) for j in range(size))
+        for i in range(size)
+    )
+
+
+def test_commutation_test_matches_dense_matrix_products():
+    for n in range(1, 7):
+        for chart in all_charts(n):
+            dense = _dense_product(chart.mx, chart.my) == _dense_product(chart.my, chart.mx)
+            assert is_commutative(chart) == dense
+    assert not is_commutative(build_chart(FAMILY_LABEL))
+
+
 # -- tableau map and its failure of injectivity -------------------------------------
 
 

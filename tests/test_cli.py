@@ -1,6 +1,8 @@
 """End-to-end CLI: text contracts, tree JSON round trips, exit codes."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -112,6 +114,62 @@ def test_tree_output_is_bit_stable(capsys):
     _, second, _ = run(capsys, "--format", "tree", "charts", "3")
     assert first == second
     assert json.dumps(json.loads(first), sort_keys=True, indent=2) + "\n" == first
+
+
+# -- byte identity of the chart listings -------------------------------------------------
+
+# SHA-256 of stdout, pinned when plain lines were still formatted from the
+# tree records; the two formats are now built separately.
+LISTING_DIGESTS = {
+    ("plain", "charts"): "75731631734f31769cfd4c2fd536266d4f7e3d198d22077c14b1f4e32100d4af",
+    ("plain", "weights"): "dbee570c076c7aef3e1a153861a9cb41ffdeb81757374b58df83d5079ff914fa",
+    ("tree", "charts"): "81092aede3eab8af9ddf59ef9d9ee8588c749a2c62bb12079cbdf52c3e83b850",
+    ("tree", "weights"): "819342c55f1be38eb5a2c5a264a6b91335a2c754cb823caca7ec4337db265555",
+}
+
+
+@pytest.mark.parametrize("fmt,command", sorted(LISTING_DIGESTS))
+def test_chart_listings_are_byte_identical(capsys, fmt, command):
+    code, out, err = run(capsys, "--format", fmt, command, "5")
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == LISTING_DIGESTS[(fmt, command)]
+
+
+def _plain_fields(line):
+    """``name=value`` fields of a listing line; a JSON value may hold spaces."""
+    return dict(re.findall(r"(\w+)=(.*?)(?= \w+=|$)", line))
+
+
+def test_plain_chart_lines_match_tree_records(capsys):
+    _, plain, _ = run(capsys, "charts", "4")
+    _, tree, _ = run(capsys, "--format", "tree", "charts", "4")
+    lines = plain.splitlines()[1:]
+    records = json.loads(tree)["records"]
+    assert len(lines) == len(records) == 24
+    for line, record in zip(lines, records):
+        fields = _plain_fields(line)
+        assert json.loads(fields["sx"]) == record["label"]["sx"]
+        assert json.loads(fields["sy"]) == record["label"]["sy"]
+        assert json.loads(fields["monomials"]) == record["monomials"]
+        assert fields["commutes"] == str(record["commutes"])
+
+
+def test_plain_weight_lines_match_tree_records(capsys):
+    _, plain, _ = run(capsys, "weights", "4")
+    _, tree, _ = run(capsys, "--format", "tree", "weights", "4")
+    lines = plain.splitlines()[1:]
+    records = json.loads(tree)["records"]
+    assert len(lines) == len(records) == 24
+    for line, record in zip(lines, records):
+        fields = _plain_fields(line)
+        assert json.loads(fields["wx"]) == record["wx"]
+        assert json.loads(fields["wy"]) == record["wy"]
+        fixed = record["fixed_dim"]
+        assert int(fields["dimT0"]) == fixed["dimT0"]
+        assert int(fields["dimOb0"]) == fixed["dimOb0"]
+        assert fields["inequality"] == str(fixed["inequality"])
+        assert int(fields["vanishing_factors"]) == fixed["vanishing_factors"]
 
 
 # -- exit codes and error reporting ----------------------------------------------------------

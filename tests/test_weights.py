@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxlinks import weights as weights_module
 from coxlinks.charts import NestedSetPair, all_charts, build_chart, monomial_vector
 from coxlinks.weights import (
     fixed_dim_check,
@@ -99,6 +100,45 @@ def test_vanishing_factor_census():
     labels = {chart.label.flat_key() for chart in flagged}
     assert FAMILY_CHART.label.flat_key() in labels
     assert FAMILY_CHART.label.mirror().flat_key() in labels
+
+
+def _counts_from_records(tangent, obstruction):
+    dim_t0 = sum(rec.is_fixed_direction() for rec in tangent)
+    dim_ob0 = sum(rec.is_equation_fixed() for rec in obstruction)
+    return {
+        "dimT0": dim_t0,
+        "dimOb0": dim_ob0,
+        "inequality": dim_ob0 >= dim_t0,
+        "vanishing_factors": sum(rec.is_zero() for rec in tangent),
+        "vanishing_obstruction_factors": sum(rec.is_zero() for rec in obstruction),
+    }
+
+
+def test_fixed_dim_counts_agree_with_weight_data():
+    for n in range(1, 7):
+        for chart in all_charts(n):
+            data = weight_data(chart)
+            expected = _counts_from_records(
+                tangent_weights(chart), obstruction_weights(chart)
+            )
+            assert data.tangent == tangent_weights(chart)
+            assert data.obstruction == obstruction_weights(chart)
+            assert fixed_dim_check(chart) == data.fixed_dim() == expected
+
+
+def test_weight_data_computes_the_weight_vectors_once(monkeypatch):
+    calls = []
+    original = weights_module.weight_vectors
+
+    def counting(chart):
+        calls.append(chart)
+        return original(chart)
+
+    monkeypatch.setattr(weights_module, "weight_vectors", counting)
+    for chart in all_charts(4):
+        before = len(calls)
+        weights_module.weight_data(chart, link_s=(1,))
+        assert len(calls) == before + 1
 
 
 def test_weight_data_bundles_everything():
