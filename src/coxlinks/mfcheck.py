@@ -1,9 +1,11 @@
 """Exact randomized checks of the determinant identities behind cox_S.
 
-The objects are small matrices over exact scalars (:class:`~fractions.
-Fraction` for sampling, :class:`~coxlinks.polyalg.LaurentPoly` for the
-symbolic identities).  Roles, enforced by the validators rather than by a
-wrapper class:
+The objects are small matrices over exact scalars (``int`` for the seeded
+samples, :class:`~fractions.Fraction` wherever a caller passes one,
+:class:`~coxlinks.polyalg.LaurentPoly` for the symbolic identities).
+Inverses and the containment test go through one fraction-free integer
+elimination, so no ``Fraction`` arithmetic runs on the sampling path.
+Roles, enforced by the validators rather than by a wrapper class:
 
 * ``X`` — upper-triangular (``X`` in the Borel), with ``xhat(X) = X -
   x_11 Id``;
@@ -25,11 +27,12 @@ nothing is asserted beyond the identities themselves.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .errors import SingularMatrixError
+from .errors import ConsistencyError, SingularMatrixError
 from .polyalg import LaurentPoly
 
 Matrix = Tuple[tuple, ...]
@@ -95,29 +98,67 @@ def xhat(x: Matrix) -> Matrix:
     )
 
 
+def _bareiss_jordan(a: Matrix, b: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
+    """Solve ``a U = b`` by fraction-free (Bareiss-Jordan) elimination.
+
+    Each row of ``[a | b]`` is first scaled by the lcm of its denominators,
+    which leaves ``U`` unchanged, so ``int`` and ``Fraction`` entries both
+    work and every step stays in the integers: a row update is ``(p v - f
+    w) // prev`` with ``prev`` the previous pivot, an exact division because
+    every entry is a minor of the scaled matrix.  At the end the left block
+    is ``d Id`` and the right block is ``d U``.
+
+    Returns:
+        ``(rows, d)``: the right block ``d U`` as integer rows and ``d != 0``.
+
+    Raises:
+        SingularMatrixError: ``a`` is not invertible.
+    """
+    n = len(a)
+    work = []
+    for a_row, b_row in zip(a, b):
+        row = (*a_row, *b_row)
+        scale = math.lcm(*(v.denominator for v in row))
+        work.append([v.numerator * (scale // v.denominator) for v in row])
+    prev = 1
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot_row is None:
+            raise SingularMatrixError(f"matrix has no inverse (rank < {n})")
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot_line = work[col]
+        pivot = pivot_line[col]
+        for r in range(n):
+            if r != col:
+                factor = work[r][col]
+                work[r] = [
+                    (pivot * v - factor * w) // prev
+                    for v, w in zip(work[r], pivot_line)
+                ]
+        prev = pivot
+    return [row[n:] for row in work], prev
+
+
+def _is_invertible(a: Matrix) -> bool:
+    """Whether ``a`` has an inverse, decided exactly without forming it."""
+    try:
+        _bareiss_jordan(a, [()] * len(a))
+    except SingularMatrixError:
+        return False
+    return True
+
+
 def mat_inverse(g: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination over Fractions.
+    """Exact inverse with :class:`~fractions.Fraction` entries.
+
+    Solves ``g U = Id`` by fraction-free integer elimination; ``int`` and
+    ``Fraction`` input both give ``Fraction`` entries.
 
     Raises:
         SingularMatrixError: no inverse exists.
     """
-    n = len(g)
-    work = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(g)]
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if work[r][col] != 0), None
-        )
-        if pivot_row is None:
-            raise SingularMatrixError(f"matrix has no inverse (rank < {n})")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [v / pivot for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    rows, d = _bareiss_jordan(g, identity_matrix(len(g)))
+    return tuple(tuple(Fraction(v, d) for v in row) for row in rows)
 
 
 def det(a: Matrix):  # noqa: ANN201
@@ -180,12 +221,14 @@ def hessenberg_check(g: Matrix, x: Matrix) -> bool:
     The name records the locus this certifies: for invertible Hessenberg
     ``g`` with all ``F_i = 0`` the answer is always ``True``.  The check
     itself accepts any invertible ``g`` (the negative control feeds it
-    non-Hessenberg samples on purpose).
+    non-Hessenberg samples on purpose).  ``U = g^-1 X g`` is found by one
+    elimination on ``g U = X g``; the scaled ``d U`` has the same zeros.
 
     Raises:
         SingularMatrixError: ``g`` is not invertible.
     """
-    return is_upper(mat_mul(mat_mul(mat_inverse(g), x), g))
+    rows, _ = _bareiss_jordan(g, mat_mul(x, g))
+    return all(not rows[i][j] for i in range(len(rows)) for j in range(i))
 
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:
@@ -228,30 +271,24 @@ def commutator_entries(
 # -- seeded sampling suites ----------------------------------------------------
 
 
-def _sample_entry(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9))
+def _sample_entry(rng: random.Random) -> int:
+    return rng.randint(-9, 9)
 
 
 def sample_hessenberg(rng: random.Random, n: int) -> Matrix:
-    """Random invertible Hessenberg matrix, entries in -9..9."""
+    """Random invertible Hessenberg matrix, ``int`` entries in -9..9."""
     while True:
         g = tuple(
-            tuple(
-                _sample_entry(rng) if i - j <= 1 else Fraction(0)
-                for j in range(n)
-            )
+            tuple(_sample_entry(rng) if i - j <= 1 else 0 for j in range(n))
             for i in range(n)
         )
-        try:
-            mat_inverse(g)
-        except SingularMatrixError:
-            continue
-        return g
+        if _is_invertible(g):
+            return g
 
 
 def sample_strictly_upper(rng: random.Random, n: int) -> Matrix:
     return tuple(
-        tuple(_sample_entry(rng) if j > i else Fraction(0) for j in range(n))
+        tuple(_sample_entry(rng) if j > i else 0 for j in range(n))
         for i in range(n)
     )
 
@@ -268,7 +305,10 @@ def containment_suite(n: int, samples: int, seed: int) -> dict:
         g = sample_hessenberg(rng, n)
         k = sample_strictly_upper(rng, n)
         c = _sample_entry(rng)
-        x = mat_add(mat_mul(g, k), mat_scale(identity_matrix(n), c))
+        x = tuple(
+            tuple(v + c if i == j else v for j, v in enumerate(row))
+            for i, row in enumerate(mat_mul(g, k))
+        )
         if not is_upper(x):
             failures.append({"sample": sample, "reason": "X not upper"})
             continue
@@ -300,18 +340,20 @@ def negative_control(n: int, samples: int, seed: int) -> dict:
     rng = random.Random(seed)
     broken = 0
     checked = 0
-    for _ in range(samples):
+    for sample in range(samples):
         g_rows = [list(row) for row in sample_hessenberg(rng, n)]
-        g_rows[2][0] = Fraction(rng.randint(1, 9))
+        g_rows[2][0] = rng.randint(1, 9)
         g = tuple(tuple(row) for row in g_rows)
-        try:
-            mat_inverse(g)
-        except SingularMatrixError:
+        if not _is_invertible(g):
             continue
         k = sample_strictly_upper(rng, n)
         x = mat_mul(g, k)  # xhat(X) itself; x_11 = 0 since K kills column 1
         checked += 1
-        assert not any(all_F(x, g))
+        values = all_F(x, g)
+        if any(values):
+            raise ConsistencyError(
+                f"negative control sample {sample}: xhat(X) = g K but F = {values}"
+            )
         if not hessenberg_check(g, x):
             broken += 1
     return {
