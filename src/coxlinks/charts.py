@@ -165,7 +165,8 @@ class Chart:
     ``px``/``py`` are the pivot index pairs, ``nx``/``ny`` the free
     coordinates, ``zx``/``zy`` the constrained zeros; together they partition
     the strictly upper triangle of each matrix.  ``mx``/``my`` are the
-    base-point matrices (pivots 1, everything else 0).
+    base-point matrices (pivots 1, everything else 0), built from the pivots
+    on each access.
     """
 
     label: NestedSetPair
@@ -175,12 +176,18 @@ class Chart:
     ny: FrozenSet[IndexPair]
     zx: FrozenSet[IndexPair]
     zy: FrozenSet[IndexPair]
-    mx: Matrix
-    my: Matrix
 
     @property
     def n(self) -> int:
         return self.label.n
+
+    @property
+    def mx(self) -> Matrix:
+        return _base_matrix(self.n, self.px)
+
+    @property
+    def my(self) -> Matrix:
+        return _base_matrix(self.n, self.py)
 
     def to_record(self) -> dict:
         return {
@@ -222,7 +229,7 @@ def _base_matrix(n: int, pivots: FrozenSet[IndexPair]) -> Matrix:
 
 
 def build_chart(label: NestedSetPair) -> Chart:
-    """Derive pivots, free coordinates, zeros, and base matrices of a label."""
+    """Derive pivots, free coordinates and zeros of a label."""
     n = label.n
     px = _pivots(label.sx, n)
     py = _pivots(label.sy, n)
@@ -249,8 +256,6 @@ def build_chart(label: NestedSetPair) -> Chart:
         ny=ny,
         zx=zx,
         zy=zy,
-        mx=_base_matrix(n, px),
-        my=_base_matrix(n, py),
     )
 
 

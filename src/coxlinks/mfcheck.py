@@ -202,7 +202,11 @@ def F(i: int, x: Matrix, g: Matrix):  # noqa: ANN201
     n = len(x)
     if not 1 <= i <= n - 1:
         raise ValueError(f"i must lie in 1..{n - 1}, got {i}")
-    hat = xhat(x)
+    return _F(i, xhat(x), g)
+
+
+def _F(i: int, hat: Matrix, g: Matrix):  # noqa: ANN202
+    """``F(i, X, g)`` from a prebuilt ``hat = xhat(X)``."""
     size = i + 1
     columns = [
         tuple(g[row][col] for row in range(size)) for col in range(i)
@@ -212,7 +216,8 @@ def F(i: int, x: Matrix, g: Matrix):  # noqa: ANN201
 
 
 def all_F(x: Matrix, g: Matrix) -> List:
-    return [F(i, x, g) for i in range(1, len(x))]
+    hat = xhat(x)
+    return [_F(i, hat, g) for i in range(1, len(x))]
 
 
 def hessenberg_check(g: Matrix, x: Matrix) -> bool:

@@ -12,6 +12,21 @@ homology oracle, the Hecke trace) runs on two exact types:
   division of the numerator by a single binomial factor, which works chain
   by chain along ``e + Z*m`` (see :func:`divide_by_binomial`).
 
+Two kernels keep the localization sums cheap:
+
+* **The LCD lift.**  ``BinomialRational.__add__`` raises each numerator to
+  the least common denominator by multiplying it with its missing factors
+  ``(1 - x^e)^d``.  :func:`_lift` does this on the term dict directly: per
+  power it copies the dict and subtracts every term shifted by ``e``, with
+  no general sparse product and no intermediate polynomial objects.
+* **The trusted constructor.**  The public ``LaurentPoly(...)`` checks
+  every exponent length and coefficient.  Results that internal arithmetic
+  builds (sums, products, negation, truncation, division, the lift) are
+  already well formed, so they go through ``LaurentPoly._trusted``, which
+  only drops zero coefficients.
+
+Exponent vectors are added with ``tuple(map(add, e, m))`` throughout.
+
 Canonical string grammar (used by ``str()`` and :func:`parse_poly`)::
 
     poly    :=  term (('+' | '-') term)*
@@ -33,6 +48,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from .errors import ExpansionError, NotDivisibleError
@@ -78,12 +94,37 @@ class LaurentPoly:
                 raise ValueError(
                     f"exponent {exponent} does not match variables {variables}"
                 )
-            if coefficient:
-                cleaned[exponent] = cleaned.get(exponent, 0) + int(coefficient)
+            if not coefficient:
+                continue
+            try:
+                integral = int(coefficient)
+            except (TypeError, ValueError, OverflowError):
+                integral = None
+            if integral is None or integral != coefficient:
+                raise ValueError(
+                    f"coefficient {coefficient!r} of exponent {exponent} "
+                    "is not an integer"
+                )
+            cleaned[exponent] = cleaned.get(exponent, 0) + integral
         object.__setattr__(self, "variables", variables)
         object.__setattr__(
             self, "terms", {e: c for e, c in cleaned.items() if c}
         )
+
+    @classmethod
+    def _trusted(
+        cls, variables: Tuple[str, ...], terms: Dict[Exponent, int]
+    ) -> "LaurentPoly":
+        """Wrap a term dict that internal arithmetic built.
+
+        The caller guarantees that ``variables`` is a duplicate-free tuple
+        and that every exponent is a tuple of matching length with an
+        ``int`` coefficient; only zero coefficients are dropped here.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+        return poly
 
     def __setattr__(self, name, value):  # noqa: ANN001
         raise AttributeError("LaurentPoly is immutable")
@@ -182,13 +223,13 @@ class LaurentPoly:
         terms = dict(self.terms)
         for exponent, coefficient in other.terms.items():
             terms[exponent] = terms.get(exponent, 0) + coefficient
-        return LaurentPoly(self.variables, terms)
+        return LaurentPoly._trusted(self.variables, terms)
 
     def __radd__(self, other):  # noqa: ANN001
         return self.__add__(other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(
+        return LaurentPoly._trusted(
             self.variables, {e: -c for e, c in self.terms.items()}
         )
 
@@ -210,11 +251,13 @@ class LaurentPoly:
             return NotImplemented
         self._check_compatible(other)
         terms: Dict[Exponent, int] = {}
+        get = terms.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exponent = tuple(a + b for a, b in zip(e1, e2))
-                terms[exponent] = terms.get(exponent, 0) + c1 * c2
-        return LaurentPoly(self.variables, terms)
+            for e2, c2 in right:
+                exponent = tuple(map(add, e1, e2))
+                terms[exponent] = get(exponent, 0) + c1 * c2
+        return LaurentPoly._trusted(self.variables, terms)
 
     def __rmul__(self, other):  # noqa: ANN001
         return self.__mul__(other)
@@ -238,7 +281,7 @@ class LaurentPoly:
         ((exponent, coefficient),) = self.terms.items()
         if coefficient not in (1, -1):
             raise ValueError(f"{self} is not invertible over the integers")
-        return LaurentPoly(
+        return LaurentPoly._trusted(
             self.variables, {tuple(-e for e in exponent): coefficient}
         )
 
@@ -297,9 +340,9 @@ class LaurentPoly:
         kept = {
             exponent: coefficient
             for exponent, coefficient in self.terms.items()
-            if sum(w * e for w, e in zip(weight_vector, exponent)) <= bound
+            if sum(map(mul, weight_vector, exponent)) <= bound
         }
-        return LaurentPoly(self.variables, kept)
+        return LaurentPoly._trusted(self.variables, kept)
 
     # -- comparisons and display -------------------------------------------
 
@@ -444,6 +487,25 @@ def _binomial(variables: Sequence[str], monomial_exponent: Exponent) -> LaurentP
     return LaurentPoly(variables, {zero_exp: 1, tuple(monomial_exponent): -1})
 
 
+def _lift(
+    terms: Dict[Exponent, int], monomial_exponent: Exponent, power: int
+) -> Dict[Exponent, int]:
+    """The term dict of ``terms * (1 - x^monomial_exponent)^power``.
+
+    Each of the ``power`` rounds copies the dict and subtracts every term
+    shifted by ``monomial_exponent``.  The result may hold zero
+    coefficients; :meth:`LaurentPoly._trusted` drops them.
+    """
+    for _ in range(power):
+        lifted = dict(terms)
+        get = lifted.get
+        for exponent, coefficient in terms.items():
+            shifted = tuple(map(add, exponent, monomial_exponent))
+            lifted[shifted] = get(shifted, 0) - coefficient
+        terms = lifted
+    return terms
+
+
 class BinomialRational:
     """An exact fraction ``numerator / prod (1 - m_i)^{d_i}``.
 
@@ -548,16 +610,15 @@ class BinomialRational:
         lcd: Dict[Exponent, int] = dict(self.den)
         for exponent, multiplicity in other.den.items():
             lcd[exponent] = max(lcd.get(exponent, 0), multiplicity)
-        left = self.num
-        right = other.num
+        left = self.num.terms
+        right = other.num.terms
         for exponent, multiplicity in lcd.items():
-            missing_left = multiplicity - self.den.get(exponent, 0)
-            missing_right = multiplicity - other.den.get(exponent, 0)
-            if missing_left:
-                left = left * _binomial(self.variables, exponent) ** missing_left
-            if missing_right:
-                right = right * _binomial(self.variables, exponent) ** missing_right
-        return BinomialRational(left + right, lcd)
+            left = _lift(left, exponent, multiplicity - self.den.get(exponent, 0))
+            right = _lift(right, exponent, multiplicity - other.den.get(exponent, 0))
+        total = dict(left)
+        for exponent, coefficient in right.items():
+            total[exponent] = total.get(exponent, 0) + coefficient
+        return BinomialRational(LaurentPoly._trusted(self.variables, total), lcd)
 
     def __radd__(self, other):  # noqa: ANN001
         return self.__add__(other)
@@ -660,13 +721,9 @@ class BinomialRational:
         weight_vector = tuple(weights[name] for name in self.variables)
         if self.num.is_zero():
             return self.num
-
-        def degree(exponent: Exponent) -> int:
-            return sum(w * e for w, e in zip(weight_vector, exponent))
-
         terms = self.num.truncate(weights, bound).terms
         for exponent, multiplicity in sorted(self.den.items(), key=lambda t: _glex_key(t[0])):
-            step = degree(exponent)
+            step = sum(map(mul, weight_vector, exponent))
             if step <= 0:
                 raise ExpansionError(
                     f"denominator monomial with exponent {exponent} has "
@@ -678,14 +735,15 @@ class BinomialRational:
                 # Every step raises the degree by step > 0, so a term beyond
                 # the bound never comes back.
                 expanded: Dict[Exponent, int] = {}
-                for start, coefficient in terms.items():
-                    current, current_degree = start, degree(start)
+                get = expanded.get
+                for current, coefficient in terms.items():
+                    current_degree = sum(map(mul, weight_vector, current))
                     while current_degree <= bound:
-                        expanded[current] = expanded.get(current, 0) + coefficient
-                        current = tuple(a + b for a, b in zip(current, exponent))
+                        expanded[current] = get(current, 0) + coefficient
+                        current = tuple(map(add, current, exponent))
                         current_degree += step
                 terms = {e: c for e, c in expanded.items() if c}
-        return LaurentPoly(self.variables, terms)
+        return LaurentPoly._trusted(self.variables, terms)
 
     # -- comparison and display --------------------------------------------
 
@@ -762,10 +820,15 @@ def divide_by_binomial(poly: LaurentPoly, monomial_exponent: Exponent) -> Lauren
         return poly
     pivot = next(i for i, e in enumerate(monomial_exponent) if e)
     pivot_step = monomial_exponent[pivot]
+    # step -> step * m, shared by every chain that has a term at that step
+    offsets: Dict[int, Exponent] = {}
     chains: Dict[Exponent, Dict[int, int]] = {}
     for exponent, coefficient in poly.terms.items():
         step = exponent[pivot] // pivot_step
-        base = tuple(e - step * m for e, m in zip(exponent, monomial_exponent))
+        offset = offsets.get(step)
+        if offset is None:
+            offset = offsets[step] = tuple(step * m for m in monomial_exponent)
+        base = tuple(map(sub, exponent, offset))
         chains.setdefault(base, {})[step] = coefficient
     for base, chain in chains.items():
         total = sum(chain.values())
@@ -786,10 +849,10 @@ def divide_by_binomial(poly: LaurentPoly, monomial_exponent: Exponent) -> Lauren
             running += chain[step]
             if not running:
                 continue
-            for gap_step in range(step, next_step):
-                exponent = tuple(
-                    b + gap_step * m for b, m in zip(base, monomial_exponent)
-                )
+            exponent = tuple(map(add, base, offsets[step]))
+            quotient[exponent] = running
+            for _ in range(step + 1, next_step):
+                exponent = tuple(map(add, exponent, monomial_exponent))
                 quotient[exponent] = running
-    return LaurentPoly(variables, quotient)
+    return LaurentPoly._trusted(variables, quotient)
 

@@ -1,5 +1,6 @@
 """Localization sums: the calibrated sum, regime flags, degeneracy guards."""
 
+import hashlib
 import warnings
 
 import pytest
@@ -71,6 +72,17 @@ def test_calibrated_a_window_violation_raises(monkeypatch):
     monkeypatch.setattr(localization, "_calibrated_term", lambda data, k: wide)
     with pytest.raises(ConsistencyError, match=r"span 5 steps; at n = 2"):
         calibrated_superpolynomial(2, (1,))
+
+
+def test_n5_value_and_series_are_pinned():
+    # SHA-256 of the canonical value string and of its degree-40 series for
+    # T(5, 6).  Any change to the polynomial kernels that changes the sum,
+    # its normalization or its expansion changes one of the two digests.
+    cal = calibrated_superpolynomial(5, (1, 1, 1, 1))
+    value = hashlib.sha256(str(cal.value).encode("utf-8")).hexdigest()
+    series = hashlib.sha256(str(cal.truncated(40)).encode("utf-8")).hexdigest()
+    assert value == "8ba86fd92f159c9becf48f0db090be94e721aa03dabd0b4abb742776707031a8"
+    assert series == "62e42a2088c08dc96a35d156f4c791b0912547c221cd482fbe71361a3ba82629"
 
 
 def test_calibrated_truncation_has_no_negative_coefficients():

@@ -108,6 +108,19 @@ def test_coefficient_mass_and_exponents():
     assert f.exponents_of("a") == {4, 2}
 
 
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 2.7, -0.5, "3", float("inf")])
+def test_non_integer_coefficient_is_rejected(bad):
+    with pytest.raises(ValueError, match="is not an integer") as raised:
+        LaurentPoly(("q",), {(1,): bad, (0,): 2})
+    assert repr(bad) in str(raised.value)
+
+
+def test_integral_coefficients_are_accepted():
+    f = LaurentPoly(("q",), {(1,): Fraction(4, 2), (0,): 3.0, (2,): 0.0})
+    assert f == poly("2*q + 3", ("q",))
+    assert all(type(c) is int for c in f.terms.values())
+
+
 # -- divide_by_binomial and truncation -------------------------------------------
 
 
@@ -284,3 +297,91 @@ def test_to_record_round_trip():
         (key,) = exponent.terms
         rebuilt[key] = multiplicity
     assert rebuilt == rational.den
+
+
+# -- the LCD lift and the trusted constructor -----------------------------------
+
+# Canonical factors that share directions, so that sums lift both sides.
+LIFT_FACTORS = ((0, 1, 0), (0, 2, 0), (0, 2, -1), (1, -1, 0), (0, 1, 1))
+
+
+@st.composite
+def rationals(draw, max_terms=5):
+    den = draw(
+        st.dictionaries(
+            st.sampled_from(LIFT_FACTORS), st.integers(min_value=0, max_value=3)
+        )
+    )
+    return BinomialRational(draw(laurent_polys(AQT, max_terms, max_exp=3)), den)
+
+
+def _reference_product(left: dict, right: dict) -> dict:
+    product = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            exponent = tuple(a + b for a, b in zip(e1, e2))
+            product[exponent] = product.get(exponent, 0) + c1 * c2
+    return {e: c for e, c in product.items() if c}
+
+
+def _reference_sum(x: BinomialRational, y: BinomialRational) -> tuple:
+    """``x + y`` lifted to the LCD through general products of dicts."""
+    lcd = dict(x.den)
+    for exponent, multiplicity in y.den.items():
+        lcd[exponent] = max(lcd.get(exponent, 0), multiplicity)
+    left, right = dict(x.num.terms), dict(y.num.terms)
+    for exponent, multiplicity in lcd.items():
+        binomial = {(0,) * len(exponent): 1, exponent: -1}
+        for _ in range(multiplicity - x.den.get(exponent, 0)):
+            left = _reference_product(left, binomial)
+        for _ in range(multiplicity - y.den.get(exponent, 0)):
+            right = _reference_product(right, binomial)
+    total = dict(left)
+    for exponent, coefficient in right.items():
+        total[exponent] = total.get(exponent, 0) + coefficient
+    total = {e: c for e, c in total.items() if c}
+    return total, (lcd if total else {})
+
+
+@given(rationals(), rationals())
+@example(
+    BinomialRational(parse_poly("1 + q", AQT), {(0, 2, 0): 3}),
+    BinomialRational(parse_poly("a - t", AQT), {(0, 1, 0): 2, (0, 2, 0): 1}),
+)
+def test_addition_matches_reference_lift(x, y):
+    # Structural, not only cross-multiplied: the same terms over the same LCD.
+    total = x + y
+    terms, den = _reference_sum(x, y)
+    assert total.num.terms == terms
+    assert total.den == den
+    assert (y + x).num.terms == terms
+
+
+def assert_clean(value: LaurentPoly) -> None:
+    """No stored zero coefficient, every exponent as long as the variables."""
+    for exponent, coefficient in value.terms.items():
+        assert coefficient != 0
+        assert type(coefficient) is int
+        assert type(exponent) is tuple and len(exponent) == len(value.variables)
+
+
+@given(laurent_polys(AQT, max_exp=3), laurent_polys(AQT, max_exp=3), canonical_monomials)
+@example(poly("1 + q", AQT), poly("-1 - q", AQT), (0, 1, 0))
+def test_polynomial_results_hold_no_zero_coefficient(f, g, m):
+    for value in (f + g, f - g, f - f, g - f, f * g, -f, f * -f + f * f):
+        assert_clean(value)
+    assert_clean(divide_by_binomial(f * LaurentPoly(AQT, {(0, 0, 0): 1, m: -1}), m))
+
+
+@given(rationals(), rationals())
+@example(
+    BinomialRational(poly("1", AQT), {(0, 1, 0): 1}),
+    BinomialRational(poly("-1", AQT), {(0, 1, 0): 1}),
+)
+def test_rational_results_hold_no_zero_coefficient(x, y):
+    for value in (x + y, x - y, x - x, x * y, -x):
+        assert_clean(value.num)
+    difference = x - y
+    assert_clean(difference.normalize().num)
+    # Every factor of LIFT_FACTORS has positive degree under these weights.
+    assert_clean(difference.truncate_series({"a": 3, "q": 1, "t": 1}, 6))
