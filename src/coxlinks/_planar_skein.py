@@ -19,7 +19,8 @@ for the reference values it feeds.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import functools
+from typing import Optional, Tuple
 
 from .errors import CapacityError
 from .homfly import AZ, BraidWord
@@ -34,8 +35,6 @@ _A2 = LaurentPoly.monomial(AZ, (2, 0))
 _AM2 = LaurentPoly.monomial(AZ, (-2, 0))
 _AZ_POS = LaurentPoly.monomial(AZ, (1, 1))
 _AMZ = LaurentPoly.monomial(AZ, (-1, 1))
-
-_memo: Dict[Tuple[int, Word], LaurentPoly] = {}
 
 
 def _first_bad_crossing(strands: int, word: Word) -> Optional[int]:
@@ -67,29 +66,17 @@ def _first_bad_crossing(strands: int, word: Word) -> Optional[int]:
     return None
 
 
+@functools.cache
 def _resolve(strands: int, word: Word) -> LaurentPoly:
-    key = (strands, word)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
     bad = _first_bad_crossing(strands, word)
     if bad is None:
-        components = BraidWord(strands, word).components()
-        result = _DELTA ** (components - 1)
-    else:
-        index, sign = word[bad]
-        switched = word[:bad] + ((index, -sign),) + word[bad + 1 :]
-        smoothed = word[:bad] + word[bad + 1 :]
-        if sign > 0:
-            result = _A2 * _resolve(strands, switched) + _AZ_POS * _resolve(
-                strands, smoothed
-            )
-        else:
-            result = _AM2 * _resolve(strands, switched) - _AMZ * _resolve(
-                strands, smoothed
-            )
-    _memo[key] = result
-    return result
+        return _DELTA ** (BraidWord(strands, word).components() - 1)
+    index, sign = word[bad]
+    switched = word[:bad] + ((index, -sign),) + word[bad + 1 :]
+    smoothed = word[:bad] + word[bad + 1 :]
+    if sign > 0:
+        return _A2 * _resolve(strands, switched) + _AZ_POS * _resolve(strands, smoothed)
+    return _AM2 * _resolve(strands, switched) - _AMZ * _resolve(strands, smoothed)
 
 
 def resolve_homfly(braid: BraidWord) -> LaurentPoly:

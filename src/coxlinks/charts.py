@@ -288,6 +288,8 @@ def monomial_vector(chart: Chart) -> Tuple[str, ...]:
     for i, j in chart.py:
         pivot_of_level[i] = ("Y", j)
     for level in range(n - 1, 0, -1):
+        if level not in pivot_of_level:
+            raise ConsistencyError(f"no pivot at level {level}; chart is malformed")
         letter, j = pivot_of_level[level]
         source = words[n + 1 - j]
         if source is None:
@@ -354,10 +356,6 @@ class GYT:
                 if succ in cells and label[succ] <= label[(i, j)]:
                     return False
         return True
-
-    def has_singleton_labels(self) -> bool:
-        """True when every cell carries a single label (weaker than standard)."""
-        return all(len(labels) == 1 for _, labels in self.cells)
 
     def to_record(self) -> list:
         return [[list(cell), sorted(labels)] for cell, labels in self.cells]

@@ -30,10 +30,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import BraidSyntaxError, CapacityError, ConsistencyError
-from .polyalg import BinomialRational, LaurentPoly
+from .polyalg import BinomialRational, LaurentPoly, _integral
 
 #: Canonical variable order for HOMFLY-PT polynomials.
 AZ = ("a", "z")
+
+_Z = LaurentPoly.variable(AZ, "z")
 
 #: Hecke dimension is n!; six strands (720) is the documented ceiling.
 MAX_HOMFLY_STRANDS = 6
@@ -132,6 +134,8 @@ _SIGNED_INT = re.compile(r"[+-]?\d+")
 def parse_braid(text: str) -> BraidWord:
     """Parse braid text: a ``strands=<n>`` header, then generators.
 
+    Only whitespace may precede the header.
+
     Generators come either as tokens ``s<i>`` / ``s<i>^-1`` or as one
     bracketed list of signed integers (``[1, -2, 1]`` meaning
     ``s1 s2^-1 s1``).  Errors carry the character position.
@@ -146,9 +150,10 @@ def parse_braid(text: str) -> BraidWord:
         ...
         coxlinks.errors.BraidSyntaxError: generator index 3 out of range for 2 strands (at position 10)
     """
-    header = _HEADER.search(text)
+    start = len(text) - len(text.lstrip())
+    header = _HEADER.match(text, start)
     if header is None:
-        raise BraidSyntaxError("missing strands=<n> header", position=0)
+        raise BraidSyntaxError("missing strands=<n> header", position=start)
     strands = int(header.group(1))
     if strands < 1:
         raise BraidSyntaxError("strand count must be positive", header.start())
@@ -225,15 +230,7 @@ def coxeter_braid(
         >>> coxeter_braid(3, (1,), (0, 0)).to_text()
         'strands=3 s2'
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    k = tuple(int(v) for v in k)
-    if len(k) != n - 1:
-        raise ValueError(f"k must have length n-1 = {n - 1}, got {len(k)}")
-    link_s = set(link_s)
-    for i in link_s:
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"link_s entry {i} outside 1..{n - 1}")
+    k, link_s = _coxeter_arguments(n, k, link_s)
     word: List[Tuple[int, int]] = []
     for i in range(n - 1, 0, -1):
         if i not in link_s:
@@ -248,11 +245,52 @@ def coxeter_braid(
     return BraidWord(n, tuple(word))
 
 
+def _integers(values: Sequence[int], name: str) -> Tuple[int, ...]:
+    result = []
+    for value in values:
+        integral = _integral(value)
+        if integral is None:
+            raise ValueError(f"{name} entry {value!r} is not an integer")
+        result.append(integral)
+    return tuple(result)
+
+
+def _coxeter_arguments(
+    n: int, k: Sequence[int], link_s: Sequence[int]
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Validate the ``(n, k, link_s)`` of a Coxeter braid or localization sum.
+
+    Entries must be integral (``2.0`` passes, ``1.5`` does not), ``k`` must
+    have ``n - 1`` of them and ``link_s`` distinct ones in ``1..n-1``.
+    Returns ``k`` as ints and ``link_s`` sorted.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    k = _integers(k, "k")
+    if len(k) != n - 1:
+        raise ValueError(f"k must have length n-1 = {n - 1}, got {len(k)}")
+    link_s = tuple(sorted(_integers(link_s, "link_s")))
+    if len(set(link_s)) != len(link_s):
+        raise ValueError(f"link_s has repeated entries: {link_s}")
+    for i in link_s:
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"link_s entry {i} outside 1..{n - 1}")
+    return k, link_s
+
+
 # -- Hecke algebra and Markov trace -------------------------------------------
 
 
 def _identity_perm(n: int) -> Perm:
     return tuple(range(1, n + 1))
+
+
+def _accumulate(out: Dict[Perm, LaurentPoly], perm: Perm, coeff: LaurentPoly) -> None:
+    """Add ``coeff`` to the coefficient of ``T_perm`` in ``out``."""
+    if perm in out:
+        out[perm] = out[perm] + coeff
+    else:
+        out[perm] = coeff
 
 
 class HeckeElement:
@@ -280,30 +318,20 @@ class HeckeElement:
     def right_generator(self, index: int, sign: int) -> "HeckeElement":
         """Multiply on the right by ``T_index`` (sign +1) or its inverse."""
         out: Dict[Perm, LaurentPoly] = {}
-
-        def add(perm: Perm, coeff: LaurentPoly) -> None:
-            if perm in out:
-                out[perm] = out[perm] + coeff
-            else:
-                out[perm] = coeff
-
-        z = LaurentPoly.variable(AZ, "z")
         i = index - 1
         for perm, coeff in self.coefficients.items():
             swapped = list(perm)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
             swapped = tuple(swapped)
+            _accumulate(out, swapped, coeff)
             if perm[i] < perm[i + 1]:
                 # ascent: T_w T_i = T_{w s_i}; the inverse subtracts z T_w
-                add(swapped, coeff)
                 if sign < 0:
-                    add(perm, -(z * coeff))
-            else:
+                    _accumulate(out, perm, -(_Z * coeff))
+            elif sign > 0:
                 # descent: T_w T_i = z T_w + T_{w s_i}; the z terms cancel
                 # for the inverse, leaving T_w T_i^-1 = T_{w s_i}
-                add(swapped, coeff)
-                if sign > 0:
-                    add(perm, z * coeff)
+                _accumulate(out, perm, _Z * coeff)
         return HeckeElement(self.n, out)
 
 
@@ -315,7 +343,7 @@ def braid_to_hecke(braid: BraidWord) -> HeckeElement:
     return element
 
 
-_ZETA = BinomialRational(LaurentPoly.variable(AZ, "z"), {(2, 0): 1})
+_ZETA = BinomialRational(_Z, {(2, 0): 1})
 
 
 def _trim(perm: Perm) -> Perm:
@@ -345,33 +373,20 @@ def _trimmed_trace(key: Perm) -> BinomialRational:
     element = HeckeElement(m, {u: LaurentPoly.one(AZ)})
     for generator in range(j + 1, m - 1):  # T_j .. T_{m-2} in 1-based terms
         element = _left_generator(element, generator)
-    total = BinomialRational.zero(AZ)
-    for inner_perm, coeff in element.items():
-        total = total + coeff * _basis_trace(inner_perm)
-    return _ZETA * total
+    return _ZETA * markov_trace(element)
 
 
 def _left_generator(element: HeckeElement, index: int) -> HeckeElement:
     """Multiply on the left by ``T_index`` (always the positive generator)."""
     out: Dict[Perm, LaurentPoly] = {}
-
-    def add(perm: Perm, coeff: LaurentPoly) -> None:
-        if perm in out:
-            out[perm] = out[perm] + coeff
-        else:
-            out[perm] = coeff
-
-    z = LaurentPoly.variable(AZ, "z")
     for perm, coeff in element.items():
         swapped = tuple(
             index + 1 if v == index else index if v == index + 1 else v
             for v in perm
         )
-        if perm.index(index) < perm.index(index + 1):  # length goes up
-            add(swapped, coeff)
-        else:
-            add(swapped, coeff)
-            add(perm, z * coeff)
+        _accumulate(out, swapped, coeff)
+        if perm.index(index) > perm.index(index + 1):  # length goes down
+            _accumulate(out, perm, _Z * coeff)
     return HeckeElement(element.n, out)
 
 

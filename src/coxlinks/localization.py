@@ -38,31 +38,13 @@ from .errors import (
     ExperimentalFeatureWarning,
     PositivityRegimeWarning,
 )
+from .homfly import _coxeter_arguments
 from .polyalg import BinomialRational, LaurentPoly
 from .twostrand import AQT
 from .weights import WeightData, tangent_weights, weight_data
 
 #: Chart enumeration is factorial; summing past this is a typo, not a plan.
 MAX_LOCALIZATION_N = 7
-
-
-def _validate_inputs(n: int, k: Sequence[int], link_s: Sequence[int]) -> tuple:
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > MAX_LOCALIZATION_N:
-        raise CapacityError(
-            f"localization sums are limited to n <= {MAX_LOCALIZATION_N}; got {n}"
-        )
-    k = tuple(int(v) for v in k)
-    if len(k) != n - 1:
-        raise ValueError(f"k must have length n-1 = {n - 1}, got {len(k)}")
-    link_s = tuple(sorted(int(i) for i in link_s))
-    if len(set(link_s)) != len(link_s):
-        raise ValueError(f"link_s has repeated entries: {link_s}")
-    for i in link_s:
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"link_s entry {i} outside 1..{n - 1}")
-    return k, link_s
 
 
 def in_positivity_regime(k: Sequence[int]) -> bool:
@@ -196,7 +178,11 @@ def calibrated_superpolynomial(
         >>> calibrated_superpolynomial(2, (1,)).value == homology_T2_odd(1).value
         True
     """
-    k, link_s = _validate_inputs(n, k, link_s)
+    if n > MAX_LOCALIZATION_N:
+        raise CapacityError(
+            f"localization sums are limited to n <= {MAX_LOCALIZATION_N}; got {n}"
+        )
+    k, link_s = _coxeter_arguments(n, k, link_s)
     regime = _warn_flags(k, link_s)
     total = BinomialRational.zero(AQT)
     for chart in commuting_charts(n):

@@ -47,7 +47,6 @@ stored as ``-Q / (1 - Q)``, so equivalent orientations compare equal.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from operator import add, mul, sub
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
@@ -64,6 +63,16 @@ _TOKEN = re.compile(
 def _glex_key(exponent: Exponent) -> tuple:
     """Graded-lex sort key: total degree first, ties broken lexicographically."""
     return (sum(exponent), exponent)
+
+
+def _integral(value) -> int | None:  # noqa: ANN001
+    """``value`` as an ``int`` when it is integral (``Fraction(4, 2)``,
+    ``3.0``), else ``None`` (``Fraction(1, 2)``, ``2.7``, ``"3"``, ``inf``)."""
+    try:
+        integral = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return integral if integral == value else None
 
 
 class LaurentPoly:
@@ -96,11 +105,8 @@ class LaurentPoly:
                 )
             if not coefficient:
                 continue
-            try:
-                integral = int(coefficient)
-            except (TypeError, ValueError, OverflowError):
-                integral = None
-            if integral is None or integral != coefficient:
+            integral = _integral(coefficient)
+            if integral is None:
                 raise ValueError(
                     f"coefficient {coefficient!r} of exponent {exponent} "
                     "is not an integer"
@@ -166,21 +172,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * len(self.variables): 1}
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def constant_value(self) -> int:
-        """Value of a constant polynomial (zero or a single degree-0 term)."""
-        if self.is_zero():
-            return 0
-        ((exponent, coefficient),) = self.terms.items()
-        if any(exponent):
-            raise ValueError(f"{self} is not constant")
-        return coefficient
-
     def items(self) -> Iterator[tuple[Exponent, int]]:
         """Iterate (exponent, coefficient) in descending graded-lex order."""
         return iter(
@@ -195,17 +186,6 @@ class LaurentPoly:
         """The set of exponents the named variable takes across all terms."""
         index = self.variables.index(name)
         return {exponent[index] for exponent in self.terms}
-
-    def weighted_degrees(self, weights: Mapping[str, int]) -> tuple[int, int]:
-        """(min, max) of ``sum(weights[v] * exp[v])`` over terms; requires nonzero."""
-        if self.is_zero():
-            raise ValueError("the zero polynomial has no degree")
-        weight_vector = tuple(weights[name] for name in self.variables)
-        values = [
-            sum(w * e for w, e in zip(weight_vector, exponent))
-            for exponent in self.terms
-        ]
-        return min(values), max(values)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -292,7 +272,7 @@ class LaurentPoly:
             return LaurentPoly.constant(self.variables, other)
         return NotImplemented
 
-    # -- substitution and evaluation ---------------------------------------
+    # -- substitution and truncation --------------------------------------
 
     def substitute(self, assignment: Mapping[str, "LaurentPoly"]) -> "LaurentPoly":
         """Ring substitution: replace every variable by its assigned image.
@@ -322,17 +302,6 @@ class LaurentPoly:
                     term = term * image**power
             result = result + term
         return result
-
-    def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
-        """Evaluate exactly at rational values for every variable."""
-        point = [Fraction(values[name]) for name in self.variables]
-        total = Fraction(0)
-        for exponent, coefficient in self.terms.items():
-            product = Fraction(coefficient)
-            for base, power in zip(point, exponent):
-                product *= base**power
-            total += product
-        return total
 
     def truncate(self, weights: Mapping[str, int], bound: int) -> "LaurentPoly":
         """Drop every term whose weighted total degree exceeds ``bound``."""
@@ -645,66 +614,28 @@ class BinomialRational:
     def __rmul__(self, other):  # noqa: ANN001
         return self.__mul__(other)
 
-    def __pow__(self, power: int) -> "BinomialRational":
-        if power < 0:
-            raise ValueError("negative powers of rationals are not supported")
-        result = BinomialRational.one(self.variables)
-        for _ in range(power):
-            result = result * self
-        return result
-
     # -- normalization -----------------------------------------------------
 
     def normalize(self) -> "BinomialRational":
         """Divide out every denominator factor that exactly divides the numerator.
 
         Idempotent; returns a new value.  Uses only exact single-binomial
-        division, never multivariate gcd.
+        division, never multivariate gcd.  One pass over the factors is
+        enough: if ``(1 - m)`` does not divide ``f``, it cannot divide an
+        exact quotient ``f / g`` either, because ``f = (f / g) * g``.  So a
+        factor that fails once is never tried again.
         """
         num = self.num
         den = dict(self.den)
         if num.is_zero():
             return BinomialRational.zero(self.variables)
-        progress = True
-        while progress:
-            progress = False
-            for exponent in sorted(den, key=_glex_key):
-                while den.get(exponent, 0) > 0:
-                    try:
-                        num = divide_by_binomial(num, exponent)
-                    except NotDivisibleError:
-                        break
-                    den[exponent] -= 1
-                    if den[exponent] == 0:
-                        del den[exponent]
-                    progress = True
-        return BinomialRational(num, den)
-
-    def substitute(
-        self, assignment: Mapping[str, LaurentPoly]
-    ) -> "BinomialRational":
-        """Apply a monomial substitution to numerator and denominator factors.
-
-        Every denominator monomial must map to a monomial with coefficient +1
-        (true for any variable-to-monomial assignment such as Q -> q^2 t^-2).
-        """
-        num = self.num.substitute(assignment)
-        target = num.variables if not num.is_zero() else None
-        if target is None:
-            # Zero numerator: still need the target variable tuple.
-            probe = LaurentPoly.one(self.variables).substitute(assignment)
-            target = probe.variables
-        den: Dict[Exponent, int] = {}
-        for exponent, multiplicity in self.den.items():
-            image = LaurentPoly.monomial(self.variables, exponent).substitute(
-                assignment
-            )
-            if len(image.terms) != 1:
-                raise ValueError("denominator monomial image is not a monomial")
-            ((image_exponent, image_coefficient),) = image.terms.items()
-            if image_coefficient != 1:
-                raise ValueError("denominator monomial image has coefficient != 1")
-            den[image_exponent] = den.get(image_exponent, 0) + multiplicity
+        for exponent in sorted(den, key=_glex_key):
+            while den[exponent]:
+                try:
+                    num = divide_by_binomial(num, exponent)
+                except NotDivisibleError:
+                    break
+                den[exponent] -= 1
         return BinomialRational(num, den)
 
     # -- series ------------------------------------------------------------

@@ -180,16 +180,13 @@ def _dim_V(m: int) -> BinomialRational:
     """Kernel space of the contracted link complex, ``m >= 0`` branch.
 
     ``V_m = <y^m, x y^{m-1}, ..., x^m> + x_- C[x_-] x^m``; the finite span
-    has the same graded dimension as ``H^0(O(m))`` and the tail contributes
-    ``q^{2m+2} / (1 - q^2)``.  Defined as zero for ``m < 0`` (the only use
+    has the same graded dimension as ``H^0(O(m))`` and the tail is
+    :func:`_dim_V_prime`.  Defined as zero for ``m < 0`` (the only use
     is ``V_{-1}`` in ``homology_T2_even(0)``).
     """
     if m < 0:
         return BinomialRational.zero(AQT)
-    tail = BinomialRational(
-        LaurentPoly.monomial(AQT, (0, 2 * m + 2, 0)), {_Q2: 1}
-    )
-    return BinomialRational.from_poly(dim_H0_P1(m)) + tail
+    return BinomialRational.from_poly(dim_H0_P1(m)) + _dim_V_prime(m)
 
 
 def _dim_V_prime(m: int) -> BinomialRational:

@@ -1,9 +1,9 @@
 """Torus weights of chart coordinates and fixed-locus dimension counts.
 
-Weight vectors ``w_x, w_y`` are defined by the pivot recursion starting from
-``w_x^n = w_y^n = 0``: an x-pivot ``(i, j)`` forces ``w_x^i = w_x^j + 1`` and
-``w_y^i = w_y^j``, mirrored for y-pivots.  Equivalently ``w_x^i`` is the
-X-degree of the monomial attached to flag step ``n + 1 - i``.
+The weight ``w_x^i`` (``w_y^i``) is the X-degree (Y-degree) of the monomial
+word ``m_{n+1-i}`` that :func:`~coxlinks.charts.monomial_vector` attaches to
+flag step ``n + 1 - i``.  So ``w_x^n = w_y^n = 0``, and an x-pivot ``(i, j)``
+gives ``w_x^i = w_x^j + 1`` and ``w_y^i = w_y^j``, mirrored for y-pivots.
 
 Tangent records store the localization exponents
 
@@ -41,9 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .charts import Chart
+from .charts import Chart, monomial_vector
 from .errors import ConsistencyError
 
 IndexPair = Tuple[int, int]
@@ -155,32 +155,18 @@ class WeightData:
 
 
 def weight_vectors(chart: Chart) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The weight vectors (w_x, w_y), indices 1..n, from the pivot recursion.
+    """The weight vectors (w_x, w_y), indices 1..n: the X- and Y-degrees of
+    the monomial words ``m_n, …, m_1`` of :func:`~coxlinks.charts.monomial_vector`.
 
     Raises:
-        ConsistencyError: if some index is never reached by a pivot (the
-            chart would be malformed; cannot happen for built charts).
+        ConsistencyError: if the chart is malformed (from ``monomial_vector``;
+            cannot happen for built charts).
     """
-    n = chart.n
-    wx: List[int | None] = [None] * (n + 1)
-    wy: List[int | None] = [None] * (n + 1)
-    wx[n] = wy[n] = 0
-    pivot_of_level: Dict[int, tuple[str, int]] = {}
-    for i, j in chart.px:
-        pivot_of_level[i] = ("x", j)
-    for i, j in chart.py:
-        pivot_of_level[i] = ("y", j)
-    for level in range(n - 1, 0, -1):
-        if level not in pivot_of_level:
-            raise ConsistencyError(f"no pivot at level {level}; chart is malformed")
-        side, j = pivot_of_level[level]
-        if wx[j] is None:
-            raise ConsistencyError(
-                f"pivot at level {level} points at index {j} with unset weight"
-            )
-        wx[level] = wx[j] + (1 if side == "x" else 0)
-        wy[level] = wy[j] + (1 if side == "y" else 0)
-    return tuple(wx[1:]), tuple(wy[1:])
+    words = monomial_vector(chart)[::-1]
+    return (
+        tuple(word.count("X") for word in words),
+        tuple(word.count("Y") for word in words),
+    )
 
 
 def tangent_weights(chart: Chart) -> Tuple[TangentRecord, ...]:

@@ -183,6 +183,20 @@ def test_bad_braid_reports_module_and_remedy(capsys):
     assert err.splitlines()[1].startswith("remedy: write the braid as")
 
 
+def test_text_before_braid_header_is_rejected(capsys):
+    code, out, err = run(capsys, "homfly", "s1 s1 s1 strands=2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [homfly]: missing strands=<n> header (at position 0)")
+
+
+def test_repeated_link_s_is_rejected(capsys):
+    code, out, err = run(capsys, "coxbraid", "3", "--k", "0,0", "--link-s", "1,1")
+    assert code == 2
+    assert out == ""
+    assert "link_s has repeated entries: (1, 1)" in err
+
+
 def test_capacity_error_exit(capsys):
     code, _, err = run(capsys, "charts", "12")
     assert code == 2

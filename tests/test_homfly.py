@@ -1,6 +1,7 @@
 """Braid words, the Hecke-trace engine, and the planar skein resolver."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,12 +56,20 @@ def test_parse_round_trip():
         ("strands=2 s5", 10),
         ("strands=3 s1 -s2", 13),
         ("strands=0 s1", 0),
+        ("s1 s1 s1 strands=2", 0),
+        ("  x strands=2 s1", 2),
     ],
 )
 def test_parse_rejects_with_position(text, position):
     with pytest.raises(BraidSyntaxError) as excinfo:
         parse_braid(text)
     assert f"(at position {position})" in str(excinfo.value)
+
+
+def test_parse_allows_only_whitespace_before_the_header():
+    assert parse_braid(" \t\nstrands=2 s1 s1 s1") == parse_braid("strands=2 s1 s1 s1")
+    with pytest.raises(BraidSyntaxError, match="missing strands=<n> header"):
+        parse_braid("s1 s1 s1 strands=2")
 
 
 @given(braid_words())
@@ -178,6 +187,20 @@ def test_coxeter_braid_examples():
     full = coxeter_braid(3, (), (1, 1))
     assert full.to_text() == "strands=3 s2 s1 s1 s2 s2 s1 s2 s2"
     assert full.writhe() == 8
+
+
+def test_coxeter_braid_accepts_integral_values_only():
+    exact = coxeter_braid(3, (1,), (2, 0))
+    assert coxeter_braid(3, (Fraction(1),), (2.0, Fraction(0))) == exact
+    with pytest.raises(ValueError, match="k entry 0.9 is not an integer"):
+        coxeter_braid(3, (1, 1), (0.9, 0))
+    with pytest.raises(ValueError, match="link_s entry"):
+        coxeter_braid(3, (Fraction(3, 2),), (0, 0))
+
+
+def test_coxeter_braid_rejects_repeated_link_s():
+    with pytest.raises(ValueError, match="repeated"):
+        coxeter_braid(3, (1, 1), (0, 0))
 
 
 @pytest.mark.parametrize("k", range(0, 4))

@@ -2,6 +2,7 @@
 
 import hashlib
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +142,22 @@ def test_calibrated_term_rejects_fixed_tangent_direction():
     with pytest.raises(DegenerateChartError) as excinfo:
         _calibrated_term(weight_data(chart), (0, 0, 0))
     assert excinfo.value.charts == (chart,)
+
+
+def test_non_integral_arguments_are_rejected():
+    with pytest.raises(ValueError, match="k entry 1.5 is not an integer"):
+        calibrated_superpolynomial(2, (1.5,))
+    with pytest.raises(ValueError, match="link_s entry"):
+        calibrated_superpolynomial(3, (1, 1), link_s=(1.5,))
+    with pytest.raises(ValueError, match="repeated"):
+        calibrated_superpolynomial(3, (1, 1), link_s=(1, 1))
+
+
+def test_integral_arguments_are_accepted():
+    exact = calibrated_superpolynomial(3, (2, 1))
+    cal = calibrated_superpolynomial(3, (Fraction(4, 2), 1.0))
+    assert cal.k == (2, 1) and all(type(v) is int for v in cal.k)
+    assert str(cal.value) == str(exact.value)
 
 
 def test_localization_capacity_cap():

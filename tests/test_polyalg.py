@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from coxlinks import polyalg
 from coxlinks.errors import ExpansionError, NotDivisibleError
 from coxlinks.polyalg import (
     BinomialRational,
@@ -385,3 +386,76 @@ def test_rational_results_hold_no_zero_coefficient(x, y):
     assert_clean(difference.normalize().num)
     # Every factor of LIFT_FACTORS has positive degree under these weights.
     assert_clean(difference.truncate_series({"a": 3, "q": 1, "t": 1}, 6))
+
+
+# -- normalize: one pass over the factors -----------------------------------------
+
+
+def _reference_normalize(x: BinomialRational) -> tuple:
+    """Retry every remaining factor until a whole pass divides nothing."""
+    num, den = x.num, dict(x.den)
+    if num.is_zero():
+        return {}, {}
+    progress = True
+    while progress:
+        progress = False
+        for exponent in sorted(den, key=lambda e: (sum(e), e)):
+            while den.get(exponent, 0) > 0:
+                try:
+                    num = divide_by_binomial(num, exponent)
+                except NotDivisibleError:
+                    break
+                den[exponent] -= 1
+                if den[exponent] == 0:
+                    del den[exponent]
+                progress = True
+    return num.terms, den
+
+
+@st.composite
+def cancelling_rationals(draw):
+    """A random numerator times random binomials, over random factors."""
+    numerator = draw(laurent_polys(AQT, max_terms=4, max_exp=2))
+    for exponent in draw(st.lists(st.sampled_from(LIFT_FACTORS), max_size=4)):
+        numerator = numerator * LaurentPoly(AQT, {(0, 0, 0): 1, exponent: -1})
+    den = draw(
+        st.dictionaries(
+            st.sampled_from(LIFT_FACTORS), st.integers(min_value=1, max_value=3)
+        )
+    )
+    return BinomialRational(numerator, den)
+
+
+@given(cancelling_rationals())
+@example(BinomialRational(parse_poly("1 - q^4", AQT), {(0, 1, 0): 2, (0, 2, 0): 1}))
+def test_normalize_matches_fixed_point_reference(x):
+    normalized = x.normalize()
+    terms, den = _reference_normalize(x)
+    assert normalized.num.terms == terms
+    assert normalized.den == den
+
+
+def test_normalize_never_retries_a_failed_factor(monkeypatch):
+    attempts = []
+
+    def counting(poly, exponent):  # noqa: ANN001, ANN202
+        try:
+            quotient = divide_by_binomial(poly, exponent)
+        except NotDivisibleError:
+            attempts.append((exponent, False))
+            raise
+        attempts.append((exponent, True))
+        return quotient
+
+    monkeypatch.setattr(polyalg, "divide_by_binomial", counting)
+    # (1 - q) divides 1 - q and (1 - a) does not divide the quotient 1.
+    rational = BinomialRational(poly("1 - q"), {(0, 1): 1, (1, 0): 1})
+    assert str(rational.normalize()) == "(1) / (1 - a)"
+    assert attempts == [((0, 1), True), ((1, 0), False)]
+    attempts.clear()
+    rational = BinomialRational(poly("1 - q^4"), {(0, 1): 2, (0, 2): 1, (1, 1): 2})
+    assert rational.normalize().den == {(0, 1): 1, (0, 2): 1, (1, 1): 2}
+    # Each factor is divided until its first failure and never tried again.
+    for exponent in {e for e, _ in attempts}:
+        outcomes = [ok for e, ok in attempts if e == exponent]
+        assert outcomes == [True] * (len(outcomes) - 1) + [False]

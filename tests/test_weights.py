@@ -1,5 +1,6 @@
 """Weight vectors, tangent/obstruction records, and fixed-locus counts."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from coxlinks import weights as weights_module
 from coxlinks.charts import NestedSetPair, all_charts, build_chart, monomial_vector
+from coxlinks.errors import ConsistencyError
 from coxlinks.weights import (
     fixed_dim_check,
     obstruction_weights,
@@ -42,6 +44,37 @@ def test_weights_equal_word_degrees(n):
             word = words[n - i]  # m_{n+1-i}, zero-indexed
             assert wx[i - 1] == word.count("X")
             assert wy[i - 1] == word.count("Y")
+
+
+def _pivot_recursion(chart):
+    """w^n = (0, 0); an x-pivot (i, j) sets w_x^i = w_x^j + 1, w_y^i = w_y^j."""
+    n = chart.n
+    wx, wy = [None] * (n + 1), [None] * (n + 1)
+    wx[n] = wy[n] = 0
+    pivots = {i: ("x", j) for i, j in chart.px}
+    pivots.update({i: ("y", j) for i, j in chart.py})
+    for level in range(n - 1, 0, -1):
+        side, j = pivots[level]
+        wx[level] = wx[j] + (side == "x")
+        wy[level] = wy[j] + (side == "y")
+    return tuple(wx[1:]), tuple(wy[1:])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_weights_match_the_pivot_recursion(n):
+    for chart in all_charts(n):
+        assert weight_vectors(chart) == _pivot_recursion(chart)
+
+
+def test_malformed_charts_raise_consistency_error():
+    # Level 3 loses its only pivot, the y-pivot (3, 4).
+    no_pivot = dataclasses.replace(FAMILY_CHART, py=frozenset())
+    with pytest.raises(ConsistencyError, match="no pivot at level 3"):
+        weight_vectors(no_pivot)
+    # The level-2 pivot points at column 1, whose word is produced last.
+    backwards = dataclasses.replace(FAMILY_CHART, px=frozenset({(1, 4), (2, 1)}))
+    with pytest.raises(ConsistencyError, match="before it is produced"):
+        weight_vectors(backwards)
 
 
 def test_tangent_record_counts_and_sides():
