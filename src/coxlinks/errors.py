@@ -25,9 +25,8 @@ class ConsistencyError(CoxlinksError):
     """An internal identity that should hold by construction failed.
 
     Raised, for example, if the monomial-vector recursion would reference a
-    word that has not been produced yet, or if a Hecke-trace normalization
-    leaves an uncancelled denominator.  Seeing this error means a bug, not a
-    bad input.
+    word that has not been produced yet.  Seeing this error means a bug, not
+    a bad input.
     """
 
 

@@ -13,13 +13,16 @@ Skein normalization (fixed by the right-handed trefoil value
 so the two-component unlink has value ``(a^-1 - a) / z`` and positive
 braids land in positive powers of ``a``.
 
-The trace recursion peels the highest strand: for a basis element ``T_w``
-with largest moved point ``m`` and ``w(j) = m`` one has ``T_w = T_u T_{m-1}
-T_{m-2} ... T_j`` with ``u`` in ``S_{m-1}``, and cyclicity plus the Markov
-property give ``tr(T_w) = zeta * tr(T_{m-2} ... T_j T_u)`` with ``zeta =
-z / (1 - a^2)``.  All arithmetic is exact; every ``(1 - a^2)`` denominator
-cancels in the final normalization (a non-polynomial result would be a
-bug, not a number).
+The trace is computed in its scaled form ``tau_n(x) = zeta^-(n-1) tr(x)``
+with ``zeta = z / (1 - a^2)``, so that ``delta = 1 / (a zeta)`` and ``P =
+a^(writhe - n + 1) tau_n``.  The Markov property reads ``tau_n(x) =
+zeta^-1 tau_{n-1}(x)`` for ``x`` in ``H_{n-1}`` and ``tau_n(x T_{n-1} y) =
+tau_{n-1}(x y)`` for ``x, y`` in ``H_{n-1}``; ``zeta^-1 = (1 - a^2) / z``
+is a Laurent polynomial, so every value lies in the Laurent ring and no
+denominator ever appears.  The recursion peels the highest strand: for a
+basis element ``T_w`` with largest moved point ``m`` and ``w(j) = m`` one
+has ``T_w = T_u T_{m-1} T_{m-2} ... T_j`` with ``u`` in ``S_{m-1}``, and
+cyclicity gives ``tau_m(T_w) = tau_{m-1}(T_u T_{m-2} ... T_j)``.
 """
 
 from __future__ import annotations
@@ -29,13 +32,16 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .errors import BraidSyntaxError, CapacityError, ConsistencyError
-from .polyalg import BinomialRational, LaurentPoly, _integral
+from .errors import BraidSyntaxError, CapacityError
+from .polyalg import LaurentPoly, _integral
 
 #: Canonical variable order for HOMFLY-PT polynomials.
 AZ = ("a", "z")
 
 _Z = LaurentPoly.variable(AZ, "z")
+
+#: ``zeta^-1 = (1 - a^2) / z``, the scaled trace of a new free strand.
+_ZETA_INVERSE = LaurentPoly(AZ, {(0, -1): 1, (2, -1): -1})
 
 #: Hecke dimension is n!; six strands (720) is the documented ceiling.
 MAX_HOMFLY_STRANDS = 6
@@ -230,7 +236,7 @@ def coxeter_braid(
         >>> coxeter_braid(3, (1,), (0, 0)).to_text()
         'strands=3 s2'
     """
-    k, link_s = _coxeter_arguments(n, k, link_s)
+    n, k, link_s = _coxeter_arguments(n, k, link_s)
     word: List[Tuple[int, int]] = []
     for i in range(n - 1, 0, -1):
         if i not in link_s:
@@ -257,15 +263,17 @@ def _integers(values: Sequence[int], name: str) -> Tuple[int, ...]:
 
 def _coxeter_arguments(
     n: int, k: Sequence[int], link_s: Sequence[int]
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
     """Validate the ``(n, k, link_s)`` of a Coxeter braid or localization sum.
 
-    Entries must be integral (``2.0`` passes, ``1.5`` does not), ``k`` must
-    have ``n - 1`` of them and ``link_s`` distinct ones in ``1..n-1``.
-    Returns ``k`` as ints and ``link_s`` sorted.
+    ``n`` and the entries must be integral (``2.0`` passes, ``1.5`` does
+    not), ``k`` must have ``n - 1`` entries and ``link_s`` distinct ones in
+    ``1..n-1``.  Returns ``n`` and ``k`` as ints and ``link_s`` sorted.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    integral_n = _integral(n)
+    if integral_n is None or integral_n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = integral_n
     k = _integers(k, "k")
     if len(k) != n - 1:
         raise ValueError(f"k must have length n-1 = {n - 1}, got {len(k)}")
@@ -275,7 +283,7 @@ def _coxeter_arguments(
     for i in link_s:
         if not 1 <= i <= n - 1:
             raise ValueError(f"link_s entry {i} outside 1..{n - 1}")
-    return k, link_s
+    return n, k, link_s
 
 
 # -- Hecke algebra and Markov trace -------------------------------------------
@@ -343,71 +351,55 @@ def braid_to_hecke(braid: BraidWord) -> HeckeElement:
     return element
 
 
-_ZETA = BinomialRational(_Z, {(2, 0): 1})
-
-
 def _trim(perm: Perm) -> Perm:
+    """``perm`` without its fixed tail, keeping at least one point."""
     end = len(perm)
-    while end > 0 and perm[end - 1] == end:
+    while end > 1 and perm[end - 1] == end:
         end -= 1
     return perm[:end]
 
 
-def _basis_trace(perm: Perm) -> BinomialRational:
-    """Markov trace of a single basis element ``T_w``, normalized tr(1)=1."""
-    return _trimmed_trace(_trim(perm))
-
-
 @functools.cache
-def _trimmed_trace(key: Perm) -> BinomialRational:
-    """:func:`_basis_trace` keyed by the permutation without its fixed tail.
+def _trimmed_trace(key: Perm) -> LaurentPoly:
+    """``tau_m(T_key)`` on ``m = len(key)`` strands, ``key`` trimmed.
 
     Braids are capped at six strands, so the cache holds fewer than 1000
     keys; ``_trimmed_trace.cache_info()`` reports its hits.
     """
-    if not key:
-        return BinomialRational.from_poly(LaurentPoly.one(AZ))
-    m = len(key)  # largest moved point
-    j = key.index(m)  # 0-based position of value m
-    u = tuple(v for v in key if v != m) + (m,)
-    element = HeckeElement(m, {u: LaurentPoly.one(AZ)})
-    for generator in range(j + 1, m - 1):  # T_j .. T_{m-2} in 1-based terms
-        element = _left_generator(element, generator)
-    return _ZETA * markov_trace(element)
+    m = len(key)  # largest moved point, or 1 for the identity
+    if m == 1:
+        return LaurentPoly.one(AZ)
+    j = key.index(m) + 1  # w(j) = m, 1-based
+    u = tuple(v for v in key if v != m)
+    element = HeckeElement(m - 1, {u: LaurentPoly.one(AZ)})
+    for generator in range(m - 2, j - 1, -1):  # T_u T_{m-2} .. T_j
+        element = element.right_generator(generator, 1)
+    return markov_trace(element)
 
 
-def _left_generator(element: HeckeElement, index: int) -> HeckeElement:
-    """Multiply on the left by ``T_index`` (always the positive generator)."""
-    out: Dict[Perm, LaurentPoly] = {}
+def markov_trace(element: HeckeElement) -> LaurentPoly:
+    """Scaled Markov trace ``tau_n = zeta^-(n-1) tr`` of an element of ``H_n``.
+
+    ``tau_n(1) = ((1 - a^2) / z)^(n-1)``; the value is always a Laurent
+    polynomial in ``(a, z)``.
+    """
+    total = LaurentPoly.zero(AZ)
     for perm, coeff in element.items():
-        swapped = tuple(
-            index + 1 if v == index else index if v == index + 1 else v
-            for v in perm
-        )
-        _accumulate(out, swapped, coeff)
-        if perm.index(index) > perm.index(index + 1):  # length goes down
-            _accumulate(out, perm, _Z * coeff)
-    return HeckeElement(element.n, out)
-
-
-def markov_trace(element: HeckeElement) -> BinomialRational:
-    """Markov trace of a Hecke element, exact in ``(a, z)``."""
-    total = BinomialRational.zero(AZ)
-    for perm, coeff in element.items():
-        total = total + coeff * _basis_trace(perm)
+        key = _trim(perm)
+        free_strands = _ZETA_INVERSE ** (element.n - len(key))
+        total = total + coeff * free_strands * _trimmed_trace(key)
     return total
 
 
 def homfly(braid: BraidWord) -> LaurentPoly:
     """HOMFLY-PT polynomial of the braid closure, in ``(a, z)``.
 
-    ``P = delta^{n-1} a^{writhe} tr(pi(braid))`` with ``delta =
-    (a^-1 - a)/z``; the result is always a Laurent polynomial (every
-    ``(1 - a^2)`` trace denominator cancels against the ``delta`` powers).
+    ``P = delta^{n-1} a^{writhe} tr(pi(braid)) = a^{writhe - n + 1}
+    tau_n(pi(braid))`` with ``delta = (a^-1 - a)/z``; the scaled trace is a
+    Laurent polynomial by construction, so no denominator can survive.
 
     Raises:
         CapacityError: more than six strands.
-        ConsistencyError: a denominator survived normalization (a bug).
 
     Examples:
         >>> print(homfly(parse_braid("strands=1")))
@@ -422,13 +414,5 @@ def homfly(braid: BraidWord) -> LaurentPoly:
             f"Hecke trace is limited to {MAX_HOMFLY_STRANDS} strands "
             f"(dimension n!); got {braid.strands}"
         )
-    delta = LaurentPoly(AZ, {(-1, -1): 1, (1, -1): -1})  # (a^-1 - a)/z
-    trace = markov_trace(braid_to_hecke(braid))
-    framing = LaurentPoly.monomial(AZ, (braid.writhe(), 0))
-    value = (delta ** (braid.strands - 1) * framing * trace).normalize()
-    if not value.is_polynomial():
-        raise ConsistencyError(
-            f"Markov trace normalization left a denominator for "
-            f"{braid.to_text()!r}: {value}"
-        )
-    return value.num
+    framing = LaurentPoly.monomial(AZ, (braid.writhe() - braid.strands + 1, 0))
+    return framing * markov_trace(braid_to_hecke(braid))

@@ -20,8 +20,9 @@ Calibrated weights, in the series variables ``u = q^2`` and ``v = t^2/q^2``
 
 A chart whose tangent factor would be ``(1 - 1)`` has no well-defined
 contribution (:class:`~coxlinks.errors.DegenerateChartError`).  No commuting
-chart is degenerate for ``n <= 6`` (checked exhaustively); the guard remains
-for larger ``n`` and for callers that evaluate single charts.
+chart has a fixed direction for ``n <= 7``, every ``n`` the cap admits
+(checked exhaustively); the guard remains for callers that evaluate single
+charts.
 """
 
 from __future__ import annotations
@@ -178,11 +179,11 @@ def calibrated_superpolynomial(
         >>> calibrated_superpolynomial(2, (1,)).value == homology_T2_odd(1).value
         True
     """
+    n, k, link_s = _coxeter_arguments(n, k, link_s)
     if n > MAX_LOCALIZATION_N:
         raise CapacityError(
             f"localization sums are limited to n <= {MAX_LOCALIZATION_N}; got {n}"
         )
-    k, link_s = _coxeter_arguments(n, k, link_s)
     regime = _warn_flags(k, link_s)
     total = BinomialRational.zero(AQT)
     for chart in commuting_charts(n):

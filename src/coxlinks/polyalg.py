@@ -103,8 +103,6 @@ class LaurentPoly:
                 raise ValueError(
                     f"exponent {exponent} does not match variables {variables}"
                 )
-            if not coefficient:
-                continue
             integral = _integral(coefficient)
             if integral is None:
                 raise ValueError(
@@ -531,10 +529,6 @@ class BinomialRational:
     @classmethod
     def from_poly(cls, poly: LaurentPoly) -> "BinomialRational":
         return cls(poly, {})
-
-    @classmethod
-    def one(cls, variables: Sequence[str]) -> "BinomialRational":
-        return cls(LaurentPoly.one(variables), {})
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "BinomialRational":

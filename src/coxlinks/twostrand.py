@@ -10,10 +10,13 @@ is calibrated against, so nothing here may depend on charts, weights, or
 localization.
 
 All outputs are exact :class:`~coxlinks.polyalg.BinomialRational` values in
-the variables ``(a, q, t)``.  The only denominator factor that ever appears
-is ``(1 - q^2)``, contributed by the polynomial tensor factors ``C[x]``
-(knot case) and ``C[x_+]`` (link case); it occurs with multiplicity at most
-two.  Degree bookkeeping for the ambient coordinates, for reference::
+the variables ``(a, q, t)``, built once as a Laurent numerator over an
+explicit ``(1 - q^2)^d``: ``d = 1`` for the knots, whose polynomial tensor
+factor is ``C[x]``, and ``d = 2`` for the links, where ``C[x_+]`` joins the
+``C[x_-]`` tail of the kernel space.  All arithmetic happens in the Laurent
+ring; no rational sum or ``normalize`` is needed, because the values are
+already in lowest terms (see :func:`homology_T2_even`).  Degree
+bookkeeping for the ambient coordinates, for reference::
 
     x, x_+, x_-, x_12   ->   q^2
     y_12                ->   t^2 / q^2
@@ -42,6 +45,8 @@ AQT = ("a", "q", "t")
 #: Exponent vector of ``q^2`` over :data:`AQT`; the unique denominator
 #: monomial allowed in a :class:`GradedDim`.
 _Q2 = (0, 2, 0)
+
+_ONE_MINUS_Q2 = LaurentPoly(AQT, {(0, 0, 0): 1, _Q2: -1})
 
 
 def dim_H0_P1(m: int) -> LaurentPoly:
@@ -173,27 +178,26 @@ def homology_T2_odd(n: int) -> GradedDim:
         + _a_times_t(1, 0) * dim_H0_P1(n - 1)
         + _a_times_t(1, 1) * dim_H1_P1(n - 1)
     )
-    return GradedDim(BinomialRational(shift * bracket, {_Q2: 1}).normalize())
+    return GradedDim(BinomialRational(shift * bracket, {_Q2: 1}))
 
 
-def _dim_V(m: int) -> BinomialRational:
-    """Kernel space of the contracted link complex, ``m >= 0`` branch.
+def _dim_V(m: int) -> LaurentPoly:
+    """``(1 - q^2)`` times the graded dimension of the kernel space ``V_m``.
 
-    ``V_m = <y^m, x y^{m-1}, ..., x^m> + x_- C[x_-] x^m``; the finite span
-    has the same graded dimension as ``H^0(O(m))`` and the tail is
-    :func:`_dim_V_prime`.  Defined as zero for ``m < 0`` (the only use
-    is ``V_{-1}`` in ``homology_T2_even(0)``).
+    ``V_m = <y^m, x y^{m-1}, ..., x^m> + x_- C[x_-] x^m`` for ``m >= 0``;
+    the finite span has the same graded dimension as ``H^0(O(m))`` and the
+    tail is :func:`_dim_V_prime`.  Defined as zero for ``m < 0`` (the only
+    use is ``V_{-1}`` in ``homology_T2_even(0)``).
     """
     if m < 0:
-        return BinomialRational.zero(AQT)
-    return BinomialRational.from_poly(dim_H0_P1(m)) + _dim_V_prime(m)
+        return LaurentPoly.zero(AQT)
+    return _ONE_MINUS_Q2 * dim_H0_P1(m) + _dim_V_prime(m)
 
 
-def _dim_V_prime(m: int) -> BinomialRational:
-    """Graded dimension of ``x_- C[x_-] x^m``: ``q^{2m+2} / (1 - q^2)``."""
-    return BinomialRational(
-        LaurentPoly.monomial(AQT, (0, 2 * m + 2, 0)), {_Q2: 1}
-    )
+def _dim_V_prime(m: int) -> LaurentPoly:
+    """``(1 - q^2)`` times the graded dimension ``q^{2m+2} / (1 - q^2)`` of
+    ``x_- C[x_-] x^m``."""
+    return LaurentPoly.monomial(AQT, (0, 2 * m + 2, 0))
 
 
 def homology_T2_even(n: int) -> GradedDim:
@@ -210,13 +214,22 @@ def homology_T2_even(n: int) -> GradedDim:
     ``t`` prefactor cancels one power of the global ``t^{-n}``); negative
     ``n`` mixes both parities.
 
+    Both closed forms are in lowest terms.  ``(1 - q^2)`` divides a
+    numerator exactly when the terms on every chain of fixed ``a``, ``t``
+    and ``q`` parity sum to zero, that is, when the numerator reduces to
+    zero modulo ``(1 - q^2)``.  In the odd case every numerator coefficient is ``+1``, so
+    no chain sums to zero.  In the even case the numerator reduces modulo
+    ``(1 - q^2)`` to the shift times ``t q^{2n+2} + a t q^{2n}``, or
+    ``t q^2`` when ``n = 0``: one term on each of one or two chains, so
+    again some chain sum is nonzero.
+
     Examples:
         >>> sorted(homology_T2_even(1).t_parities())  # Hopf-type link
         [0]
         >>> sorted(homology_T2_even(-2).t_parities())
         [0, 1]
     """
-    shift = BinomialRational.from_poly(LaurentPoly.monomial(AQT, (n, 0, -n)))
+    shift = LaurentPoly.monomial(AQT, (n, 0, -n))
     if n >= 0:
         inner = (
             _a_times_t(0, 1) * _dim_V(n)
@@ -225,9 +238,8 @@ def homology_T2_even(n: int) -> GradedDim:
     else:
         inner = (
             _a_times_t(0, 1) * _dim_V_prime(n)
-            + _a_times_t(0, 2) * dim_H1_P1(n)
+            + _a_times_t(0, 2) * _ONE_MINUS_Q2 * dim_H1_P1(n)
             + _a_times_t(1, 1) * _dim_V_prime(n - 1)
-            + _a_times_t(1, 2) * dim_H1_P1(n - 1)
+            + _a_times_t(1, 2) * _ONE_MINUS_Q2 * dim_H1_P1(n - 1)
         )
-    x_plus_factor = BinomialRational(LaurentPoly.one(AQT), {_Q2: 1})
-    return GradedDim((shift * inner * x_plus_factor).normalize())
+    return GradedDim(BinomialRational(shift * inner, {_Q2: 2}))

@@ -6,7 +6,9 @@ import re
 
 import pytest
 
+from coxlinks import cli
 from coxlinks.cli import EXIT_CHECK_FAILED, main
+from coxlinks.errors import DegenerateChartError
 from coxlinks.polyalg import parse_poly
 
 AQT = ("a", "q", "t")
@@ -202,6 +204,16 @@ def test_capacity_error_exit(capsys):
     assert code == 2
     assert "error [charts]:" in err
     assert "remedy:" in err
+
+
+def test_degenerate_chart_remedy_points_to_fixed_directions(capsys, monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise DegenerateChartError("chart has a torus-fixed tangent direction")
+
+    monkeypatch.setattr(cli, "calibrated_superpolynomial", degenerate)
+    code, out, err = run(capsys, "superpoly", "2", "--k", "1")
+    assert code == 2 and out == ""
+    assert "remedy: run 'weights <n>': the charts with dimT0 > 0" in err
 
 
 def test_mfcheck_passes(capsys):

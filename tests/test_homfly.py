@@ -1,5 +1,7 @@
 """Braid words, the Hecke-trace engine, and the planar skein resolver."""
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from coxlinks._planar_skein import resolve_homfly
 from coxlinks.errors import BraidSyntaxError, CapacityError
 from coxlinks.homfly import (
     BraidWord,
+    HeckeElement,
     braid_to_hecke,
     coxeter_braid,
     homfly,
@@ -196,6 +199,12 @@ def test_coxeter_braid_accepts_integral_values_only():
         coxeter_braid(3, (1, 1), (0.9, 0))
     with pytest.raises(ValueError, match="link_s entry"):
         coxeter_braid(3, (Fraction(3, 2),), (0, 0))
+    assert coxeter_braid(3.0, (1,), (2, 0)) == exact
+    assert type(coxeter_braid(3.0, (1,), (2, 0)).strands) is int
+    assert type(coxeter_braid(True, (), ()).strands) is int
+    for bad in (2.5, "2", None, 0):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            coxeter_braid(bad, (), (1,))
 
 
 def test_coxeter_braid_rejects_repeated_link_s():
@@ -222,7 +231,32 @@ def test_resolver_crossing_capacity():
         resolve_homfly(BraidWord(2, word))
 
 
-def test_markov_trace_is_homfly_before_normalization():
-    braid = parse_braid("strands=2 s1 s1 s1")
-    trace = markov_trace(braid_to_hecke(braid))
-    assert trace.den  # the raw trace keeps its (1 - a^2)-type denominator
+def test_homfly_is_the_framed_scaled_trace():
+    rng = random.Random(5)
+    braids = [parse_braid("strands=1"), coxeter_braid(3, (), (1, 0))]
+    for _ in range(10):
+        strands = rng.randint(2, 4)
+        word = tuple(
+            (rng.randint(1, strands - 1), rng.choice((1, -1)))
+            for _ in range(rng.randint(0, 5))
+        )
+        braids.append(BraidWord(strands, word))
+    for braid in braids:
+        framing = LaurentPoly.monomial(AZ, (braid.writhe() - braid.strands + 1, 0))
+        assert homfly(braid) == framing * markov_trace(braid_to_hecke(braid))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_scaled_trace_of_identity(n):
+    free_strand = _poly("z^-1 - a^2*z^-1")  # (1 - a^2) / z
+    assert markov_trace(HeckeElement.identity(n)) == free_strand ** (n - 1)
+
+
+def test_coxeter_homfly_digest():
+    # Pinned from the rational (a, z) trace: the Laurent-ring trace must match it.
+    lines = []
+    for n, top in ((2, 3), (3, 3), (4, 3), (5, 2), (6, 2)):
+        for k in itertools.product(range(top), repeat=n - 1):
+            lines.append(f"{n} {k} {homfly(coxeter_braid(n, (), k))}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "a113e6ac77659b74d3fcea2c3e0dd50b0095a48680448845a2222beb7719f2a7"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxlinks import localization
-from coxlinks.charts import NestedSetPair, build_chart
+from coxlinks.charts import NestedSetPair, build_chart, commuting_charts
 from coxlinks.errors import (
     CapacityError,
     ConsistencyError,
@@ -142,6 +142,16 @@ def test_calibrated_term_rejects_fixed_tangent_direction():
     with pytest.raises(DegenerateChartError) as excinfo:
         _calibrated_term(weight_data(chart), (0, 0, 0))
     assert excinfo.value.charts == (chart,)
+    # 'weights <n>' lists it through dimT0; 'degenerate <n>' does not.
+    assert weight_data(chart).fixed_dim()["dimT0"] > 0
+    flagged = {degenerate.label.flat_key() for degenerate in detect_degenerate(4)}
+    assert chart.label.flat_key() not in flagged
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_no_commuting_chart_has_a_fixed_direction(n):
+    for chart in commuting_charts(n):
+        assert not any(rec.is_fixed_direction() for rec in weight_data(chart).tangent)
 
 
 def test_non_integral_arguments_are_rejected():
@@ -151,12 +161,17 @@ def test_non_integral_arguments_are_rejected():
         calibrated_superpolynomial(3, (1, 1), link_s=(1.5,))
     with pytest.raises(ValueError, match="repeated"):
         calibrated_superpolynomial(3, (1, 1), link_s=(1, 1))
+    # n is checked before the capacity cap compares it with an int.
+    for bad in (3.5, "3", None):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            calibrated_superpolynomial(bad, (2, 1))
 
 
 def test_integral_arguments_are_accepted():
     exact = calibrated_superpolynomial(3, (2, 1))
-    cal = calibrated_superpolynomial(3, (Fraction(4, 2), 1.0))
+    cal = calibrated_superpolynomial(3.0, (Fraction(4, 2), 1.0))
     assert cal.k == (2, 1) and all(type(v) is int for v in cal.k)
+    assert type(cal.n) is int and cal.n == 3
     assert str(cal.value) == str(exact.value)
 
 

@@ -109,7 +109,9 @@ def test_coefficient_mass_and_exponents():
     assert f.exponents_of("a") == {4, 2}
 
 
-@pytest.mark.parametrize("bad", [Fraction(1, 2), 2.7, -0.5, "3", float("inf")])
+@pytest.mark.parametrize(
+    "bad", [Fraction(1, 2), 2.7, -0.5, "3", float("inf"), None, "", []]
+)
 def test_non_integer_coefficient_is_rejected(bad):
     with pytest.raises(ValueError, match="is not an integer") as raised:
         LaurentPoly(("q",), {(1,): bad, (0,): 2})
@@ -117,7 +119,8 @@ def test_non_integer_coefficient_is_rejected(bad):
 
 
 def test_integral_coefficients_are_accepted():
-    f = LaurentPoly(("q",), {(1,): Fraction(4, 2), (0,): 3.0, (2,): 0.0})
+    zeros = {(2,): 0.0, (3,): False, (4,): Fraction(0)}
+    f = LaurentPoly(("q",), {(1,): Fraction(4, 2), (0,): 3.0, **zeros})
     assert f == poly("2*q + 3", ("q",))
     assert all(type(c) is int for c in f.terms.values())
 

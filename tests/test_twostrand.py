@@ -1,5 +1,8 @@
 """Closed-form two-strand homology: golden values, parities, validation."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,3 +132,15 @@ def test_record_is_flat_and_faithful():
     assert set(record) == {"numerator", "denominator_factors", "variables"}
     assert record["denominator_factors"] == [["q^2", 1]]
     assert parse_poly(record["numerator"], AQT) == homology_T2_odd(1).value.num
+
+
+def test_closed_forms_digest():
+    # Pinned from the normalized rational sums: the explicit numerators must match.
+    lines = []
+    for name, homology in (("odd", homology_T2_odd), ("even", homology_T2_even)):
+        for n in range(-40, 41):
+            value = homology(n)
+            record = json.dumps(value.to_record(), sort_keys=True)
+            lines.append(f"{name} {n} {value} {record}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "6d591b751146b62abdae689c8da8b66c28708e9c0134afdae0964ab508838593"
