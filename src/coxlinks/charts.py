@@ -20,6 +20,16 @@ From a label the chart data is derived:
 * a vector of non-commutative monomials in X, Y and its generalized-Young-
   tableau image.
 
+Which paths validate: the public ``NestedSetPair(...)`` and
+``NestedSetPair.from_lists`` check every defining condition, and
+``build_chart`` checks that the derived pivots, zeros and free coordinates
+partition the upper triangle.  ``all_charts`` and ``enumerate_nested_pairs``
+share one recursion, which builds each label together with its pivots and
+zeros, correct by construction; its labels skip re-validation
+(``NestedSetPair._trusted``), and the tests compare its charts with
+``build_chart`` on the publicly rebuilt labels.  ``commuting_charts`` builds
+its labels with the public constructor and its charts with ``build_chart``.
+
 All values are immutable; every function is pure and thread-safe.
 """
 
@@ -29,6 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import CapacityError, ConsistencyError
@@ -40,12 +51,24 @@ MAX_ENUMERATION_N = 9
 MAX_INJECTIVITY_N = 7
 
 
-@dataclass(frozen=True)
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True, slots=True)
 class NestedSetPair:
     """The chart label: two nested chains of subsets of {1..n}.
 
     ``sx[i-1]`` holds the level-``i`` set ``S_x^i`` (1-based levels), and
-    likewise for ``sy``.  Validation happens on construction.
+    likewise for ``sy``.  The public constructor (and ``from_lists``)
+    validates every condition: ``n`` is a positive ``int``, each chain is a
+    tuple of ``n`` frozensets of ``int``, nested, inside ``{i+1..n}`` at
+    level ``i``, with level sizes summing to ``n - i``.  Only the chart
+    recursion behind ``all_charts`` skips these checks, through
+    ``_trusted``.
+
+    Raises:
+        ValueError: naming the field that breaks a condition.
     """
 
     n: int
@@ -54,20 +77,34 @@ class NestedSetPair:
 
     def __post_init__(self):
         n = self.n
+        if not _is_int(n):
+            raise ValueError(f"n must be an int, got {n!r}")
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
-        if len(self.sx) != n or len(self.sy) != n:
-            raise ValueError("chains must have exactly n levels")
         for chain, side in ((self.sx, "x"), (self.sy, "y")):
-            for level in range(1, n + 1):
-                level_set = chain[level - 1]
+            if not isinstance(chain, tuple):
+                raise ValueError(
+                    f"s{side} must be a tuple of frozensets, got {type(chain).__name__}"
+                )
+            if len(chain) != n:
+                raise ValueError("chains must have exactly n levels")
+            for level, level_set in enumerate(chain, start=1):
+                if not isinstance(level_set, frozenset):
+                    raise ValueError(
+                        f"S_{side}^{level} must be a frozenset, got "
+                        f"{type(level_set).__name__}"
+                    )
+                if not all(map(_is_int, level_set)):
+                    raise ValueError(
+                        f"S_{side}^{level} = {set(level_set)} has a non-int element"
+                    )
                 if not level_set <= set(range(level + 1, n + 1)):
                     raise ValueError(
                         f"S_{side}^{level} = {sorted(level_set)} is not a "
                         f"subset of {{{level + 1}..{n}}}"
                     )
-                if level < n and not chain[level - 1] >= chain[level]:
-                    raise ValueError(f"S_{side} chain is not nested at level {level}")
+                if level > 1 and not chain[level - 2] >= level_set:
+                    raise ValueError(f"S_{side} chain is not nested at level {level - 1}")
             if chain[n - 1]:
                 raise ValueError(f"S_{side}^{n} must be empty")
         for level in range(1, n + 1):
@@ -76,6 +113,20 @@ class NestedSetPair:
                 raise ValueError(
                     f"|S_x^{level}| + |S_y^{level}| = {total}, expected {n - level}"
                 )
+
+    @classmethod
+    def _trusted(
+        cls, n: int, sx: Tuple[FrozenSet[int], ...], sy: Tuple[FrozenSet[int], ...]
+    ) -> "NestedSetPair":
+        """Wrap chains that the chart recursion built; nothing is checked.
+
+        The caller guarantees every condition the public constructor checks.
+        """
+        label = object.__new__(cls)
+        object.__setattr__(label, "n", n)
+        object.__setattr__(label, "sx", sx)
+        object.__setattr__(label, "sy", sy)
+        return label
 
     @classmethod
     def from_lists(
@@ -118,47 +169,17 @@ def _check_enumeration_size(n: int) -> None:
 def enumerate_nested_pairs(n: int) -> List[NestedSetPair]:
     """All nested set pairs for matrix size ``n``, in flat-key order.
 
-    Builds the chains from level ``n`` (both empty) down to level 1; at each
-    level one element of ``{level+1..n}`` not already in the chosen chain is
-    added to exactly one side.  That yields each of the ``n!`` labels once.
+    These are the labels of :func:`all_charts`, read off the recursion that
+    builds them together with their charts.
 
     Raises:
         ValueError: if ``n < 1``.
         CapacityError: if ``n > 9`` (factorial growth).
     """
-    _check_enumeration_size(n)
-    results: List[NestedSetPair] = []
-    empty: FrozenSet[int] = frozenset()
-
-    def descend(level: int, sx_above: list, sy_above: list) -> None:
-        # sx_above[0] is the level-(level+1) set; chains grow toward level 1.
-        if level == 0:
-            results.append(NestedSetPair(n, tuple(sx_above), tuple(sy_above)))
-            return
-        current_x, current_y = sx_above[0], sy_above[0]
-        for element in range(level + 1, n + 1):
-            if element not in current_x:
-                descend(
-                    level - 1,
-                    [current_x | {element}] + sx_above,
-                    [current_y] + sy_above,
-                )
-            if element not in current_y:
-                descend(
-                    level - 1,
-                    [current_x] + sx_above,
-                    [current_y | {element}] + sy_above,
-                )
-
-    if n == 1:
-        results.append(NestedSetPair(1, (empty,), (empty,)))
-    else:
-        descend(n - 1, [empty], [empty])
-    results.sort(key=NestedSetPair.flat_key)
-    return results
+    return [chart.label for chart in all_charts(n)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chart:
     """Derived data of one chart label.
 
@@ -228,14 +249,24 @@ def _base_matrix(n: int, pivots: FrozenSet[IndexPair]) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
+@lru_cache(maxsize=16)
+def _upper_triangle(n: int) -> FrozenSet[IndexPair]:
+    """The index pairs ``(i, j)`` with ``1 <= i < j <= n``."""
+    return frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
 def build_chart(label: NestedSetPair) -> Chart:
-    """Derive pivots, free coordinates and zeros of a label."""
+    """Derive pivots, free coordinates and zeros of a label.
+
+    Reads them off the finished chains and checks that they partition the
+    upper triangle, so it also serves as the oracle of :func:`all_charts`.
+    """
     n = label.n
     px = _pivots(label.sx, n)
     py = _pivots(label.sy, n)
     zx = _zeros(label.sx, n)
     zy = _zeros(label.sy, n)
-    upper = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    upper = _upper_triangle(n)
     for side, pivots, zeros in (("x", px, zx), ("y", py, zy)):
         if pivots & zeros:
             raise ConsistencyError(f"pivot/zero overlap on side {side}: {pivots & zeros}")
@@ -409,8 +440,53 @@ def is_commutative(chart: Chart) -> bool:
 
 
 def all_charts(n: int) -> List[Chart]:
-    """Every chart for size ``n``, in the canonical label order."""
-    return [build_chart(label) for label in enumerate_nested_pairs(n)]
+    """Every chart for size ``n``, in the canonical (flat-key) label order.
+
+    One recursion builds each label together with its chart.  It grows the
+    chains from level ``n`` (both empty) down to level 1: at level ``i`` an
+    element ``j`` of ``{i+1..n}`` that the chain of side ``L`` lacks joins
+    that chain, so each of the ``n!`` labels arises once.  That element is
+    the pivot ``(i, j)`` of side ``L``, and on each side every ``j'`` in the
+    level-``(i+1)`` set is a zero ``(i, j')``; the free coordinates are the
+    rest of the upper triangle.  The labels are correct by construction and
+    skip re-validation (``NestedSetPair._trusted``); ``build_chart`` on the
+    publicly rebuilt label is the test oracle.
+
+    Raises:
+        ValueError: if ``n < 1``.
+        CapacityError: if ``n > 9`` (factorial growth).
+    """
+    _check_enumeration_size(n)
+    upper = _upper_triangle(n)
+
+    def descend(i, sx, sy, kx, ky, px, py, zx, zy):  # noqa: ANN001, ANN202
+        # sx[0], sy[0] are the level-(i+1) sets and kx, ky their flat keys;
+        # px..zy cover rows i+1..n-1.
+        if i == 0:
+            label = NestedSetPair._trusted(n, sx, sy)
+            chart = Chart(label, px, py, upper - px - zx, upper - py - zy, zx, zy)
+            found.append((kx + ky, chart))
+            return
+        top_x, top_y = sx[0], sy[0]
+        zx = zx | {(i, j) for j in top_x}
+        zy = zy | {(i, j) for j in top_y}
+        for j in range(i + 1, n + 1):
+            if j not in top_x:
+                grown = top_x | {j}
+                descend(i - 1, (grown,) + sx, (top_y,) + sy,
+                        (tuple(sorted(grown)),) + kx, ky[:1] + ky,
+                        px | {(i, j)}, py, zx, zy)
+            if j not in top_y:
+                grown = top_y | {j}
+                descend(i - 1, (top_x,) + sx, (grown,) + sy,
+                        kx[:1] + kx, (tuple(sorted(grown)),) + ky,
+                        px, py | {(i, j)}, zx, zy)
+
+    empty: FrozenSet = frozenset()
+    found: List[Tuple[tuple, Chart]] = []
+    descend(n - 1, (empty,), (empty,), ((),), ((),), empty, empty, empty, empty)
+    found.sort(key=itemgetter(0))
+    return [chart for _, chart in found]
 
 
 def commuting_charts(n: int) -> List[Chart]:

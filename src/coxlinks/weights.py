@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 from .charts import Chart, monomial_vector
@@ -49,7 +50,7 @@ from .errors import ConsistencyError
 IndexPair = Tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TangentRecord:
     """Weight exponents of one free coordinate."""
 
@@ -77,7 +78,7 @@ class TangentRecord:
         return {"side": self.side, "index": list(self.index), "dx": self.dx, "dy": self.dy}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObstructionRecord:
     """Weight exponents of one obstruction pair (j - i > 1 by default)."""
 
@@ -101,7 +102,7 @@ class ObstructionRecord:
         return {"index": list(self.index), "ox": self.ox, "oy": self.oy}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightData:
     """All weight data of one chart."""
 
@@ -215,24 +216,29 @@ def obstruction_weights(
 def _obstruction_records(
     chart: Chart, wx: Tuple[int, ...], wy: Tuple[int, ...], link_s: Sequence[int]
 ) -> Tuple[ObstructionRecord, ...]:
-    n = chart.n
-    link = sorted(set(link_s))
-    if link and not (1 <= link[0] and link[-1] <= n - 1):
-        raise ValueError(f"link_s entries must lie in 1..{n - 1}, got {link}")
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1)]
-    pairs += [(i, i + 1) for i in link]
-    records = tuple(
+    return tuple(
         ObstructionRecord(
             (i, j), wx[i - 1] - wx[j - 1] + 1, wy[i - 1] - wy[j - 1] + 1
         )
-        for i, j in sorted(pairs)
+        for i, j in _obstruction_pairs(chart.n, tuple(sorted(set(link_s))))
     )
+
+
+@lru_cache(maxsize=64)
+def _obstruction_pairs(n: int, link: Tuple[int, ...]) -> Tuple[IndexPair, ...]:
+    """The sorted obstruction index pairs of size ``n``: every ``(i, j)``
+    with ``j - i > 1``, plus ``(i, i + 1)`` for each ``i`` in the sorted,
+    duplicate-free ``link``.  Shared by every chart of one size."""
+    if link and not (1 <= link[0] and link[-1] <= n - 1):
+        raise ValueError(f"link_s entries must lie in 1..{n - 1}, got {list(link)}")
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1)]
+    pairs += [(i, i + 1) for i in link]
     base_count = (n - 1) * (n - 2) // 2
-    if len(records) != base_count + len(link):
+    if len(pairs) != base_count + len(link):
         raise ConsistencyError(
-            f"expected {base_count + len(link)} obstruction records, got {len(records)}"
+            f"expected {base_count + len(link)} obstruction records, got {len(pairs)}"
         )
-    return records
+    return tuple(sorted(pairs))
 
 
 def weight_data(chart: Chart, link_s: Sequence[int] = ()) -> WeightData:

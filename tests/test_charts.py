@@ -1,11 +1,13 @@
 """Chart labels, pivots, monomial vectors, tableaux, and their counts."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxlinks.charts import (
+    Chart,
     NestedSetPair,
     all_charts,
     build_chart,
@@ -68,6 +70,34 @@ def test_label_validation():
         label(3, [{2}, {3}, ()], [{3}, (), ()])  # not nested
 
 
+EMPTY = frozenset()
+
+
+@pytest.mark.parametrize(
+    "build,field",
+    [
+        # A float element used to pass, then break Chart.to_record.
+        pytest.param(lambda: label(2, [{2.0}, ()], [(), ()]), "S_x\\^1", id="float-in-sx"),
+        pytest.param(lambda: label(3, [(), (), ()], [{3, 2.0}, {3}, ()]), "S_y\\^1",
+                     id="float-in-sy"),
+        pytest.param(lambda: NestedSetPair(True, (EMPTY,), (EMPTY,)), "n must be an int",
+                     id="bool-n"),
+        pytest.param(lambda: NestedSetPair(2.0, (frozenset({2}), EMPTY), (EMPTY, EMPTY)),
+                     "n must be an int", id="float-n"),
+        # A list chain used to build an unhashable label.
+        pytest.param(lambda: NestedSetPair(2, [frozenset({2}), EMPTY], (EMPTY, EMPTY)),
+                     "sx", id="list-sx"),
+        pytest.param(lambda: NestedSetPair(2, (EMPTY, EMPTY), [frozenset({2}), EMPTY]),
+                     "sy", id="list-sy"),
+        pytest.param(lambda: NestedSetPair(2, ({2}, EMPTY), (EMPTY, EMPTY)), "S_x\\^1",
+                     id="set-level"),
+    ],
+)
+def test_label_validation_names_the_field(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 # -- chart structure ---------------------------------------------------------------
 
 
@@ -113,6 +143,22 @@ def test_monomial_words_may_skip_lengths():
     }
     assert (0, 1, 2, 3) in lengths
     assert any(seq != tuple(range(4)) for seq in lengths)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_chart_recursion_matches_build_chart_oracle(n):
+    charts = all_charts(n)
+    labels = [chart.label for chart in charts]
+    assert enumerate_nested_pairs(n) == labels
+    keys = [lab.flat_key() for lab in labels]
+    assert keys == sorted(set(keys)) and len(keys) == math.factorial(n)
+    names = [field.name for field in dataclasses.fields(Chart)]
+    for chart, lab in zip(charts, labels):
+        # Rebuilding through the public constructor re-runs every check.
+        oracle = build_chart(NestedSetPair(n, lab.sx, lab.sy))
+        assert [getattr(chart, name) for name in names] == [
+            getattr(oracle, name) for name in names
+        ]
 
 
 # -- commuting sublocus ------------------------------------------------------------

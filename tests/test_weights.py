@@ -10,6 +10,7 @@ from coxlinks import weights as weights_module
 from coxlinks.charts import NestedSetPair, all_charts, build_chart, monomial_vector
 from coxlinks.errors import ConsistencyError
 from coxlinks.weights import (
+    ObstructionRecord,
     fixed_dim_check,
     obstruction_weights,
     tangent_weights,
@@ -103,6 +104,27 @@ def test_obstruction_records_grow_with_link_s():
     assert (2, 3) in {record.index for record in extended}
     with pytest.raises(ValueError):
         obstruction_weights(FAMILY_CHART, link_s=(4,))
+
+
+def _unhoisted_obstruction(chart, link_s):
+    """The obstruction records with the pair list built for this one chart."""
+    n = chart.n
+    wx, wy = weight_vectors(chart)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1)]
+    pairs += [(i, i + 1) for i in sorted(set(link_s))]
+    return tuple(
+        ObstructionRecord((i, j), wx[i - 1] - wx[j - 1] + 1, wy[i - 1] - wy[j - 1] + 1)
+        for i, j in sorted(pairs)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_obstruction_records_match_the_unhoisted_pair_list(n):
+    link_sets = [link for link in ((), (1,), (1, n - 1)) if all(0 < i < n for i in link)]
+    for chart in all_charts(n):
+        for link_s in link_sets:
+            expected = _unhoisted_obstruction(chart, link_s)
+            assert weight_data(chart, link_s).obstruction == expected
 
 
 # -- fixed-locus counts --------------------------------------------------------------
