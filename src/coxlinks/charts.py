@@ -30,7 +30,10 @@ zeros, correct by construction; its labels skip re-validation
 ``build_chart`` on the publicly rebuilt labels.  ``commuting_charts`` builds
 its labels with the public constructor and its charts with ``build_chart``.
 
-All values are immutable; every function is pure and thread-safe.
+All values are immutable, and every function is thread-safe and returns
+the same value for the same arguments.  ``all_charts`` memoizes the charts
+of the most recent size (one size only), so they stay resident after the
+call: about 14 MB at n = 7 and 130 MB at n = 8 (see ``all_charts``).
 """
 
 from __future__ import annotations
@@ -452,11 +455,31 @@ def all_charts(n: int) -> List[Chart]:
     skip re-validation (``NestedSetPair._trusted``); ``build_chart`` on the
     publicly rebuilt label is the test oracle.
 
+    The charts of the most recent size are memoized, one size only, so the
+    ``charts``, ``weights``, ``gyt`` and ``degenerate`` paths of one process
+    run the recursion once per size.  Each call returns a fresh list of the
+    shared, immutable charts.  The memo keeps that size resident until a
+    call at another size replaces it: measured as the growth of resident
+    memory, about 14 MB at n = 7 (30 MB for the whole process) and about
+    130 MB at n = 8 (147 MB peak for the process).  At n = 9 it would be
+    roughly nine times the n = 8 figure, over 1 GB (an estimate, not
+    measured).
+
     Raises:
         ValueError: if ``n < 1``.
         CapacityError: if ``n > 9`` (factorial growth).
     """
     _check_enumeration_size(n)
+    return list(_chart_tuple(n))
+
+
+@lru_cache(maxsize=1, typed=True)
+def _chart_tuple(n: int) -> Tuple[Chart, ...]:
+    """The recursion behind :func:`all_charts`, memoized for one size.
+
+    ``typed``: ``True`` or ``7.0`` must not be answered from the entry of
+    an equal ``int``; they get what the recursion makes of them.
+    """
     upper = _upper_triangle(n)
 
     def descend(i, sx, sy, kx, ky, px, py, zx, zy):  # noqa: ANN001, ANN202
@@ -486,7 +509,7 @@ def all_charts(n: int) -> List[Chart]:
     found: List[Tuple[tuple, Chart]] = []
     descend(n - 1, (empty,), (empty,), ((),), ((),), empty, empty, empty, empty)
     found.sort(key=itemgetter(0))
-    return [chart for _, chart in found]
+    return tuple(chart for _, chart in found)
 
 
 def commuting_charts(n: int) -> List[Chart]:
@@ -576,6 +599,7 @@ def gyt_injectivity_report(n: int) -> dict:
             "gyt": GYT(cells=key).to_record(),
             "labels": [chart.label.to_record() for chart in group],
         }
+        # Not total: frozenset < is subset order, so insertion order leaks in.
         for key, group in sorted(groups.items())
         if len(group) > 1
     ]

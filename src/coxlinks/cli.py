@@ -157,7 +157,10 @@ def _cmd_charts(args: argparse.Namespace) -> int:
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
-    rows = [(data, data.fixed_dim()) for data in map(weight_data, all_charts(args.n))]
+    charts = all_charts(args.n)
+    # A generator, consumed once by either format, so each WeightData is
+    # freed as soon as its line or record is built.
+    rows = ((data, data.fixed_dim()) for data in map(weight_data, charts))
     lines = (
         "wx={wx} wy={wy} dimT0={t0} dimOb0={ob0} inequality={ineq}"
         " vanishing_factors={vf}".format(
@@ -176,7 +179,7 @@ def _cmd_weights(args: argparse.Namespace) -> int:
             {**data.to_record(), "label": data.chart.label.to_record(), "fixed_dim": fixed}
             for data, fixed in rows
         ],
-        chain([f"weights n={args.n}: {len(rows)} records"], lines),
+        chain([f"weights n={args.n}: {len(charts)} records"], lines),
     )
     return EXIT_OK
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from coxlinks.charts import (
     Chart,
     NestedSetPair,
+    _chart_tuple,
     all_charts,
     build_chart,
     commuting_charts,
@@ -159,6 +160,25 @@ def test_chart_recursion_matches_build_chart_oracle(n):
         assert [getattr(chart, name) for name in names] == [
             getattr(oracle, name) for name in names
         ]
+
+
+def test_all_charts_returns_a_fresh_list_of_shared_charts():
+    first, second = all_charts(4), all_charts(4)
+    assert first is not second and first == second
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    first.append(None)
+    assert all_charts(4) == second and len(second) == 24
+
+
+def test_chart_memo_holds_one_size():
+    _chart_tuple.cache_clear()
+    all_charts(3)
+    all_charts(4)
+    info = _chart_tuple.cache_info()
+    assert info.currsize == 1 and info.misses == 2
+    all_charts(4)
+    assert _chart_tuple.cache_info().hits == 1
 
 
 # -- commuting sublocus ------------------------------------------------------------
