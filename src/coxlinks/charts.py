@@ -30,10 +30,7 @@ zeros, correct by construction; its labels skip re-validation
 ``build_chart`` on the publicly rebuilt labels.  ``commuting_charts`` builds
 its labels with the public constructor and its charts with ``build_chart``.
 
-All values are immutable, and every function is thread-safe and returns
-the same value for the same arguments.  ``all_charts`` memoizes the charts
-of the most recent size (one size only), so they stay resident after the
-call: about 14 MB at n = 7 and 130 MB at n = 8 (see ``all_charts``).
+All values are immutable; every function is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -442,6 +439,36 @@ def is_commutative(chart: Chart) -> bool:
     return _product_entries(chart.px, chart.py) == _product_entries(chart.py, chart.px)
 
 
+def _descend(n, upper, found, i, sx, sy, kx, ky, px, py, zx, zy):  # noqa: ANN001, ANN202
+    """One level of the :func:`all_charts` recursion, appending to ``found``.
+
+    ``sx[0]``, ``sy[0]`` are the level-``(i+1)`` sets and ``kx``, ``ky``
+    their flat keys; ``px``..``zy`` cover rows ``i+1..n-1``.  This is a
+    module-level function, not a closure: a closure that calls itself is a
+    reference cycle, and it would keep ``found`` with all ``n!`` charts
+    alive until the next full garbage collection.
+    """
+    if i == 0:
+        label = NestedSetPair._trusted(n, sx, sy)
+        chart = Chart(label, px, py, upper - px - zx, upper - py - zy, zx, zy)
+        found.append((kx + ky, chart))
+        return
+    top_x, top_y = sx[0], sy[0]
+    zx = zx | {(i, j) for j in top_x}
+    zy = zy | {(i, j) for j in top_y}
+    for j in range(i + 1, n + 1):
+        if j not in top_x:
+            grown = top_x | {j}
+            _descend(n, upper, found, i - 1, (grown,) + sx, (top_y,) + sy,
+                     (tuple(sorted(grown)),) + kx, ky[:1] + ky,
+                     px | {(i, j)}, py, zx, zy)
+        if j not in top_y:
+            grown = top_y | {j}
+            _descend(n, upper, found, i - 1, (top_x,) + sx, (grown,) + sy,
+                     kx[:1] + kx, (tuple(sorted(grown)),) + ky,
+                     px, py | {(i, j)}, zx, zy)
+
+
 def all_charts(n: int) -> List[Chart]:
     """Every chart for size ``n``, in the canonical (flat-key) label order.
 
@@ -455,61 +482,19 @@ def all_charts(n: int) -> List[Chart]:
     skip re-validation (``NestedSetPair._trusted``); ``build_chart`` on the
     publicly rebuilt label is the test oracle.
 
-    The charts of the most recent size are memoized, one size only, so the
-    ``charts``, ``weights``, ``gyt`` and ``degenerate`` paths of one process
-    run the recursion once per size.  Each call returns a fresh list of the
-    shared, immutable charts.  The memo keeps that size resident until a
-    call at another size replaces it: measured as the growth of resident
-    memory, about 14 MB at n = 7 (30 MB for the whole process) and about
-    130 MB at n = 8 (147 MB peak for the process).  At n = 9 it would be
-    roughly nine times the n = 8 figure, over 1 GB (an estimate, not
-    measured).
-
     Raises:
         ValueError: if ``n < 1``.
         CapacityError: if ``n > 9`` (factorial growth).
     """
     _check_enumeration_size(n)
-    return list(_chart_tuple(n))
-
-
-@lru_cache(maxsize=1, typed=True)
-def _chart_tuple(n: int) -> Tuple[Chart, ...]:
-    """The recursion behind :func:`all_charts`, memoized for one size.
-
-    ``typed``: ``True`` or ``7.0`` must not be answered from the entry of
-    an equal ``int``; they get what the recursion makes of them.
-    """
     upper = _upper_triangle(n)
-
-    def descend(i, sx, sy, kx, ky, px, py, zx, zy):  # noqa: ANN001, ANN202
-        # sx[0], sy[0] are the level-(i+1) sets and kx, ky their flat keys;
-        # px..zy cover rows i+1..n-1.
-        if i == 0:
-            label = NestedSetPair._trusted(n, sx, sy)
-            chart = Chart(label, px, py, upper - px - zx, upper - py - zy, zx, zy)
-            found.append((kx + ky, chart))
-            return
-        top_x, top_y = sx[0], sy[0]
-        zx = zx | {(i, j) for j in top_x}
-        zy = zy | {(i, j) for j in top_y}
-        for j in range(i + 1, n + 1):
-            if j not in top_x:
-                grown = top_x | {j}
-                descend(i - 1, (grown,) + sx, (top_y,) + sy,
-                        (tuple(sorted(grown)),) + kx, ky[:1] + ky,
-                        px | {(i, j)}, py, zx, zy)
-            if j not in top_y:
-                grown = top_y | {j}
-                descend(i - 1, (top_x,) + sx, (grown,) + sy,
-                        kx[:1] + kx, (tuple(sorted(grown)),) + ky,
-                        px, py | {(i, j)}, zx, zy)
 
     empty: FrozenSet = frozenset()
     found: List[Tuple[tuple, Chart]] = []
-    descend(n - 1, (empty,), (empty,), ((),), ((),), empty, empty, empty, empty)
+    _descend(n, upper, found, n - 1, (empty,), (empty,), ((),), ((),),
+             empty, empty, empty, empty)
     found.sort(key=itemgetter(0))
-    return tuple(chart for _, chart in found)
+    return [chart for _, chart in found]
 
 
 def commuting_charts(n: int) -> List[Chart]:

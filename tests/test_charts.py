@@ -1,6 +1,7 @@
 """Chart labels, pivots, monomial vectors, tableaux, and their counts."""
 
 import dataclasses
+import gc
 import math
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from coxlinks.charts import (
     Chart,
     NestedSetPair,
-    _chart_tuple,
     all_charts,
     build_chart,
     commuting_charts,
@@ -162,23 +162,12 @@ def test_chart_recursion_matches_build_chart_oracle(n):
         ]
 
 
-def test_all_charts_returns_a_fresh_list_of_shared_charts():
-    first, second = all_charts(4), all_charts(4)
-    assert first is not second and first == second
-    assert all(a is b for a, b in zip(first, second))
-    first.clear()
-    first.append(None)
-    assert all_charts(4) == second and len(second) == 24
-
-
-def test_chart_memo_holds_one_size():
-    _chart_tuple.cache_clear()
-    all_charts(3)
+def test_all_charts_leaves_no_reference_cycle():
+    # The charts must be freed by reference counting once the caller drops
+    # them, not kept alive until the next full garbage collection.
+    gc.collect()
     all_charts(4)
-    info = _chart_tuple.cache_info()
-    assert info.currsize == 1 and info.misses == 2
-    all_charts(4)
-    assert _chart_tuple.cache_info().hits == 1
+    assert gc.collect() == 0
 
 
 # -- commuting sublocus ------------------------------------------------------------

@@ -7,7 +7,6 @@ import re
 import pytest
 
 from coxlinks import cli
-from coxlinks.charts import _chart_tuple
 from coxlinks.cli import EXIT_CHECK_FAILED, main
 from coxlinks.errors import DegenerateChartError
 from coxlinks.polyalg import parse_poly
@@ -180,13 +179,6 @@ def test_plain_weight_lines_match_tree_records(capsys):
         assert int(fields["dimOb0"]) == fixed["dimOb0"]
         assert fields["inequality"] == str(fixed["inequality"])
         assert int(fields["vanishing_factors"]) == fixed["vanishing_factors"]
-
-
-def test_chart_commands_share_one_chart_build(capsys):
-    _chart_tuple.cache_clear()
-    for command in ("charts", "weights", "gyt", "degenerate"):
-        assert run(capsys, command, "5")[0] == 0
-    assert _chart_tuple.cache_info().misses == 1
 
 
 def test_weights_prints_each_line_before_the_next_chart(monkeypatch):
