@@ -157,6 +157,8 @@ class NestedSetPair:
 
 
 def _check_enumeration_size(n: int) -> None:
+    if not _is_int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > MAX_ENUMERATION_N:
@@ -345,23 +347,11 @@ class GYT:
     """A generalized Young tableau: lattice cells labeled by subsets of {1..n}.
 
     ``cells`` maps ``(deg_X, deg_Y)`` to the set of indices whose monomial
-    has that bidegree.  Stored translation-normalized (minimal occupied cell
-    at the origin) and with a canonical sorted form for hashing.
+    has that bidegree, sorted by cell for hashing.  The empty word ``m_1``
+    always sits at the origin, so a chart's image needs no translation.
     """
 
     cells: Tuple[Tuple[IndexPair, FrozenSet[int]], ...]
-
-    @classmethod
-    def from_dict(cls, cells: Dict[IndexPair, FrozenSet[int]]) -> "GYT":
-        if not cells:
-            raise ValueError("a tableau needs at least one cell")
-        min_x = min(i for i, _ in cells)
-        min_y = min(j for _, j in cells)
-        normalized = {
-            (i - min_x, j - min_y): frozenset(labels)
-            for (i, j), labels in cells.items()
-        }
-        return cls(tuple(sorted(normalized.items())))
 
     def as_dict(self) -> Dict[IndexPair, FrozenSet[int]]:
         return dict(self.cells)
@@ -416,7 +406,7 @@ def to_gyt(chart: Chart) -> GYT:
                 frontier.append(neighbor)
     if seen != occupied:
         raise ConsistencyError(f"tableau image is disconnected: {sorted(occupied)}")
-    return GYT.from_dict({cell: frozenset(labels) for cell, labels in cells.items()})
+    return GYT(tuple(sorted((cell, frozenset(labels)) for cell, labels in cells.items())))
 
 
 def _product_entries(pa: FrozenSet[IndexPair], pb: FrozenSet[IndexPair]) -> Counter:

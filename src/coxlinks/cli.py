@@ -382,9 +382,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except CoxlinksError as exc:
-        return _report_error(exc)
-    except ValueError as exc:
+    except (CoxlinksError, ValueError) as exc:
         return _report_error(exc)
 
 

@@ -40,7 +40,7 @@ from .errors import (
     PositivityRegimeWarning,
 )
 from .homfly import _coxeter_arguments
-from .polyalg import BinomialRational, LaurentPoly
+from .polyalg import BinomialRational, LaurentPoly, _lift
 from .twostrand import AQT
 from .weights import WeightData, tangent_weights, weight_data
 
@@ -87,49 +87,37 @@ def _warn_flags(k: Sequence[int], link_s: Sequence[int]) -> bool:
 # -- calibrated homological-variable formula ---------------------------------
 
 
-def _uv_monomial(a_power: int, u_power: int, v_power: int) -> LaurentPoly:
-    """The monomial ``a^i u^j v^k`` written in ``(a, q, t)``."""
-    return LaurentPoly.monomial(
-        AQT, (a_power, 2 * u_power - 2 * v_power, 2 * v_power)
-    )
-
-
-def _uv_exponent(u_power: int, v_power: int) -> tuple:
-    return (0, 2 * u_power - 2 * v_power, 2 * v_power)
+def _uv_exponent(a_power: int, u_power: int, v_power: int) -> tuple:
+    """The exponent of ``a^i u^j v^k`` written in ``(a, q, t)``."""
+    return (a_power, 2 * u_power - 2 * v_power, 2 * v_power)
 
 
 def _calibrated_term(data: WeightData, k: Tuple[int, ...]) -> BinomialRational:
     prefactor_x = sum(ki * wxi for ki, wxi in zip(k, data.wx))
     prefactor_y = sum(ki * wyi for ki, wyi in zip(k, data.wy))
-    num = _uv_monomial(0, prefactor_x, prefactor_y)
+    terms = {_uv_exponent(0, prefactor_x, prefactor_y): 1}
     n = data.chart.n
     for wx_i, wy_i in zip(data.wx[: n - 1], data.wy[: n - 1]):
-        num = num * (
-            LaurentPoly.one(AQT) + _uv_monomial(1, -wx_i, -wy_i)
-        )
+        terms = _lift(terms, _uv_exponent(1, -wx_i, -wy_i), 1, sign=1)
     for record in data.obstruction:
         # stored (ox, oy) = (Dx + 1, Dy + 1), so (1 - Dx, 1 - Dy) = (2 - ox, 2 - oy)
-        num = num * (
-            LaurentPoly.one(AQT)
-            - _uv_monomial(0, 2 - record.ox, 2 - record.oy)
-        )
+        terms = _lift(terms, _uv_exponent(0, 2 - record.ox, 2 - record.oy), 1)
     den: Dict[tuple, int] = {}
     for record in data.tangent:
-        # stored x-side (dx, dy) = (Dx + 1, Dy): factor exponent (1 - Dx, -Dy)
-        # stored y-side (dx, dy) = (Dx, Dy + 1): factor exponent (-Dx, 1 - Dy)
-        if record.side == "x":
-            u_power, v_power = 2 - record.dx, -record.dy
-        else:
-            u_power, v_power = -record.dx, 2 - record.dy
-        if u_power == 0 and v_power == 0:
+        if record.is_fixed_direction():
             raise DegenerateChartError(
                 f"chart {data.chart.label.flat_key()} has a torus-fixed "
                 "tangent direction in the calibrated weights",
                 charts=(data.chart,),
             )
-        exponent = _uv_exponent(u_power, v_power)
+        # stored x-side (dx, dy) = (Dx + 1, Dy): factor exponent (1 - Dx, -Dy)
+        # stored y-side (dx, dy) = (Dx, Dy + 1): factor exponent (-Dx, 1 - Dy)
+        if record.side == "x":
+            exponent = _uv_exponent(0, 2 - record.dx, -record.dy)
+        else:
+            exponent = _uv_exponent(0, -record.dx, 2 - record.dy)
         den[exponent] = den.get(exponent, 0) + 1
-    return BinomialRational(num, den)
+    return BinomialRational(LaurentPoly._trusted(AQT, terms), den)
 
 
 @dataclass(frozen=True, slots=True)

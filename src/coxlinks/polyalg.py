@@ -18,7 +18,12 @@ Two kernels keep the localization sums cheap:
   the least common denominator by multiplying it with its missing factors
   ``(1 - x^e)^d``.  :func:`_lift` does this on the term dict directly: per
   power it copies the dict and subtracts every term shifted by ``e``, with
-  no general sparse product and no intermediate polynomial objects.
+  no general sparse product and no intermediate polynomial objects.  The
+  same kernel, with ``sign=+1`` for the level factors ``(1 + a*m)``,
+  expands each chart term's numerator in ``localization._calibrated_term``.
+  ``BinomialRational.__eq__`` and ``denominator_poly`` stay on the general
+  product on purpose: every oracle comparison goes through ``__eq__``, so
+  it must not run on the kernel it checks.
 * **The trusted constructor.**  The public ``LaurentPoly(...)`` checks
   every exponent length and coefficient.  Results that internal arithmetic
   builds (sums, products, negation, truncation, division, the lift) are
@@ -54,10 +59,13 @@ from .errors import ExpansionError, NotDivisibleError
 
 Exponent = Tuple[int, ...]
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<sign>[+-])|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<pow>\^)|(?P<mul>\*))"
+# The three patterns of :func:`parse_poly`: a run of signs, one factor (an
+# integer, or a variable with an optional signed exponent) and a ``*``.
+_SIGNS = re.compile(r"\s*((?:[+-]\s*)*)")
+_FACTOR = re.compile(
+    r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*((?:[+-]\s*)*)(\d+))?"
 )
+_STAR = re.compile(r"\s*\*\s*")
 
 
 def _glex_key(exponent: Exponent) -> tuple:
@@ -361,7 +369,10 @@ def parse_poly(text: str, variables: Sequence[str]) -> LaurentPoly:
 
     Accepts exactly the strings ``str()`` produces (and harmless variants:
     arbitrary whitespace, ``+`` signs on coefficients and exponents, any
-    variable order inside a term).
+    variable order inside a term).  Each term is a run of signs (at least
+    one, except before the first term) and factors joined by ``*``; a factor
+    is an integer or a variable with an optional ``^`` exponent.  Empty or
+    whitespace-only text parses as zero.
 
     Example:
         >>> str(parse_poly("-a*Q^2*T + 1", ("a", "Q", "T")))
@@ -370,81 +381,34 @@ def parse_poly(text: str, variables: Sequence[str]) -> LaurentPoly:
     variables = tuple(variables)
     index_of = {name: i for i, name in enumerate(variables)}
     terms: Dict[Exponent, int] = {}
-
     position = 0
-    text_length = len(text)
-
-    def next_token():
-        nonlocal position
-        if position >= text_length:
-            return None, None
-        match = _TOKEN.match(text, position)
-        if match is None or match.lastgroup is None:
-            raise ValueError(f"bad character at position {position}: {text[position:]!r}")
-        position = match.end()
-        return match.lastgroup, match.group(match.lastgroup)
-
-    def restore(save: int) -> None:
-        nonlocal position
-        position = save
-
     while True:
-        kind, value = next_token()
-        if kind is None:
-            break
-        sign = 1
-        while kind == "sign":
-            if value == "-":
-                sign = -sign
-            kind, value = next_token()
-        coefficient = sign
+        signs = _SIGNS.match(text, position)
+        position = signs.end()
+        if not signs.group(1) and position == len(text):
+            return LaurentPoly(variables, terms)
+        if not signs.group(1) and terms:  # only the first term may go unsigned
+            raise ValueError(f"unexpected text at position {position}: {text[position:]!r}")
+        coefficient = (-1) ** signs.group(1).count("-")
         exponent = [0] * len(variables)
-        saw_body = False
-        while True:
-            if kind == "int":
-                coefficient *= int(value)
-                saw_body = True
-            elif kind == "name":
-                if value not in index_of:
-                    raise ValueError(f"unknown variable {value!r}")
-                power = 1
-                save = position
-                nk, _ = next_token()
-                if nk == "pow":
-                    pk, pv = next_token()
-                    power_sign = 1
-                    while pk == "sign":
-                        if pv == "-":
-                            power_sign = -power_sign
-                        pk, pv = next_token()
-                    if pk != "int":
-                        raise ValueError("expected integer exponent after '^'")
-                    power = power_sign * int(pv)
-                else:
-                    restore(save)
-                exponent[index_of[value]] += power
-                saw_body = True
+        star = True
+        while star:
+            factor = _FACTOR.match(text, position)
+            if factor is None:
+                raise ValueError(f"expected a factor at position {position}: {text[position:]!r}")
+            number, name, power_signs, power = factor.groups()
+            if number is not None:
+                coefficient *= int(number)
+            elif name not in index_of:
+                raise ValueError(f"unknown variable {name!r}")
+            elif power is None:
+                exponent[index_of[name]] += 1
             else:
-                raise ValueError(f"unexpected token {value!r}")
-            save = position
-            kind, value = next_token()
-            if kind == "mul":
-                kind, value = next_token()
-                continue
-            restore(save)
-            break
-        if not saw_body:
-            raise ValueError("empty term")
+                exponent[index_of[name]] += (-1) ** power_signs.count("-") * int(power)
+            star = _STAR.match(text, factor.end())
+            position = star.end() if star else factor.end()
         key = tuple(exponent)
         terms[key] = terms.get(key, 0) + coefficient
-        save = position
-        kind, value = next_token()
-        if kind is None:
-            break
-        if kind != "sign":
-            raise ValueError(f"expected '+' or '-' between terms, got {value!r}")
-        restore(save)
-    return LaurentPoly(variables, terms)
 
 
 def _binomial(variables: Sequence[str], monomial_exponent: Exponent) -> LaurentPoly:
@@ -455,12 +419,17 @@ def _binomial(variables: Sequence[str], monomial_exponent: Exponent) -> LaurentP
 
 
 def _lift(
-    terms: Dict[Exponent, int], monomial_exponent: Exponent, power: int
+    terms: Dict[Exponent, int],
+    monomial_exponent: Exponent,
+    power: int,
+    sign: int = -1,
 ) -> Dict[Exponent, int]:
-    """The term dict of ``terms * (1 - x^monomial_exponent)^power``.
+    """The term dict of ``terms * (1 + sign * x^monomial_exponent)^power``.
 
-    Each of the ``power`` rounds copies the dict and subtracts every term
-    shifted by ``monomial_exponent``.  The result may hold zero
+    ``sign`` is ``-1`` for the binomial factors ``(1 - x^e)`` and ``+1`` for
+    the level factors ``(1 + a*m)`` of a chart term.  Each of the ``power``
+    rounds copies the dict and adds every term shifted by
+    ``monomial_exponent``, times ``sign``.  The result may hold zero
     coefficients; :meth:`LaurentPoly._trusted` drops them.
     """
     for _ in range(power):
@@ -468,7 +437,7 @@ def _lift(
         get = lifted.get
         for exponent, coefficient in terms.items():
             shifted = tuple(map(add, exponent, monomial_exponent))
-            lifted[shifted] = get(shifted, 0) - coefficient
+            lifted[shifted] = get(shifted, 0) + sign * coefficient
         terms = lifted
     return terms
 

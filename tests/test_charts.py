@@ -22,6 +22,7 @@ from coxlinks.charts import (
     to_gyt,
 )
 from coxlinks.errors import CapacityError
+from coxlinks.localization import detect_degenerate
 
 
 def label(n, sx, sy) -> NestedSetPair:
@@ -51,6 +52,21 @@ def test_enumeration_rejects_bad_sizes():
         enumerate_nested_pairs(0)
     with pytest.raises(CapacityError):
         enumerate_nested_pairs(10)
+
+
+@pytest.mark.parametrize(
+    "call, n",
+    [
+        (all_charts, True),
+        (all_charts, 3.0),
+        (commuting_charts, 2.0),
+        (detect_degenerate, 3.0),
+        (gyt_injectivity_report, True),
+    ],
+)
+def test_enumeration_rejects_non_int_sizes(call, n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        call(n)
 
 
 def test_chains_need_not_be_disjoint():

@@ -1,6 +1,7 @@
 """Localization sums: the calibrated sum, regime flags, degeneracy guards."""
 
 import hashlib
+import operator
 import warnings
 from fractions import Fraction
 
@@ -117,6 +118,43 @@ def test_link_s_is_flagged_experimental():
     with pytest.warns(ExperimentalFeatureWarning):
         cal = calibrated_superpolynomial(3, (1, 1), link_s=(1,))
     assert cal.link_s == (1,)
+
+
+def _reference_term(data, k):
+    """``_calibrated_term`` rebuilt with public ``LaurentPoly`` products."""
+
+    def uv(a_power, u_power, v_power):
+        return LaurentPoly.monomial(AQT, (a_power, 2 * u_power - 2 * v_power, 2 * v_power))
+
+    num = uv(0, sum(map(operator.mul, k, data.wx)), sum(map(operator.mul, k, data.wy)))
+    n = data.chart.n
+    for wx_i, wy_i in zip(data.wx[: n - 1], data.wy[: n - 1]):
+        num = num * (1 + uv(1, -wx_i, -wy_i))
+    for record in data.obstruction:
+        num = num * (1 - uv(0, 2 - record.ox, 2 - record.oy))
+    den = {}
+    for record in data.tangent:
+        if record.side == "x":
+            factor = uv(0, 2 - record.dx, -record.dy)
+        else:
+            factor = uv(0, -record.dx, 2 - record.dy)
+        ((exponent, _),) = factor.terms.items()
+        den[exponent] = den.get(exponent, 0) + 1
+    return BinomialRational(num, den)
+
+
+@pytest.mark.parametrize(
+    "n, link_s", [(n, ()) for n in range(1, 6)] + [(n, (1,)) for n in range(2, 6)]
+)
+def test_calibrated_term_matches_reference_products(n, link_s):
+    ks = {(0,) * (n - 1), (1,) * (n - 1), tuple(range(n - 1, 0, -1)), ((2,) + (0,) * n)[: n - 1]}
+    for chart in commuting_charts(n):
+        data = weight_data(chart, link_s)
+        for k in ks:
+            term = _calibrated_term(data, k)
+            reference = _reference_term(data, k)
+            assert term.num.terms == reference.num.terms
+            assert term.den == reference.den
 
 
 # -- degeneracy guards ----------------------------------------------------------------

@@ -77,11 +77,37 @@ def test_glex_display_order():
     assert str(poly("q^-2 + q^2")) == "q^2 + q^-2"
 
 
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("", {}),
+        ("   ", {}),
+        ("\t\n", {}),
+        ("a ", {(1, 0): 1}),
+        ("a*q^2 \n", {(1, 2): 1}),
+        ("--a", {(1, 0): 1}),
+        ("+-+a - -q", {(1, 0): -1, (0, 1): 1}),
+        ("- - 3", {(0, 0): 3}),
+        ("q^-2 + q^+2", {(0, -2): 1, (0, 2): 1}),
+        ("q ^ - - 2", {(0, 2): 1}),
+        ("a^ -\t1", {(-1, 0): 1}),
+        ("2*a*3*q", {(1, 1): 6}),
+        ("a * 2 * a", {(2, 0): 2}),
+        ("q*a^2*q^-1", {(2, 0): 1}),
+        ("a\t+\n1", {(1, 0): 1, (0, 0): 1}),
+        ("0*a + 0", {}),
+        ("a - a", {}),
+    ],
+)
+def test_parse_grammar_table(text, terms):
+    assert parse_poly(text, AQ).terms == terms
+
+
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_poly("a +* q", AQ)
-    with pytest.raises(ValueError):
-        parse_poly("b + 1", AQ)
+    for text in ["2a", "a b", "+", "a +", "a +* q", "a^", "a^b", "a^-", "a*", "*a",
+                 "a*-q", "a^2^3", "b + 1", "a . q", "1 2"]:
+        with pytest.raises(ValueError):
+            parse_poly(text, AQ)
 
 
 def test_substitute_monomial_images():
@@ -359,6 +385,20 @@ def test_addition_matches_reference_lift(x, y):
     assert total.num.terms == terms
     assert total.den == den
     assert (y + x).num.terms == terms
+
+
+@given(
+    laurent_polys(AQT, max_exp=3),
+    st.tuples(*[st.integers(min_value=-3, max_value=3) for _ in AQT]),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([1, -1]),
+)
+@example(poly("1 + q", AQT), (0, 0, 0), 2, -1)
+@example(poly("a - t", AQT), (1, -2, 2), 3, 1)
+def test_lift_matches_binomial_power(f, exponent, power, sign):
+    factor = 1 + sign * LaurentPoly.monomial(AQT, exponent)
+    lifted = LaurentPoly._trusted(AQT, polyalg._lift(f.terms, exponent, power, sign))
+    assert lifted == f * factor**power
 
 
 def assert_clean(value: LaurentPoly) -> None:
