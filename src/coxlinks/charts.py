@@ -20,12 +20,14 @@ From a label the chart data is derived:
 * a vector of non-commutative monomials in X, Y and its generalized-Young-
   tableau image.
 
+A ``Chart`` stores only its label and pivots; the rest is derived on access.
+
 Which paths validate: the public ``NestedSetPair(...)`` and
 ``NestedSetPair.from_lists`` check every defining condition, and
-``build_chart`` checks that the derived pivots, zeros and free coordinates
-partition the upper triangle.  ``all_charts`` and ``enumerate_nested_pairs``
-share one recursion, which builds each label together with its pivots and
-zeros, correct by construction; its labels skip re-validation
+``build_chart`` checks that the pivots and the derived zeros and free
+coordinates partition the upper triangle.  ``all_charts`` and
+``enumerate_nested_pairs`` share one recursion, which builds each label with
+its pivots, correct by construction; its labels skip re-validation
 (``NestedSetPair._trusted``), and the tests compare its charts with
 ``build_chart`` on the publicly rebuilt labels.  ``commuting_charts`` builds
 its labels with the public constructor and its charts with ``build_chart``.
@@ -156,11 +158,16 @@ class NestedSetPair:
         }
 
 
-def _check_enumeration_size(n: int) -> None:
+def _check_size(n: int) -> None:
+    """Reject a ``bool``, non-``int`` or non-positive ``n`` before a cap sees it."""
     if not _is_int(n):
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+
+
+def _check_enumeration_size(n: int) -> None:
+    _check_size(n)
     if n > MAX_ENUMERATION_N:
         raise CapacityError(
             f"chart enumeration is limited to n <= {MAX_ENUMERATION_N} "
@@ -183,26 +190,38 @@ def enumerate_nested_pairs(n: int) -> List[NestedSetPair]:
 
 @dataclass(frozen=True, slots=True)
 class Chart:
-    """Derived data of one chart label.
+    """One chart: its label and the pivot index pairs ``px``/``py``.
 
-    ``px``/``py`` are the pivot index pairs, ``nx``/``ny`` the free
-    coordinates, ``zx``/``zy`` the constrained zeros; together they partition
-    the strictly upper triangle of each matrix.  ``mx``/``my`` are the
-    base-point matrices (pivots 1, everything else 0), built from the pivots
-    on each access.
+    Everything else is derived on each access: ``zx``/``zy`` are the
+    constrained zeros read off the label, ``nx``/``ny`` the free coordinates
+    (the rest of the strictly upper triangle), so pivots, zeros and free
+    coordinates partition that triangle on each side.  ``mx``/``my`` are the
+    base-point matrices (pivots 1, everything else 0).
     """
 
     label: NestedSetPair
     px: FrozenSet[IndexPair]
     py: FrozenSet[IndexPair]
-    nx: FrozenSet[IndexPair]
-    ny: FrozenSet[IndexPair]
-    zx: FrozenSet[IndexPair]
-    zy: FrozenSet[IndexPair]
 
     @property
     def n(self) -> int:
         return self.label.n
+
+    @property
+    def zx(self) -> FrozenSet[IndexPair]:
+        return _zeros(self.label.sx, self.label.n)
+
+    @property
+    def zy(self) -> FrozenSet[IndexPair]:
+        return _zeros(self.label.sy, self.label.n)
+
+    @property
+    def nx(self) -> FrozenSet[IndexPair]:
+        return _upper_triangle(self.label.n) - self.px - self.zx
+
+    @property
+    def ny(self) -> FrozenSet[IndexPair]:
+        return _upper_triangle(self.label.n) - self.py - self.zy
 
     @property
     def mx(self) -> Matrix:
@@ -258,38 +277,26 @@ def _upper_triangle(n: int) -> FrozenSet[IndexPair]:
 
 
 def build_chart(label: NestedSetPair) -> Chart:
-    """Derive pivots, free coordinates and zeros of a label.
+    """Read the pivots off a label and check the chart they give.
 
-    Reads them off the finished chains and checks that they partition the
-    upper triangle, so it also serves as the oracle of :func:`all_charts`.
+    Checks that pivots, zeros and free coordinates partition the upper
+    triangle and that the pivots cover every level, so it also serves as
+    the oracle of :func:`all_charts`.
     """
     n = label.n
-    px = _pivots(label.sx, n)
-    py = _pivots(label.sy, n)
-    zx = _zeros(label.sx, n)
-    zy = _zeros(label.sy, n)
-    upper = _upper_triangle(n)
-    for side, pivots, zeros in (("x", px, zx), ("y", py, zy)):
+    chart = Chart(label, _pivots(label.sx, n), _pivots(label.sy, n))
+    for side, pivots, zeros in (("x", chart.px, chart.zx), ("y", chart.py, chart.zy)):
         if pivots & zeros:
             raise ConsistencyError(f"pivot/zero overlap on side {side}: {pivots & zeros}")
-    nx = frozenset(upper - px - zx)
-    ny = frozenset(upper - py - zy)
+    nx, ny = chart.nx, chart.ny
     if len(nx) + len(ny) != n * (n - 1) // 2:
         raise ConsistencyError(
             f"free-coordinate count {len(nx)} + {len(ny)} != n(n-1)/2 for {label}"
         )
-    levels_covered = sorted(i for i, _ in px | py)
+    levels_covered = sorted(i for i, _ in chart.px | chart.py)
     if levels_covered != list(range(1, n)):
         raise ConsistencyError(f"pivot levels {levels_covered} do not cover 1..{n - 1}")
-    return Chart(
-        label=label,
-        px=px,
-        py=py,
-        nx=nx,
-        ny=ny,
-        zx=zx,
-        zy=zy,
-    )
+    return chart
 
 
 def monomial_vector(chart: Chart) -> Tuple[str, ...]:
@@ -429,60 +436,50 @@ def is_commutative(chart: Chart) -> bool:
     return _product_entries(chart.px, chart.py) == _product_entries(chart.py, chart.px)
 
 
-def _descend(n, upper, found, i, sx, sy, kx, ky, px, py, zx, zy):  # noqa: ANN001, ANN202
+def _descend(n, found, i, sx, sy, kx, ky, px, py):  # noqa: ANN001, ANN202
     """One level of the :func:`all_charts` recursion, appending to ``found``.
 
     ``sx[0]``, ``sy[0]`` are the level-``(i+1)`` sets and ``kx``, ``ky``
-    their flat keys; ``px``..``zy`` cover rows ``i+1..n-1``.  This is a
-    module-level function, not a closure: a closure that calls itself is a
-    reference cycle, and it would keep ``found`` with all ``n!`` charts
-    alive until the next full garbage collection.
+    their flat keys; ``px``, ``py`` hold the pivots of rows ``i+1..n-1``.
+    This is a module-level function, not a closure: a closure that calls
+    itself is a reference cycle, and it would keep ``found`` with all ``n!``
+    charts alive until the next full garbage collection.
     """
     if i == 0:
-        label = NestedSetPair._trusted(n, sx, sy)
-        chart = Chart(label, px, py, upper - px - zx, upper - py - zy, zx, zy)
-        found.append((kx + ky, chart))
+        found.append((kx + ky, Chart(NestedSetPair._trusted(n, sx, sy), px, py)))
         return
     top_x, top_y = sx[0], sy[0]
-    zx = zx | {(i, j) for j in top_x}
-    zy = zy | {(i, j) for j in top_y}
     for j in range(i + 1, n + 1):
         if j not in top_x:
             grown = top_x | {j}
-            _descend(n, upper, found, i - 1, (grown,) + sx, (top_y,) + sy,
-                     (tuple(sorted(grown)),) + kx, ky[:1] + ky,
-                     px | {(i, j)}, py, zx, zy)
+            _descend(n, found, i - 1, (grown,) + sx, (top_y,) + sy,
+                     (tuple(sorted(grown)),) + kx, ky[:1] + ky, px | {(i, j)}, py)
         if j not in top_y:
             grown = top_y | {j}
-            _descend(n, upper, found, i - 1, (top_x,) + sx, (grown,) + sy,
-                     kx[:1] + kx, (tuple(sorted(grown)),) + ky,
-                     px, py | {(i, j)}, zx, zy)
+            _descend(n, found, i - 1, (top_x,) + sx, (grown,) + sy,
+                     kx[:1] + kx, (tuple(sorted(grown)),) + ky, px, py | {(i, j)})
 
 
 def all_charts(n: int) -> List[Chart]:
     """Every chart for size ``n``, in the canonical (flat-key) label order.
 
-    One recursion builds each label together with its chart.  It grows the
+    One recursion builds each label together with its pivots.  It grows the
     chains from level ``n`` (both empty) down to level 1: at level ``i`` an
     element ``j`` of ``{i+1..n}`` that the chain of side ``L`` lacks joins
-    that chain, so each of the ``n!`` labels arises once.  That element is
-    the pivot ``(i, j)`` of side ``L``, and on each side every ``j'`` in the
-    level-``(i+1)`` set is a zero ``(i, j')``; the free coordinates are the
-    rest of the upper triangle.  The labels are correct by construction and
-    skip re-validation (``NestedSetPair._trusted``); ``build_chart`` on the
-    publicly rebuilt label is the test oracle.
+    that chain, so each of the ``n!`` labels arises once, and ``(i, j)`` is
+    the pivot of side ``L``.  The zeros and free coordinates are derived
+    from the label by the ``Chart`` properties.  The labels are correct by
+    construction and skip re-validation (``NestedSetPair._trusted``);
+    ``build_chart`` on the publicly rebuilt label is the test oracle.
 
     Raises:
-        ValueError: if ``n < 1``.
+        ValueError: if ``n`` is not an ``int`` or ``n < 1``.
         CapacityError: if ``n > 9`` (factorial growth).
     """
     _check_enumeration_size(n)
-    upper = _upper_triangle(n)
-
     empty: FrozenSet = frozenset()
     found: List[Tuple[tuple, Chart]] = []
-    _descend(n, upper, found, n - 1, (empty,), (empty,), ((),), ((),),
-             empty, empty, empty, empty)
+    _descend(n, found, n - 1, (empty,), (empty,), ((),), ((),), empty, empty)
     found.sort(key=itemgetter(0))
     return [chart for _, chart in found]
 
@@ -560,6 +557,7 @@ def gyt_injectivity_report(n: int) -> dict:
     empty collision list is the expected outcome; the report is the
     deliverable either way.
     """
+    _check_size(n)
     if n > MAX_INJECTIVITY_N:
         raise CapacityError(
             f"injectivity scan is limited to n <= {MAX_INJECTIVITY_N}; got {n}"
@@ -623,7 +621,10 @@ def count_standard_tableaux(n: int) -> int:
     This enumerator is independent of the chart machinery above: it sums the
     corner-removal recursion over all partitions of ``n``.  It exists as the
     oracle for the commuting-chart count.
+
+    Raises:
+        ValueError: if ``n`` is not an ``int`` or ``n < 0``.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
     return sum(_filling_count(shape) for shape in _partitions(n))

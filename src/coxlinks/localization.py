@@ -31,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .charts import Chart, all_charts, commuting_charts
+from .charts import Chart, _check_size, all_charts, commuting_charts
 from .errors import (
     CapacityError,
     ConsistencyError,
@@ -214,6 +214,7 @@ def detect_degenerate(n: int) -> List[Chart]:
         >>> len(detect_degenerate(4))
         2
     """
+    _check_size(n)
     if n > MAX_LOCALIZATION_N:
         raise CapacityError(
             f"degeneracy scan is limited to n <= {MAX_LOCALIZATION_N}; got {n}"

@@ -32,10 +32,16 @@ import random
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .errors import ConsistencyError, SingularMatrixError
+from .errors import CapacityError, ConsistencyError, SingularMatrixError
 from .polyalg import LaurentPoly
 
 Matrix = Tuple[tuple, ...]
+
+#: The sampling suites expand determinants by cofactors, which costs 3-5x
+#: more per two sizes: one sample took 10-13 ms at n = 12 and 30-50 ms at
+#: n = 14 (2-CPU host, Python 3.11), so the CLI's default 500 samples stay
+#: within about 7 s at the cap.
+MAX_SUITE_N = 12
 
 
 # -- construction and validation ----------------------------------------------
@@ -164,8 +170,9 @@ def mat_inverse(g: Matrix) -> Matrix:
 def det(a: Matrix):  # noqa: ANN201
     """Determinant by first-column cofactor expansion.
 
-    Generic over the scalar ring (Fractions and LaurentPoly both work);
-    fine for the sizes here (at most 6 x 6).
+    Generic over the scalar ring (Fractions and LaurentPoly both work).
+    The suites call it on Hessenberg columns, where the cost grows about
+    2^n; ``MAX_SUITE_N`` bounds the size.
     """
     n = len(a)
     if n == 0:
@@ -298,12 +305,27 @@ def sample_strictly_upper(rng: random.Random, n: int) -> Matrix:
     )
 
 
+def _check_suite_size(n: int) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if n > MAX_SUITE_N:
+        raise CapacityError(
+            f"mfcheck suites are limited to n <= {MAX_SUITE_N} (cofactor "
+            f"determinants cost 3-5x more per two sizes); got n = {n}"
+        )
+
+
 def containment_suite(n: int, samples: int, seed: int) -> dict:
     """By-construction positive suite: Hessenberg ``g``, ``xhat(X) = g K``.
 
     Every sample must have all ``F_i = 0`` and ``g^-1 X g`` upper; any
     violation is reported with its sample index.
+
+    Raises:
+        ValueError: if ``n`` is not a positive ``int``.
+        CapacityError: if ``n > MAX_SUITE_N``.
     """
+    _check_suite_size(n)
     rng = random.Random(seed)
     failures = []
     for sample in range(samples):
@@ -339,7 +361,12 @@ def negative_control(n: int, samples: int, seed: int) -> dict:
     diagonal.  The suite passes when at least one sample fails
     containment — that failure is the point: the Hessenberg condition is
     doing real work in the containment argument.
+
+    Raises:
+        ValueError: if ``n`` is not an ``int`` or ``n < 3``.
+        CapacityError: if ``n > MAX_SUITE_N``.
     """
+    _check_suite_size(n)
     if n < 3:
         raise ValueError("the negative control needs n >= 3 for a (3,1) entry")
     rng = random.Random(seed)

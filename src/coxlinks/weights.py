@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Tuple
 
-from .charts import Chart, monomial_vector
+from .charts import Chart, _is_int, monomial_vector
 from .errors import ConsistencyError
 
 IndexPair = Tuple[int, int]
@@ -209,6 +209,10 @@ def obstruction_weights(
         chart: a built chart.
         link_s: strictly increasing generator indices in {1..n-1} (the set S
             of skipped Coxeter generators); empty for the plain case.
+
+    Raises:
+        ValueError: if a ``link_s`` entry is not an ``int`` or lies outside
+            ``1..n-1``.
     """
     return _obstruction_records(chart, *weight_vectors(chart), link_s)
 
@@ -216,6 +220,8 @@ def obstruction_weights(
 def _obstruction_records(
     chart: Chart, wx: Tuple[int, ...], wy: Tuple[int, ...], link_s: Sequence[int]
 ) -> Tuple[ObstructionRecord, ...]:
+    if link_s and not all(map(_is_int, link_s)):
+        raise ValueError(f"link_s entries must be integers, got {list(link_s)!r}")
     return tuple(
         ObstructionRecord(
             (i, j), wx[i - 1] - wx[j - 1] + 1, wy[i - 1] - wy[j - 1] + 1
@@ -242,7 +248,11 @@ def _obstruction_pairs(n: int, link: Tuple[int, ...]) -> Tuple[IndexPair, ...]:
 
 
 def weight_data(chart: Chart, link_s: Sequence[int] = ()) -> WeightData:
-    """Bundle weight vectors, tangent, and obstruction records for a chart."""
+    """Bundle weight vectors, tangent, and obstruction records for a chart.
+
+    Raises:
+        ValueError: for a bad ``link_s``, as :func:`obstruction_weights`.
+    """
     wx, wy = weight_vectors(chart)
     return WeightData(
         chart=chart,

@@ -62,6 +62,12 @@ def test_enumeration_rejects_bad_sizes():
         (commuting_charts, 2.0),
         (detect_degenerate, 3.0),
         (gyt_injectivity_report, True),
+        # The two scans compare n with their caps, so they must validate first.
+        (detect_degenerate, "3"),
+        (gyt_injectivity_report, "3"),
+        (count_standard_tableaux, True),
+        (count_standard_tableaux, "3"),
+        (count_standard_tableaux, 3.0),
     ],
 )
 def test_enumeration_rejects_non_int_sizes(call, n):
@@ -129,9 +135,14 @@ def test_family_chart_structure():
 
 
 def test_free_coordinate_count_is_triangular():
-    for n in range(1, 6):
+    for n in range(1, 7):
+        upper = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
         for chart in all_charts(n):
             assert len(chart.nx) + len(chart.ny) == n * (n - 1) // 2
+            # Pivots, zeros and free coordinates partition each side's triangle.
+            for parts in ((chart.px, chart.zx, chart.nx), (chart.py, chart.zy, chart.ny)):
+                assert sum(map(len, parts)) == len(upper)
+                assert set().union(*parts) == upper
 
 
 def test_base_matrices_have_pivot_ones():

@@ -236,6 +236,13 @@ def test_degenerate_chart_remedy_points_to_fixed_directions(capsys, monkeypatch)
     assert "remedy: run 'weights <n>': the charts with dimT0 > 0" in err
 
 
+def test_mfcheck_size_cap_exits_with_remedy(capsys):
+    code, out, err = run(capsys, "mfcheck", "--n", "40", "--samples", "1")
+    assert code == 2 and out == ""
+    assert "error [mfcheck]: mfcheck suites are limited to n <= 12" in err
+    assert "remedy: stay inside the documented size caps" in err
+
+
 def test_mfcheck_passes(capsys):
     code, out, _ = run(capsys, "mfcheck", "--n", "3", "--samples", "40")
     assert code == 0

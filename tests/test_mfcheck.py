@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from coxlinks import mfcheck
 from coxlinks.charts import NestedSetPair, all_charts, build_chart, is_commutative
-from coxlinks.errors import ConsistencyError, SingularMatrixError
+from coxlinks.errors import CapacityError, ConsistencyError, SingularMatrixError
 from coxlinks.mfcheck import (
+    MAX_SUITE_N,
     F,
     all_F,
     commutator,
@@ -249,6 +250,18 @@ def test_sample_stream_golden(n, digest):
 def test_negative_control_needs_room():
     with pytest.raises(ValueError):
         negative_control(2, 10, seed=0)
+
+
+@pytest.mark.parametrize("suite", (containment_suite, negative_control))
+def test_suites_are_capped(suite):
+    # Cofactor determinants make n = 40 effectively endless; the cap stops it
+    # before a single sample is drawn.
+    with pytest.raises(CapacityError, match=f"n <= {MAX_SUITE_N}"):
+        suite(MAX_SUITE_N + 1, 1, seed=0)
+    with pytest.raises(CapacityError):
+        suite(40, 1, seed=0)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        suite("3", 1, seed=0)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))

@@ -106,6 +106,13 @@ def test_obstruction_records_grow_with_link_s():
         obstruction_weights(FAMILY_CHART, link_s=(4,))
 
 
+@pytest.mark.parametrize("link_s", [("1",), (True,), (2.0,)])
+def test_non_int_link_s_is_rejected_by_name(link_s):
+    for call in (obstruction_weights, weight_data):
+        with pytest.raises(ValueError, match="link_s"):
+            call(FAMILY_CHART, link_s)
+
+
 def _unhoisted_obstruction(chart, link_s):
     """The obstruction records with the pair list built for this one chart."""
     n = chart.n
