@@ -42,7 +42,7 @@ from .errors import (
 from .homfly import _coxeter_arguments
 from .polyalg import BinomialRational, LaurentPoly, _lift
 from .twostrand import AQT
-from .weights import WeightData, tangent_weights, weight_data
+from .weights import WeightData, _tangent_exponents, weight_data, weight_vectors
 
 #: Chart enumeration is factorial; summing past this is a typo, not a plan.
 MAX_LOCALIZATION_N = 7
@@ -222,5 +222,8 @@ def detect_degenerate(n: int) -> List[Chart]:
     return [
         chart
         for chart in all_charts(n)
-        if any(rec.is_zero() for rec in tangent_weights(chart))
+        if any(
+            dx == 0 and dy == 0
+            for _, _, _, dx, dy in _tangent_exponents(chart, *weight_vectors(chart))
+        )
     ]

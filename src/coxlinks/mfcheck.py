@@ -305,9 +305,15 @@ def sample_strictly_upper(rng: random.Random, n: int) -> Matrix:
     )
 
 
-def _check_suite_size(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+def _check_positive(name: str, value: int) -> None:
+    """Reject a ``bool``, a non-``int`` or a value below 1, naming it."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_suite_arguments(n: int, samples: int) -> None:
+    _check_positive("n", n)
+    _check_positive("samples", samples)
     if n > MAX_SUITE_N:
         raise CapacityError(
             f"mfcheck suites are limited to n <= {MAX_SUITE_N} (cofactor "
@@ -322,10 +328,10 @@ def containment_suite(n: int, samples: int, seed: int) -> dict:
     violation is reported with its sample index.
 
     Raises:
-        ValueError: if ``n`` is not a positive ``int``.
+        ValueError: if ``n`` or ``samples`` is not a positive ``int``.
         CapacityError: if ``n > MAX_SUITE_N``.
     """
-    _check_suite_size(n)
+    _check_suite_arguments(n, samples)
     rng = random.Random(seed)
     failures = []
     for sample in range(samples):
@@ -363,10 +369,11 @@ def negative_control(n: int, samples: int, seed: int) -> dict:
     doing real work in the containment argument.
 
     Raises:
-        ValueError: if ``n`` is not an ``int`` or ``n < 3``.
+        ValueError: if ``n`` is not an ``int`` or ``n < 3``, or ``samples``
+            is not a positive ``int``.
         CapacityError: if ``n > MAX_SUITE_N``.
     """
-    _check_suite_size(n)
+    _check_suite_arguments(n, samples)
     if n < 3:
         raise ValueError("the negative control needs n >= 3 for a (3,1) entry")
     rng = random.Random(seed)
@@ -407,10 +414,14 @@ def symbolic_gid_check(n: int) -> bool:
     Builds ``X`` with one Laurent variable per upper-triangular entry and
     compares the determinant symbolically; exact, no interpolation.
 
+    Raises:
+        ValueError: if ``n`` is not a positive ``int``.
+
     Examples:
         >>> all(symbolic_gid_check(n) for n in (2, 3, 4))
         True
     """
+    _check_positive("n", n)
     names = tuple(
         f"x{i}{j}" for i in range(1, n + 1) for j in range(i, n + 1)
     )

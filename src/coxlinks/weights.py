@@ -29,7 +29,7 @@ commutator entry [X,Y]_{ij} — the equation cutting the commuting locus —
 scales by ``t^{Δx-1} s^{Δy-1}`` and is fixed iff Δ = (1, 1).  The
 fixed-locus counts in ``WeightData.fixed_dim`` use these honest conditions;
 that is the only bookkeeping under which the fixed-dimension inequality
-dimOb0 ≥ dimT0 holds for every chart with n ≤ 6 (verified exhaustively;
+dimOb0 ≥ dimT0 holds for every chart with n ≤ 7 (verified exhaustively;
 counting literal (dx,dy) = (0,0) records instead already fails on the
 explicit degenerate n = 4 chart, whose zero record y_{12} marks a vanishing
 *denominator factor*, not a fixed tangent direction — the chart's family is
@@ -39,10 +39,11 @@ separately and drives degenerate-chart detection.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .charts import Chart, _is_int, monomial_vector
 from .errors import ConsistencyError
@@ -104,13 +105,37 @@ class ObstructionRecord:
 
 @dataclass(frozen=True, slots=True)
 class WeightData:
-    """All weight data of one chart."""
+    """All weight data of one chart.
+
+    It stores the chart, its weight vectors and the normalized ``link``
+    (sorted, duplicate-free ``link_s``).  The ``tangent`` and
+    ``obstruction`` records are derived on each access, in the order of
+    :func:`tangent_weights` and :func:`obstruction_weights`;
+    :meth:`fixed_dim` counts from the integer exponents and builds no
+    records.
+    """
 
     chart: Chart
     wx: Tuple[int, ...]
     wy: Tuple[int, ...]
-    tangent: Tuple[TangentRecord, ...]
-    obstruction: Tuple[ObstructionRecord, ...]
+    link: Tuple[int, ...]
+
+    @property
+    def tangent(self) -> Tuple[TangentRecord, ...]:
+        return tuple(
+            TangentRecord(side, (i, j), dx, dy)
+            for side, i, j, dx, dy in _tangent_exponents(self.chart, self.wx, self.wy)
+        )
+
+    @property
+    def obstruction(self) -> Tuple[ObstructionRecord, ...]:
+        wx, wy = self.wx, self.wy
+        return tuple(
+            ObstructionRecord(
+                (i, j), wx[i - 1] - wx[j - 1] + 1, wy[i - 1] - wy[j - 1] + 1
+            )
+            for i, j in _obstruction_pairs(self.chart.n, self.link)
+        )
 
     def to_record(self) -> dict:
         return {
@@ -131,7 +156,7 @@ class WeightData:
         * ``dimOb0`` — dimension of the torus-fixed obstruction subspace:
           records whose commutator equation has zero scaling weight.
         * ``inequality`` — whether dimOb0 >= dimT0 (the virtual-dimension-zero
-          expectation; holds for every chart with n <= 6 and empty ``link_s``).
+          expectation; holds for every chart with n <= 7 and empty ``link_s``).
         * ``vanishing_factors`` — number of tangent records with the stored
           exponents (dx, dy) = (0, 0), i.e. vanishing denominator factors of
           the fixed-point sum.  A nonzero count marks the chart as degenerate
@@ -139,19 +164,29 @@ class WeightData:
         * ``vanishing_obstruction_factors`` — same literal count on the
           obstruction side, for the numerator product.
 
-        The obstruction counts run over this data's records, so they include
-        the adjacent pairs of a nonempty ``link_s``.
+        The obstruction counts run over this data's pairs, so they include
+        the adjacent pairs of a nonempty ``link_s``.  Each count applies the
+        predicate of its record class to the exponents the record would
+        store.
         """
-        dim_t0 = sum(1 for rec in self.tangent if rec.is_fixed_direction())
-        dim_ob0 = sum(1 for rec in self.obstruction if rec.is_equation_fixed())
+        wx, wy = self.wx, self.wy
+        tangent = [
+            (side, dx, dy) for side, _, _, dx, dy in _tangent_exponents(self.chart, wx, wy)
+        ]
+        dim_t0 = tangent.count(("x", 2, 0)) + tangent.count(("y", 0, 2))
+        # The stored obstruction exponents are (Dx + 1, Dy + 1), so the
+        # equation is fixed at D = (1, 1) and the factor vanishes at (-1, -1).
+        drops = [
+            (wx[i - 1] - wx[j - 1], wy[i - 1] - wy[j - 1])
+            for i, j in _obstruction_pairs(self.chart.n, self.link)
+        ]
+        dim_ob0 = drops.count((1, 1))
         return {
             "dimT0": dim_t0,
             "dimOb0": dim_ob0,
             "inequality": dim_ob0 >= dim_t0,
-            "vanishing_factors": sum(1 for rec in self.tangent if rec.is_zero()),
-            "vanishing_obstruction_factors": sum(
-                1 for rec in self.obstruction if rec.is_zero()
-            ),
+            "vanishing_factors": tangent.count(("x", 0, 0)) + tangent.count(("y", 0, 0)),
+            "vanishing_obstruction_factors": drops.count((-1, -1)),
         }
 
 
@@ -172,27 +207,47 @@ def weight_vectors(chart: Chart) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
 def tangent_weights(chart: Chart) -> Tuple[TangentRecord, ...]:
     """One record per free coordinate, with the side-dependent +1 applied."""
-    return _tangent_records(chart, *weight_vectors(chart))
+    return weight_data(chart).tangent
 
 
-def _tangent_records(
+@lru_cache(maxsize=16)
+def _triangle_pairs(n: int) -> Tuple[IndexPair, ...]:
+    """The pairs ``(i, j)`` with ``1 <= i < j <= n``, sorted.  Shared by every
+    chart of one size."""
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
+def _tangent_exponents(
     chart: Chart, wx: Tuple[int, ...], wy: Tuple[int, ...]
-) -> Tuple[TangentRecord, ...]:
-    records = []
-    for i, j in sorted(chart.nx):
-        records.append(
-            TangentRecord("x", (i, j), wx[i - 1] - wx[j - 1] + 1, wy[i - 1] - wy[j - 1])
-        )
-    for i, j in sorted(chart.ny):
-        records.append(
-            TangentRecord("y", (i, j), wx[i - 1] - wx[j - 1], wy[i - 1] - wy[j - 1] + 1)
-        )
-    n = chart.n
-    if len(records) != n * (n - 1) // 2:
+) -> List[Tuple[str, int, int, int, int]]:
+    """``(side, i, j, dx, dy)`` for each free coordinate, as plain ints: the
+    x side first, then the y side, each in sorted pair order.
+
+    ``(i, j)`` is free on a side when it is not a pivot of that side and
+    ``j`` is not in that chain's level-``(i+1)`` set, which is the zero rule
+    of ``Chart.zx``/``zy``.  Every count and record of the tangent side
+    reads this list.
+
+    Raises:
+        ConsistencyError: if the free coordinates do not number n(n-1)/2.
+    """
+    label = chart.label
+    pairs = _triangle_pairs(label.n)
+    exponents: List[Tuple[str, int, int, int, int]] = []
+    for side, pivots, chain, ex, ey in (
+        ("x", chart.px, label.sx, 1, 0),
+        ("y", chart.py, label.sy, 0, 1),
+    ):
+        exponents += [
+            (side, i, j, wx[i - 1] - wx[j - 1] + ex, wy[i - 1] - wy[j - 1] + ey)
+            for i, j in pairs
+            if j not in chain[i] and (i, j) not in pivots
+        ]
+    if len(exponents) != len(pairs):
         raise ConsistencyError(
-            f"expected {n * (n - 1) // 2} tangent records, got {len(records)}"
+            f"expected {len(pairs)} tangent records, got {len(exponents)}"
         )
-    return tuple(records)
+    return exponents
 
 
 def obstruction_weights(
@@ -211,32 +266,30 @@ def obstruction_weights(
             of skipped Coxeter generators); empty for the plain case.
 
     Raises:
-        ValueError: if a ``link_s`` entry is not an ``int`` or lies outside
-            ``1..n-1``.
+        ValueError: if ``link_s`` is not a sequence of ``int``, or an entry
+            lies outside ``1..n-1``.
     """
-    return _obstruction_records(chart, *weight_vectors(chart), link_s)
+    return weight_data(chart, link_s).obstruction
 
 
-def _obstruction_records(
-    chart: Chart, wx: Tuple[int, ...], wy: Tuple[int, ...], link_s: Sequence[int]
-) -> Tuple[ObstructionRecord, ...]:
-    if link_s and not all(map(_is_int, link_s)):
-        raise ValueError(f"link_s entries must be integers, got {list(link_s)!r}")
-    return tuple(
-        ObstructionRecord(
-            (i, j), wx[i - 1] - wx[j - 1] + 1, wy[i - 1] - wy[j - 1] + 1
-        )
-        for i, j in _obstruction_pairs(chart.n, tuple(sorted(set(link_s))))
-    )
+def _link(n: int, link_s: Sequence[int]) -> Tuple[int, ...]:
+    """``link_s`` sorted and duplicate-free, after checking it."""
+    if link_s == ():
+        return ()
+    if not isinstance(link_s, Iterable) or not all(map(_is_int, link_s)):
+        raise ValueError(f"link_s must be a sequence of integers, got {link_s!r}")
+    link = tuple(sorted(set(link_s)))
+    if link and not (1 <= link[0] and link[-1] <= n - 1):
+        raise ValueError(f"link_s entries must lie in 1..{n - 1}, got {list(link)}")
+    return link
 
 
 @lru_cache(maxsize=64)
 def _obstruction_pairs(n: int, link: Tuple[int, ...]) -> Tuple[IndexPair, ...]:
     """The sorted obstruction index pairs of size ``n``: every ``(i, j)``
     with ``j - i > 1``, plus ``(i, i + 1)`` for each ``i`` in the sorted,
-    duplicate-free ``link``.  Shared by every chart of one size."""
-    if link and not (1 <= link[0] and link[-1] <= n - 1):
-        raise ValueError(f"link_s entries must lie in 1..{n - 1}, got {list(link)}")
+    duplicate-free ``link`` that :func:`_link` returns.  Shared by every
+    chart of one size."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1)]
     pairs += [(i, i + 1) for i in link]
     base_count = (n - 1) * (n - 2) // 2
@@ -248,19 +301,14 @@ def _obstruction_pairs(n: int, link: Tuple[int, ...]) -> Tuple[IndexPair, ...]:
 
 
 def weight_data(chart: Chart, link_s: Sequence[int] = ()) -> WeightData:
-    """Bundle weight vectors, tangent, and obstruction records for a chart.
+    """Bundle a chart with its weight vectors and its checked ``link_s``.
 
     Raises:
-        ValueError: for a bad ``link_s``, as :func:`obstruction_weights`.
+        ValueError: for a bad ``link_s``, as :func:`obstruction_weights`;
+            checked here, although the records are built only on access.
     """
     wx, wy = weight_vectors(chart)
-    return WeightData(
-        chart=chart,
-        wx=wx,
-        wy=wy,
-        tangent=_tangent_records(chart, wx, wy),
-        obstruction=_obstruction_records(chart, wx, wy, link_s),
-    )
+    return WeightData(chart=chart, wx=wx, wy=wy, link=_link(chart.n, link_s))
 
 
 def fixed_dim_check(chart: Chart) -> dict:
@@ -300,8 +348,9 @@ def torus_rescaling_check(chart: Chart, t: Fraction, s: Fraction) -> bool:
             m[i - 1][j - 1] = Fraction(counter, counter + 1)
         return m
 
-    mx = sample(chart.nx, chart.px)
-    my = sample(chart.ny, chart.py)
+    nx, ny = chart.nx, chart.ny
+    mx = sample(nx, chart.px)
+    my = sample(ny, chart.py)
     d = [t ** wx[i] * s ** wy[i] for i in range(n)]
 
     def rescaled(m, overall):
@@ -313,8 +362,8 @@ def torus_rescaling_check(chart: Chart, t: Fraction, s: Fraction) -> bool:
     new_x = rescaled(mx, 1 / t)
     new_y = rescaled(my, 1 / s)
     for matrix, pivots, zeros, free, source, side in (
-        (new_x, chart.px, chart.zx, chart.nx, mx, "x"),
-        (new_y, chart.py, chart.zy, chart.ny, my, "y"),
+        (new_x, chart.px, chart.zx, nx, mx, "x"),
+        (new_y, chart.py, chart.zy, ny, my, "y"),
     ):
         for i, j in pivots:
             if matrix[i - 1][j - 1] != 1:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxlinks import localization
-from coxlinks.charts import NestedSetPair, build_chart, commuting_charts
+from coxlinks.charts import NestedSetPair, all_charts, build_chart, commuting_charts
 from coxlinks.errors import (
     CapacityError,
     ConsistencyError,
@@ -25,7 +25,7 @@ from coxlinks.localization import (
 )
 from coxlinks.polyalg import BinomialRational, LaurentPoly
 from coxlinks.twostrand import AQT, homology_T2_odd
-from coxlinks.weights import weight_data
+from coxlinks.weights import tangent_weights, weight_data
 
 FAMILY_CHART = build_chart(
     NestedSetPair.from_lists(4, [{3, 4}, {3}, (), ()], [{4}, {4}, {4}, ()])
@@ -163,6 +163,16 @@ def test_calibrated_term_matches_reference_products(n, link_s):
 @pytest.mark.parametrize("n, count", [(2, 0), (3, 0), (4, 2)])
 def test_degenerate_census(n, count):
     assert len(detect_degenerate(n)) == count
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_degenerate_scan_matches_the_record_filter(n):
+    expected = [
+        chart
+        for chart in all_charts(n)
+        if any(rec.is_zero() for rec in tangent_weights(chart))
+    ]
+    assert detect_degenerate(n) == expected
 
 
 def test_family_chart_is_detected_and_unusable():

@@ -264,9 +264,23 @@ def test_suites_are_capped(suite):
         suite("3", 1, seed=0)
 
 
+@pytest.mark.parametrize("suite", (containment_suite, negative_control))
+@pytest.mark.parametrize("samples", (0, -5, "5", 5.0, True))
+def test_suites_reject_a_bad_sample_count_by_name(suite, samples):
+    # A count below 1 would check no sample and still report a pass.
+    with pytest.raises(ValueError, match="samples must be a positive integer"):
+        suite(3, samples, seed=0)
+
+
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_symbolic_identity_check(n):
     assert symbolic_gid_check(n)
+
+
+@pytest.mark.parametrize("n", (0, -1, "3", 3.0, True))
+def test_symbolic_identity_check_rejects_a_bad_n_by_name(n):
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        symbolic_gid_check(n)
 
 
 # -- commutator bookkeeping -------------------------------------------------------------

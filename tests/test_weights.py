@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxlinks import weights as weights_module
+from coxlinks import cli, weights as weights_module
 from coxlinks.charts import NestedSetPair, all_charts, build_chart, monomial_vector
 from coxlinks.errors import ConsistencyError
 from coxlinks.weights import (
@@ -106,7 +106,7 @@ def test_obstruction_records_grow_with_link_s():
         obstruction_weights(FAMILY_CHART, link_s=(4,))
 
 
-@pytest.mark.parametrize("link_s", [("1",), (True,), (2.0,)])
+@pytest.mark.parametrize("link_s", [("1",), (True,), (2.0,), 1, 0, None])
 def test_non_int_link_s_is_rejected_by_name(link_s):
     for call in (obstruction_weights, weight_data):
         with pytest.raises(ValueError, match="link_s"):
@@ -137,7 +137,7 @@ def test_obstruction_records_match_the_unhoisted_pair_list(n):
 # -- fixed-locus counts --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_fixed_dim_inequality_holds(n):
     for chart in all_charts(n):
         counts = fixed_dim_check(chart)
@@ -201,6 +201,34 @@ def test_weight_data_computes_the_weight_vectors_once(monkeypatch):
         before = len(calls)
         weights_module.weight_data(chart, link_s=(1,))
         assert len(calls) == before + 1
+
+
+def test_counts_and_scans_build_no_records(monkeypatch, capsys):
+    built = []
+
+    class CountingTangent(weights_module.TangentRecord):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append("tangent")
+            super().__init__(*args)
+
+    class CountingObstruction(weights_module.ObstructionRecord):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append("obstruction")
+            super().__init__(*args)
+
+    monkeypatch.setattr(weights_module, "TangentRecord", CountingTangent)
+    monkeypatch.setattr(weights_module, "ObstructionRecord", CountingObstruction)
+    for command in ("weights", "degenerate"):
+        assert cli.main([command, "5"]) == 0
+        assert built == [], command
+    assert cli.main(["--format", "tree", "weights", "3"]) == 0
+    capsys.readouterr()
+    # Six charts of three tangent records and one obstruction record each.
+    assert built.count("tangent") == 18 and built.count("obstruction") == 6
 
 
 def test_weight_data_bundles_everything():
