@@ -193,10 +193,12 @@ class Chart:
     """One chart: its label and the pivot index pairs ``px``/``py``.
 
     Everything else is derived on each access: ``zx``/``zy`` are the
-    constrained zeros read off the label, ``nx``/``ny`` the free coordinates
-    (the rest of the strictly upper triangle), so pivots, zeros and free
-    coordinates partition that triangle on each side.  ``mx``/``my`` are the
-    base-point matrices (pivots 1, everything else 0).
+    constrained zeros read off the label, ``nx``/``ny`` the free coordinates.
+    On each side the pivots and zeros of row ``i`` are the columns in the
+    level-``i`` set, so ``(i, j)`` is free iff ``j`` is not in that set,
+    and pivots, zeros and free coordinates partition the strictly upper
+    triangle.  ``mx``/``my`` are the base-point matrices (pivots 1,
+    everything else 0).
     """
 
     label: NestedSetPair
@@ -217,11 +219,11 @@ class Chart:
 
     @property
     def nx(self) -> FrozenSet[IndexPair]:
-        return _upper_triangle(self.label.n) - self.px - self.zx
+        return _free(self.label.sx, self.label.n)
 
     @property
     def ny(self) -> FrozenSet[IndexPair]:
-        return _upper_triangle(self.label.n) - self.py - self.zy
+        return _free(self.label.sy, self.label.n)
 
     @property
     def mx(self) -> Matrix:
@@ -263,6 +265,10 @@ def _zeros(chain: Tuple[FrozenSet[int], ...], n: int) -> FrozenSet[IndexPair]:
     return frozenset(zeros)
 
 
+def _free(chain: Tuple[FrozenSet[int], ...], n: int) -> FrozenSet[IndexPair]:
+    return frozenset((i, j) for i, j in _upper_triangle(n) if j not in chain[i - 1])
+
+
 def _base_matrix(n: int, pivots: FrozenSet[IndexPair]) -> Matrix:
     rows = [[0] * n for _ in range(n)]
     for i, j in pivots:
@@ -271,9 +277,10 @@ def _base_matrix(n: int, pivots: FrozenSet[IndexPair]) -> Matrix:
 
 
 @lru_cache(maxsize=16)
-def _upper_triangle(n: int) -> FrozenSet[IndexPair]:
-    """The index pairs ``(i, j)`` with ``1 <= i < j <= n``."""
-    return frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+def _upper_triangle(n: int) -> Tuple[IndexPair, ...]:
+    """The index pairs ``(i, j)`` with ``1 <= i < j <= n``, sorted.  Shared
+    by every chart of one size."""
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 def build_chart(label: NestedSetPair) -> Chart:

@@ -9,10 +9,9 @@ homology oracle, the Hecke trace) runs on two exact types:
 * :class:`BinomialRational` — a fraction ``numerator / prod (1 - m)^d`` whose
   denominator is a *multiset of binomial factors*, each ``m`` a monomial.
   Denominators are never expanded; cancellation happens only by exact
-  division of the numerator by a single binomial factor, which works chain
-  by chain along ``e + Z*m`` (see :func:`divide_by_binomial`).
+  division of the numerator by a single binomial factor.
 
-Two kernels keep the localization sums cheap:
+Three kernels keep the localization sums cheap:
 
 * **The LCD lift.**  ``BinomialRational.__add__`` raises each numerator to
   the least common denominator by multiplying it with its missing factors
@@ -24,6 +23,12 @@ Two kernels keep the localization sums cheap:
   ``BinomialRational.__eq__`` and ``denominator_poly`` stay on the general
   product on purpose: every oracle comparison goes through ``__eq__``, so
   it must not run on the kernel it checks.
+* **Chain running sums.**  Multiplying by ``(1 - m)`` only relates the
+  exponents on one chain ``e + Z*m``.  :func:`_chains` groups the terms
+  into chains and :func:`_chain_sums` takes running sums along each one,
+  giving ``f = q * (1 - m) + r``.  :func:`divide_by_binomial` returns ``q``
+  when every chain total is 0, and ``truncate_series`` expands
+  ``q + r / (1 - m)``.
 * **The trusted constructor.**  The public ``LaurentPoly(...)`` checks
   every exponent length and coefficient.  Results that internal arithmetic
   builds (sums, products, negation, truncation, division, the lift) are
@@ -71,6 +76,14 @@ _STAR = re.compile(r"\s*\*\s*")
 def _glex_key(exponent: Exponent) -> tuple:
     """Graded-lex sort key: total degree first, ties broken lexicographically."""
     return (sum(exponent), exponent)
+
+
+def _weight_vector(variables: Sequence[str], weights: Mapping[str, int]) -> tuple:
+    """The weight of each variable, in order; a missing one is named."""
+    missing = [name for name in variables if name not in weights]
+    if missing:
+        raise ValueError(f"no weight for variables {missing}")
+    return tuple(weights[name] for name in variables)
 
 
 def _integral(value) -> int | None:  # noqa: ANN001
@@ -310,8 +323,12 @@ class LaurentPoly:
         return result
 
     def truncate(self, weights: Mapping[str, int], bound: int) -> "LaurentPoly":
-        """Drop every term whose weighted total degree exceeds ``bound``."""
-        weight_vector = tuple(weights[name] for name in self.variables)
+        """Drop every term whose weighted total degree exceeds ``bound``.
+
+        Raises:
+            ValueError: if ``weights`` has no entry for a variable.
+        """
+        weight_vector = _weight_vector(self.variables, weights)
         kept = {
             exponent: coefficient
             for exponent, coefficient in self.terms.items()
@@ -448,7 +465,9 @@ class BinomialRational:
     The denominator is stored as a multiset ``{monomial exponent: multiplicity}``
     and never expanded.  On construction every factor is brought to canonical
     orientation (monomial graded-lex greater than 1), which makes structural
-    comparison meaningful; factors equal to ``(1 - 1)`` are rejected.
+    comparison meaningful.  A factor ``(1 - 1)``, an exponent of the wrong
+    length and a multiplicity that is not a nonnegative ``int`` are rejected
+    with a ``ValueError``.
 
     ``add``/``mul`` do *not* cancel; call :meth:`normalize` once at the end of
     an accumulation to divide out every denominator factor that exactly
@@ -469,6 +488,16 @@ class BinomialRational:
         canonical_den: Dict[Exponent, int] = {}
         for exponent, multiplicity in den.items():
             exponent = tuple(exponent)
+            if len(exponent) != len(variables):
+                raise ValueError(
+                    f"denominator factor {exponent} has {len(exponent)} "
+                    f"entries for variables {variables}"
+                )
+            if isinstance(multiplicity, bool) or not isinstance(multiplicity, int):
+                raise ValueError(
+                    f"denominator factor {exponent} has multiplicity "
+                    f"{multiplicity!r}, not an int"
+                )
             if multiplicity < 0:
                 raise ValueError("negative denominator multiplicity")
             if multiplicity == 0:
@@ -608,11 +637,20 @@ class BinomialRational:
     ) -> LaurentPoly:
         """Exact series expansion truncated to weighted degree ``<= bound``.
 
+        Each factor round uses ``f / (1 - m) = q + r / (1 - m)`` with ``q``
+        and ``r`` from :func:`_chain_sums`: with every term of ``f`` within
+        the bound, so is ``q``, and ``r / (1 - m)`` is one geometric tail
+        per chain, from its top step up to the bound.  That costs
+        ``O(N log N + output)`` per factor for ``N`` terms.
+
         Every denominator monomial must have strictly positive weighted
         degree, otherwise the geometric expansion is not locally finite and
         an :class:`ExpansionError` is raised.
+
+        Raises:
+            ValueError: if ``weights`` has no entry for a variable.
         """
-        weight_vector = tuple(weights[name] for name in self.variables)
+        weight_vector = _weight_vector(self.variables, weights)
         if self.num.is_zero():
             return self.num
         terms = self.num.truncate(weights, bound).terms
@@ -624,19 +662,13 @@ class BinomialRational:
                     f"non-positive grading value {step}"
                 )
             for _ in range(multiplicity):
-                # Multiply by 1/(1 - m) = 1 + m + m^2 + ...: walk each term
-                # along its chain while the degree stays within the bound.
-                # Every step raises the degree by step > 0, so a term beyond
-                # the bound never comes back.
-                expanded: Dict[Exponent, int] = {}
-                get = expanded.get
-                for current, coefficient in terms.items():
-                    current_degree = sum(map(mul, weight_vector, current))
-                    while current_degree <= bound:
-                        expanded[current] = get(current, 0) + coefficient
+                terms, remainder = _chain_sums(*_chains(terms, exponent), exponent)
+                for current, total in remainder.items():
+                    degree = sum(map(mul, weight_vector, current))
+                    while degree <= bound:
+                        terms[current] = total
                         current = tuple(map(add, current, exponent))
-                        current_degree += step
-                terms = {e: c for e, c in expanded.items() if c}
+                        degree += step
         return LaurentPoly._trusted(self.variables, terms)
 
     # -- comparison and display --------------------------------------------
@@ -687,55 +719,37 @@ class BinomialRational:
         }
 
 
-def divide_by_binomial(poly: LaurentPoly, monomial_exponent: Exponent) -> LaurentPoly:
-    """Exact division of ``poly`` by ``(1 - m)``, ``m = x^monomial_exponent``.
+def _chains(terms: Mapping[Exponent, int], monomial_exponent: Exponent) -> tuple:
+    """``(offsets, chains)``: ``terms`` grouped into the chains ``base + s*m``.
 
-    The factor must be in canonical orientation (monomial graded-lex greater
-    than 1).  Multiplying by ``(1 - m)`` only relates exponents on one chain
-    ``base + s*m``, so the division splits into independent chains.  The
-    step ``s`` of an exponent is its coordinate at the first nonzero entry
-    of ``m``, floor-divided by that entry.  On each chain
-    ``q * (1 - m) == poly`` holds exactly when ``q`` at step ``s`` is the
-    sum of ``poly`` over steps ``<= s`` and the chain's total is zero.  The
-    quotient is therefore read off as running sums, from each chain's lowest
-    step up to its highest step minus one.  No term order is involved, so
-    this terminates for every grading and every ``m != 0``, in
-    ``O(N log N + |quotient|)`` for ``N`` terms.
-
-    Raises:
-        NotDivisibleError: if the factor does not exactly divide ``poly``.
+    The step ``s`` of an exponent is its coordinate at the first nonzero
+    entry of ``m``, floor-divided by that entry.  ``offsets`` maps each step
+    to ``s*m``, shared by every chain with a term there; ``chains`` maps
+    each base to its ``{step: coefficient}``.
     """
-    variables = poly.variables
-    monomial_exponent = tuple(monomial_exponent)
-    zero_exp = (0,) * len(variables)
-    if _glex_key(monomial_exponent) <= _glex_key(zero_exp):
-        raise ValueError("binomial factor must be in canonical orientation")
-    if poly.is_zero():
-        return poly
     pivot = next(i for i, e in enumerate(monomial_exponent) if e)
     pivot_step = monomial_exponent[pivot]
-    # step -> step * m, shared by every chain that has a term at that step
     offsets: Dict[int, Exponent] = {}
     chains: Dict[Exponent, Dict[int, int]] = {}
-    for exponent, coefficient in poly.terms.items():
+    for exponent, coefficient in terms.items():
         step = exponent[pivot] // pivot_step
         offset = offsets.get(step)
         if offset is None:
             offset = offsets[step] = tuple(step * m for m in monomial_exponent)
         base = tuple(map(sub, exponent, offset))
         chains.setdefault(base, {})[step] = coefficient
-    for base, chain in chains.items():
-        total = sum(chain.values())
-        if total:
-            # Name the chain, not the whole polynomial: normalize() expects
-            # and discards many of these errors, so the message stays cheap.
-            raise NotDivisibleError(
-                f"(1 - {LaurentPoly.monomial(variables, monomial_exponent)}) "
-                f"does not divide a {len(poly.terms)}-term polynomial: its "
-                f"terms on the chain through "
-                f"{LaurentPoly.monomial(variables, base)} sum to {total}, not 0"
-            )
+    return offsets, chains
+
+
+def _chain_sums(offsets: dict, chains: dict, monomial_exponent: Exponent) -> tuple:
+    """The term dicts ``(q, r)`` with ``f == q * (1 - m) + r``, no zeros.
+
+    On each chain of :func:`_chains`, ``q`` at step ``s`` is the sum of
+    ``f`` over steps ``<= s``, from the lowest step to the highest minus
+    one, and ``r`` holds the chain's nonzero total at its highest step.
+    """
     quotient: Dict[Exponent, int] = {}
+    remainder: Dict[Exponent, int] = {}
     for base, chain in chains.items():
         steps = sorted(chain)
         running = 0
@@ -748,5 +762,49 @@ def divide_by_binomial(poly: LaurentPoly, monomial_exponent: Exponent) -> Lauren
             for _ in range(step + 1, next_step):
                 exponent = tuple(map(add, exponent, monomial_exponent))
                 quotient[exponent] = running
-    return LaurentPoly._trusted(variables, quotient)
+        running += chain[steps[-1]]
+        if running:
+            remainder[tuple(map(add, base, offsets[steps[-1]]))] = running
+    return quotient, remainder
 
+
+def divide_by_binomial(poly: LaurentPoly, monomial_exponent: Exponent) -> LaurentPoly:
+    """Exact division of ``poly`` by ``(1 - m)``, ``m = x^monomial_exponent``.
+
+    The factor must have one entry per variable and be in canonical
+    orientation (monomial graded-lex greater than 1).  The quotient is the
+    ``q`` of :func:`_chain_sums`, and every chain total is checked to be 0
+    before it is built.  No term order is involved, so this terminates for
+    every grading and every ``m != 0``, in ``O(N log N + |quotient|)`` for
+    ``N`` terms.
+
+    Raises:
+        ValueError: if the factor has the wrong length or orientation.
+        NotDivisibleError: if the factor does not exactly divide ``poly``.
+    """
+    variables = poly.variables
+    monomial_exponent = tuple(monomial_exponent)
+    if len(monomial_exponent) != len(variables):
+        raise ValueError(
+            f"binomial factor exponent {monomial_exponent} has "
+            f"{len(monomial_exponent)} entries for {len(variables)} variables"
+        )
+    zero_exp = (0,) * len(variables)
+    if _glex_key(monomial_exponent) <= _glex_key(zero_exp):
+        raise ValueError("binomial factor must be in canonical orientation")
+    if poly.is_zero():
+        return poly
+    offsets, chains = _chains(poly.terms, monomial_exponent)
+    for base, chain in chains.items():
+        total = sum(chain.values())
+        if total:
+            # Name the chain, not the whole polynomial: normalize() expects
+            # and discards many of these errors, so the message stays cheap.
+            raise NotDivisibleError(
+                f"(1 - {LaurentPoly.monomial(variables, monomial_exponent)}) "
+                f"does not divide a {len(poly.terms)}-term polynomial: its "
+                f"terms on the chain through "
+                f"{LaurentPoly.monomial(variables, base)} sum to {total}, not 0"
+            )
+    quotient, _ = _chain_sums(offsets, chains, monomial_exponent)
+    return LaurentPoly._trusted(variables, quotient)

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
-from .charts import Chart, _is_int, monomial_vector
+from .charts import Chart, _is_int, _upper_triangle, monomial_vector
 from .errors import ConsistencyError
 
 IndexPair = Tuple[int, int]
@@ -210,38 +210,27 @@ def tangent_weights(chart: Chart) -> Tuple[TangentRecord, ...]:
     return weight_data(chart).tangent
 
 
-@lru_cache(maxsize=16)
-def _triangle_pairs(n: int) -> Tuple[IndexPair, ...]:
-    """The pairs ``(i, j)`` with ``1 <= i < j <= n``, sorted.  Shared by every
-    chart of one size."""
-    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-
-
 def _tangent_exponents(
     chart: Chart, wx: Tuple[int, ...], wy: Tuple[int, ...]
 ) -> List[Tuple[str, int, int, int, int]]:
     """``(side, i, j, dx, dy)`` for each free coordinate, as plain ints: the
     x side first, then the y side, each in sorted pair order.
 
-    ``(i, j)`` is free on a side when it is not a pivot of that side and
-    ``j`` is not in that chain's level-``(i+1)`` set, which is the zero rule
-    of ``Chart.zx``/``zy``.  Every count and record of the tangent side
-    reads this list.
+    ``(i, j)`` is free on a side when ``j`` is not in that chain's
+    level-``i`` set, the rule of ``Chart.nx``/``ny``.  Every count and
+    record of the tangent side reads this list.
 
     Raises:
         ConsistencyError: if the free coordinates do not number n(n-1)/2.
     """
     label = chart.label
-    pairs = _triangle_pairs(label.n)
+    pairs = _upper_triangle(label.n)
     exponents: List[Tuple[str, int, int, int, int]] = []
-    for side, pivots, chain, ex, ey in (
-        ("x", chart.px, label.sx, 1, 0),
-        ("y", chart.py, label.sy, 0, 1),
-    ):
+    for side, chain, ex, ey in (("x", label.sx, 1, 0), ("y", label.sy, 0, 1)):
         exponents += [
             (side, i, j, wx[i - 1] - wx[j - 1] + ex, wy[i - 1] - wy[j - 1] + ey)
             for i, j in pairs
-            if j not in chain[i] and (i, j) not in pivots
+            if j not in chain[i - 1]
         ]
     if len(exponents) != len(pairs):
         raise ConsistencyError(

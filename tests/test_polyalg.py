@@ -191,6 +191,13 @@ def test_division_rejects_factor_in_flipped_orientation():
         divide_by_binomial(poly("1 - q"), (0, -1))
 
 
+def test_division_rejects_factor_of_wrong_length():
+    with pytest.raises(ValueError, match="has 2 entries for 3 variables"):
+        divide_by_binomial(poly("1 - q", AQT), (0, 1))
+    with pytest.raises(ValueError, match="has 4 entries for 3 variables"):
+        divide_by_binomial(poly("1 - a*q", AQT), (1, 1, 0, 5))
+
+
 @given(laurent_polys(AQT, max_terms=4, max_exp=3), canonical_monomials)
 @example(LaurentPoly(AQT, {(0, 0, 0): 1, (1, 0, 0): 1}), (1, -1, 0))
 def test_division_inverts_multiplication(f, m):
@@ -244,6 +251,18 @@ def expandable_rationals(draw):
 
 
 @given(expandable_rationals())
+# A chain with a gap whose running sum returns to 0 before its top step.
+@example((BinomialRational(poly("1 - q + q^3", AQT), {(0, 1, 0): 1}), dict.fromkeys(AQT, 1), 6))
+# A factor of multiplicity 3.
+@example(
+    (
+        BinomialRational(poly("a - t", AQT), {(0, 1, 0): 3, (1, 0, 1): 1}),
+        {"a": 1, "q": 2, "t": 1},
+        9,
+    )
+)
+# An exactly divisible numerator: the remainder is empty, so no tail.
+@example((BinomialRational(poly("1 - q^4", AQT), {(0, 1, 0): 1}), dict.fromkeys(AQT, 1), 10))
 def test_truncate_series_times_denominator_recovers_numerator(case):
     # Every term of r - s has degree > bound and the denominator has no term
     # of negative degree, so s * den agrees with num up to the bound.
@@ -252,6 +271,14 @@ def test_truncate_series_times_denominator_recovers_numerator(case):
     assert series.truncate(weights, bound) == series
     recovered = (series * rational.denominator_poly()).truncate(weights, bound)
     assert recovered == rational.num.truncate(weights, bound)
+
+
+def test_missing_series_weight_is_named():
+    with pytest.raises(ValueError, match=r"no weight for variables \['q'\]"):
+        poly("1 + q").truncate({"a": 1}, 2)
+    rational = BinomialRational(poly("1"), {(0, 1): 1})
+    with pytest.raises(ValueError, match=r"no weight for variables \['q'\]"):
+        rational.truncate_series({"a": 1}, 2)
 
 
 def test_truncate_series_rejects_nonpositive_weights():
@@ -268,6 +295,23 @@ def test_rational_normalization_cancels_common_factor():
     rational = BinomialRational(numerator, {(0, 1): 1}).normalize()
     assert rational.is_polynomial()
     assert rational.num == poly("1 + q")
+
+
+@pytest.mark.parametrize(
+    "den, message",
+    [
+        ({(0, 1): 1.5}, r"\(0, 1\) has multiplicity 1.5, not an int"),
+        ({(0, 1): 2.0}, r"\(0, 1\) has multiplicity 2.0, not an int"),
+        ({(0, 1): True}, r"\(0, 1\) has multiplicity True, not an int"),
+        ({(0, 1): "1"}, r"\(0, 1\) has multiplicity '1', not an int"),
+        ({(1,): 1}, r"\(1,\) has 1 entries for variables \('a', 'q'\)"),
+        ({(0, 1, 0): 1}, r"\(0, 1, 0\) has 3 entries"),
+    ],
+    ids=["float", "integral-float", "bool", "str", "short-exponent", "long-exponent"],
+)
+def test_rational_rejects_malformed_denominator(den, message):
+    with pytest.raises(ValueError, match=message):
+        BinomialRational(LaurentPoly.one(AQ), den)
 
 
 def test_rational_addition_common_denominator():

@@ -84,6 +84,14 @@ def test_tangent_record_counts_and_sides():
     assert {record.side for record in records} == {"x", "y"}
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tangent_records_index_the_free_coordinates(n):
+    for chart in all_charts(n):
+        records = tangent_weights(chart)
+        for side, free in (("x", chart.nx), ("y", chart.ny)):
+            assert [rec.index for rec in records if rec.side == side] == sorted(free)
+
+
 def test_family_chart_has_one_vanishing_factor():
     # The y_{12} record carries (dx, dy) = (0, 0): a vanishing denominator
     # factor (the chart sits in a positive-dimensional torus orbit).
