@@ -8,8 +8,8 @@ modules layer roughly bottom-up:
   functions with binomial denominators (the only scalar types used);
 * :mod:`coxlinks.charts` — nested-set chart labels, pivots, base
   matrices, generalized Young tableaux;
-* :mod:`coxlinks.weights` — recursive weight vectors and tangent /
-  obstruction bookkeeping per chart;
+* :mod:`coxlinks.weights` — recursive weight vectors and the one unit
+  rule for tangent and obstruction exponents per chart;
 * :mod:`coxlinks.localization` — fixed-point sums: the calibrated
   superpolynomial;
 * :mod:`coxlinks.twostrand` — closed-form two-strand homology, the
@@ -56,13 +56,7 @@ from .localization import (
 )
 from .polyalg import BinomialRational, LaurentPoly, parse_poly
 from .twostrand import GradedDim, homology_T2_even, homology_T2_odd
-from .weights import (
-    fixed_dim_check,
-    obstruction_weights,
-    tangent_weights,
-    weight_data,
-    weight_vectors,
-)
+from .weights import fixed_dim_check, weight_data, weight_vectors
 
 __version__ = "0.1.0"
 
@@ -100,11 +94,9 @@ __all__ = [
     "is_commutative",
     "markov_trace",
     "monomial_vector",
-    "obstruction_weights",
     "parse_braid",
     "parse_poly",
     "standard_tableau_images",
-    "tangent_weights",
     "to_gyt",
     "weight_data",
     "weight_vectors",

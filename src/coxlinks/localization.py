@@ -8,21 +8,21 @@ family agree *exactly* with the two-strand homology oracle
 ``n = 2, k = (1,)`` and is applied uniformly; no per-``k`` fitting.
 
 Calibrated weights, in the series variables ``u = q^2`` and ``v = t^2/q^2``
-(the degrees of a free x- and y-coordinate):
+(the degrees of a free x- and y-coordinate).  A pair of unit ``e`` and
+weight drop ``D = w^i - w^j`` stores ``s = D + e`` and has the calibrated
+exponent ``c = 2e - s = e - D`` (:mod:`coxlinks.weights`):
 
-* a free x-coordinate ``(i, j)`` contributes ``1 / (1 - u^{1-Dx} v^{-Dy})``
-  and a free y-coordinate ``1 / (1 - u^{-Dx} v^{1-Dy})``, where ``Dx, Dy``
-  are the weight drops ``w^i - w^j``;
-* an obstruction pair contributes ``(1 - u^{1-Dx} v^{1-Dy})``;
+* a free coordinate contributes ``1 / (1 - u^{cx} v^{cy})``;
+* an obstruction pair contributes ``(1 - u^{cx} v^{cy})``;
 * level ``i`` contributes ``(1 + a u^{-wx_i} v^{-wy_i})``;
 * one global monomial shift ``(a/t)^{c(k)}`` with ``c(k) = sum k_i (n-i)``
   and one global polynomial tensor factor ``1 / (1-u)^{1+|link_s|}``.
 
-A chart whose tangent factor would be ``(1 - 1)`` has no well-defined
-contribution (:class:`~coxlinks.errors.DegenerateChartError`).  No commuting
-chart has a fixed direction for ``n <= 7``, every ``n`` the cap admits
-(checked exhaustively); the guard remains for callers that evaluate single
-charts.
+A chart with a torus-fixed free coordinate (``s = 2e``, so ``c = 0`` and
+its factor is ``(1 - 1)``) has no well-defined contribution
+(:class:`~coxlinks.errors.DegenerateChartError`).  No commuting chart has
+a fixed direction for ``n <= 7``, every ``n`` the cap admits (checked
+exhaustively); the guard remains for callers that evaluate single charts.
 """
 
 from __future__ import annotations
@@ -42,7 +42,15 @@ from .errors import (
 from .homfly import _coxeter_arguments
 from .polyalg import BinomialRational, LaurentPoly, _lift
 from .twostrand import AQT
-from .weights import WeightData, _tangent_exponents, weight_data, weight_vectors
+from .weights import (
+    WeightData,
+    _obstruction_exponents,
+    _tangent_exponents,
+    _unit_counts,
+    calibrated_exponent,
+    weight_data,
+    weight_vectors,
+)
 
 #: Chart enumeration is factorial; summing past this is a typo, not a plan.
 MAX_LOCALIZATION_N = 7
@@ -99,23 +107,18 @@ def _calibrated_term(data: WeightData, k: Tuple[int, ...]) -> BinomialRational:
     n = data.chart.n
     for wx_i, wy_i in zip(data.wx[: n - 1], data.wy[: n - 1]):
         terms = _lift(terms, _uv_exponent(1, -wx_i, -wy_i), 1, sign=1)
-    for record in data.obstruction:
-        # stored (ox, oy) = (Dx + 1, Dy + 1), so (1 - Dx, 1 - Dy) = (2 - ox, 2 - oy)
-        terms = _lift(terms, _uv_exponent(0, 2 - record.ox, 2 - record.oy), 1)
+    for kind, _, _, sx, sy in _obstruction_exponents(data):
+        terms = _lift(terms, _uv_exponent(0, *calibrated_exponent(kind, sx, sy)), 1)
     den: Dict[tuple, int] = {}
-    for record in data.tangent:
-        if record.is_fixed_direction():
+    for kind, _, _, sx, sy in _tangent_exponents(data.chart, data.wx, data.wy):
+        calibrated = calibrated_exponent(kind, sx, sy)
+        if calibrated == (0, 0):
             raise DegenerateChartError(
                 f"chart {data.chart.label.flat_key()} has a torus-fixed "
                 "tangent direction in the calibrated weights",
                 charts=(data.chart,),
             )
-        # stored x-side (dx, dy) = (Dx + 1, Dy): factor exponent (1 - Dx, -Dy)
-        # stored y-side (dx, dy) = (Dx, Dy + 1): factor exponent (-Dx, 1 - Dy)
-        if record.side == "x":
-            exponent = _uv_exponent(0, 2 - record.dx, -record.dy)
-        else:
-            exponent = _uv_exponent(0, -record.dx, 2 - record.dy)
+        exponent = _uv_exponent(0, *calibrated)
         den[exponent] = den.get(exponent, 0) + 1
     return BinomialRational(LaurentPoly._trusted(AQT, terms), den)
 
@@ -203,10 +206,11 @@ def calibrated_superpolynomial(
 
 
 def detect_degenerate(n: int) -> List[Chart]:
-    """All charts (commuting or not) with a tangent weight pair ``(0, 0)``.
+    """All charts (commuting or not) with a free coordinate at ``s = 0``.
 
-    These are the charts whose verbatim bookkeeping has a torus-fixed
-    tangent direction.  The scan is exhaustive over all ``n!`` charts.
+    These are the charts whose verbatim bookkeeping has a vanishing
+    denominator factor (``fixed_dim()["vanishing_factors"] > 0``).  The
+    scan is exhaustive over all ``n!`` charts.
 
     Examples:
         >>> detect_degenerate(2)
@@ -222,8 +226,5 @@ def detect_degenerate(n: int) -> List[Chart]:
     return [
         chart
         for chart in all_charts(n)
-        if any(
-            dx == 0 and dy == 0
-            for _, _, _, dx, dy in _tangent_exponents(chart, *weight_vectors(chart))
-        )
+        if _unit_counts(_tangent_exponents(chart, *weight_vectors(chart)))[1]
     ]

@@ -259,6 +259,9 @@ def commutator_entries(
     vanishes identically, so all-zero entries here is equivalent to the
     matrices commuting.
 
+    Raises:
+        ValueError: if ``link_s`` is not a sequence of ``int`` in ``1..n-1``.
+
     Examples:
         >>> e12 = matrix_from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
         >>> e23 = matrix_from_rows([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
@@ -267,10 +270,18 @@ def commutator_entries(
     """
     n = len(x)
     bracket = commutator(x, y)
-    link_set = set(link_s)
-    for i in link_set:
+    try:
+        link = tuple(link_s)
+    except TypeError:
+        raise ValueError(
+            f"link_s must be a sequence of integers, got {link_s!r}"
+        ) from None
+    for i in link:
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise ValueError(f"link_s entry {i!r} is not an int")
         if not 1 <= i <= n - 1:
             raise ValueError(f"link_s entry {i} outside 1..{n - 1}")
+    link_set = set(link)
     pairs = [
         (i, j)
         for i in range(1, n + 1)

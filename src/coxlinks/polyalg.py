@@ -30,10 +30,10 @@ Three kernels keep the localization sums cheap:
   when every chain total is 0, and ``truncate_series`` expands
   ``q + r / (1 - m)``.
 * **The trusted constructor.**  The public ``LaurentPoly(...)`` checks
-  every exponent length and coefficient.  Results that internal arithmetic
-  builds (sums, products, negation, truncation, division, the lift) are
-  already well formed, so they go through ``LaurentPoly._trusted``, which
-  only drops zero coefficients.
+  every exponent's length and entries and every coefficient.  Results that
+  internal arithmetic builds (sums, products, negation, truncation,
+  division, the lift) are already well formed, so they go through
+  ``LaurentPoly._trusted``, which only drops zero coefficients.
 
 Exponent vectors are added with ``tuple(map(add, e, m))`` throughout.
 
@@ -96,6 +96,13 @@ def _integral(value) -> int | None:  # noqa: ANN001
     return integral if integral == value else None
 
 
+def _check_entries(exponent: tuple, what: str) -> None:
+    """Reject an exponent entry that is not an ``int`` (or is a ``bool``)."""
+    for entry in exponent:
+        if type(entry) is not int:
+            raise ValueError(f"{what} {exponent} has entry {entry!r}, not an int")
+
+
 class LaurentPoly:
     """A sparse Laurent polynomial with integer coefficients.
 
@@ -124,6 +131,7 @@ class LaurentPoly:
                 raise ValueError(
                     f"exponent {exponent} does not match variables {variables}"
                 )
+            _check_entries(exponent, "exponent")
             integral = _integral(coefficient)
             if integral is None:
                 raise ValueError(
@@ -466,8 +474,8 @@ class BinomialRational:
     and never expanded.  On construction every factor is brought to canonical
     orientation (monomial graded-lex greater than 1), which makes structural
     comparison meaningful.  A factor ``(1 - 1)``, an exponent of the wrong
-    length and a multiplicity that is not a nonnegative ``int`` are rejected
-    with a ``ValueError``.
+    length or with an entry that is not an ``int``, and a multiplicity that
+    is not a nonnegative ``int`` are rejected with a ``ValueError``.
 
     ``add``/``mul`` do *not* cancel; call :meth:`normalize` once at the end of
     an accumulation to divide out every denominator factor that exactly
@@ -493,6 +501,7 @@ class BinomialRational:
                     f"denominator factor {exponent} has {len(exponent)} "
                     f"entries for variables {variables}"
                 )
+            _check_entries(exponent, "denominator factor")
             if isinstance(multiplicity, bool) or not isinstance(multiplicity, int):
                 raise ValueError(
                     f"denominator factor {exponent} has multiplicity "

@@ -5,36 +5,29 @@ word ``m_{n+1-i}`` that :func:`~coxlinks.charts.monomial_vector` attaches to
 flag step ``n + 1 - i``.  So ``w_x^n = w_y^n = 0``, and an x-pivot ``(i, j)``
 gives ``w_x^i = w_x^j + 1`` and ``w_y^i = w_y^j``, mirrored for y-pivots.
 
-Tangent records store the localization exponents
+The unit rule.  Each coordinate kind has a unit ``e``: a free x-coordinate
+has ``(1, 0)``, a free y-coordinate ``(0, 1)`` and an obstruction pair
+(``j - i > 1``, or ``j = i + 1`` with ``i`` in ``link_s``) ``(1, 1)``.  A
+pair with weight drop ``D = w^i - w^j`` stores the exponent ``s = D + e``.
+A direct gauge computation (rescale (X, Y), then conjugate back to pivot
+form by a diagonal matrix) shows that the coordinate value, or for an
+obstruction pair the commutator entry [X,Y]_{ij} that cuts the commuting
+locus, scales with torus weight ``D - e`` (``torus_rescaling_check``
+verifies this for the coordinates).  So, for every kind:
 
-    (i,j) ∈ N_x:  (dx, dy) = (w_x^i - w_x^j + 1,  w_y^i - w_y^j),
-    (i,j) ∈ N_y:  (dx, dy) = (w_x^i - w_x^j,      w_y^i - w_y^j + 1),
+* the coordinate (or equation) is torus-fixed iff ``s = 2e``;
+* its verbatim factor ``(1 - Q^sx T^sy)`` vanishes iff ``s = 0``;
+* its calibrated factor has the exponent ``2e - s = e - D``, which is zero
+  exactly when the coordinate is torus-fixed.
 
-and obstruction records (pairs with j - i > 1) store
-
-    (ox, oy) = (w_x^i - w_x^j + 1,  w_y^i - w_y^j + 1).
-
-A caution that the rest of the package depends on: these displayed exponents
-are *formula* data (they feed the denominator and numerator products of the
-fixed-point sum), not the literal scaling weights of the torus action.  A
-direct gauge computation — rescale (X, Y), then conjugate back to pivot form
-by a diagonal matrix — shows the coordinate entry values scale as
-
-    x_{ij} value ↦ t^{Δx-1} s^{Δy} · x_{ij},
-    y_{ij} value ↦ t^{Δx}   s^{Δy-1} · y_{ij},       Δ = w^i - w^j,
-
-(``torus_rescaling_check`` verifies this exactly), so a tangent direction is
-torus-fixed iff Δ = (1, 0) on the x side / (0, 1) on the y side, and a
-commutator entry [X,Y]_{ij} — the equation cutting the commuting locus —
-scales by ``t^{Δx-1} s^{Δy-1}`` and is fixed iff Δ = (1, 1).  The
-fixed-locus counts in ``WeightData.fixed_dim`` use these honest conditions;
-that is the only bookkeeping under which the fixed-dimension inequality
-dimOb0 ≥ dimT0 holds for every chart with n ≤ 7 (verified exhaustively;
-counting literal (dx,dy) = (0,0) records instead already fails on the
-explicit degenerate n = 4 chart, whose zero record y_{12} marks a vanishing
-*denominator factor*, not a fixed tangent direction — the chart's family is
-a torus orbit, not fixed points).  The vanishing-factor count is reported
-separately and drives degenerate-chart detection.
+The counts in ``WeightData.fixed_dim`` use the fixed condition ``s = 2e``.
+Only under it does the fixed-dimension inequality dimOb0 >= dimT0 hold for
+every chart with n <= 7 (verified exhaustively).  Counting ``s = 0``
+instead already fails on the explicit degenerate n = 4 chart: its y_{12}
+has ``s = 0``, a vanishing *denominator factor*, not a fixed tangent
+direction (the chart's family is a torus orbit, not fixed points).  The
+vanishing-factor count is reported separately and drives degenerate-chart
+detection.
 """
 
 from __future__ import annotations
@@ -43,64 +36,36 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .charts import Chart, _is_int, _upper_triangle, monomial_vector
 from .errors import ConsistencyError
 
 IndexPair = Tuple[int, int]
+#: ``(kind, i, j, sx, sy)``: a coordinate kind, its pair and its stored exponent.
+Row = Tuple[str, int, int, int, int]
+
+#: The unit ``e`` of each coordinate kind (see the module docstring).
+UNITS: Dict[str, Tuple[int, int]] = {"x": (1, 0), "y": (0, 1), "obstruction": (1, 1)}
 
 
-@dataclass(frozen=True, slots=True)
-class TangentRecord:
-    """Weight exponents of one free coordinate."""
-
-    side: str  # "x" or "y"
-    index: IndexPair
-    dx: int
-    dy: int
-
-    def is_zero(self) -> bool:
-        """True iff the denominator factor (1 - Q^dx T^dy) vanishes."""
-        return self.dx == 0 and self.dy == 0
-
-    def is_fixed_direction(self) -> bool:
-        """True iff the coordinate direction has zero torus scaling weight.
-
-        The entry value scales by ``t^{Δx-1} s^{Δy}`` (x side) respectively
-        ``t^{Δx} s^{Δy-1}`` (y side); with the stored exponents this reads
-        (dx, dy) = (2, 0) on the x side and (0, 2) on the y side.
-        """
-        if self.side == "x":
-            return self.dx == 2 and self.dy == 0
-        return self.dx == 0 and self.dy == 2
-
-    def to_record(self) -> dict:
-        return {"side": self.side, "index": list(self.index), "dx": self.dx, "dy": self.dy}
+def calibrated_exponent(kind: str, sx: int, sy: int) -> Tuple[int, int]:
+    """The calibrated factor exponent ``2e - s``: ``(0, 0)`` iff fixed."""
+    ex, ey = UNITS[kind]
+    return 2 * ex - sx, 2 * ey - sy
 
 
-@dataclass(frozen=True, slots=True)
-class ObstructionRecord:
-    """Weight exponents of one obstruction pair (j - i > 1 by default)."""
+#: ``(kind, sx, sy)`` of a torus-fixed row: ``s = 2e``.
+_FIXED = frozenset((kind, 2 * ex, 2 * ey) for kind, (ex, ey) in UNITS.items())
 
-    index: IndexPair
-    ox: int
-    oy: int
 
-    def is_zero(self) -> bool:
-        return self.ox == 0 and self.oy == 0
-
-    def is_equation_fixed(self) -> bool:
-        """True iff the commutator entry [X,Y]_{ij} has zero scaling weight.
-
-        The entry's value scales by ``t^{Δx-1} s^{Δy-1}`` and the stored
-        exponents are (ox, oy) = (Δx+1, Δy+1), so the condition reads
-        ox == 2 and oy == 2.
-        """
-        return self.ox == 2 and self.oy == 2
-
-    def to_record(self) -> dict:
-        return {"index": list(self.index), "ox": self.ox, "oy": self.oy}
+def _unit_counts(rows: List[Row]) -> Tuple[int, int]:
+    """``(fixed, vanishing)``: the rows with ``s = 2e`` and with ``s = 0``."""
+    fixed = vanishing = 0
+    for kind, _, _, sx, sy in rows:
+        fixed += (kind, sx, sy) in _FIXED
+        vanishing += sx == sy == 0
+    return fixed, vanishing
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,11 +73,8 @@ class WeightData:
     """All weight data of one chart.
 
     It stores the chart, its weight vectors and the normalized ``link``
-    (sorted, duplicate-free ``link_s``).  The ``tangent`` and
-    ``obstruction`` records are derived on each access, in the order of
-    :func:`tangent_weights` and :func:`obstruction_weights`;
-    :meth:`fixed_dim` counts from the integer exponents and builds no
-    records.
+    (sorted, duplicate-free ``link_s``).  The tangent and obstruction rows
+    are derived from these on each call, as plain integer tuples.
     """
 
     chart: Chart
@@ -120,29 +82,19 @@ class WeightData:
     wy: Tuple[int, ...]
     link: Tuple[int, ...]
 
-    @property
-    def tangent(self) -> Tuple[TangentRecord, ...]:
-        return tuple(
-            TangentRecord(side, (i, j), dx, dy)
-            for side, i, j, dx, dy in _tangent_exponents(self.chart, self.wx, self.wy)
-        )
-
-    @property
-    def obstruction(self) -> Tuple[ObstructionRecord, ...]:
-        wx, wy = self.wx, self.wy
-        return tuple(
-            ObstructionRecord(
-                (i, j), wx[i - 1] - wx[j - 1] + 1, wy[i - 1] - wy[j - 1] + 1
-            )
-            for i, j in _obstruction_pairs(self.chart.n, self.link)
-        )
-
     def to_record(self) -> dict:
+        """The weight vectors and the stored exponents of every row."""
         return {
             "wx": list(self.wx),
             "wy": list(self.wy),
-            "tangent": [rec.to_record() for rec in self.tangent],
-            "obstruction": [rec.to_record() for rec in self.obstruction],
+            "tangent": [
+                {"side": side, "index": [i, j], "dx": sx, "dy": sy}
+                for side, i, j, sx, sy in _tangent_exponents(self.chart, self.wx, self.wy)
+            ],
+            "obstruction": [
+                {"index": [i, j], "ox": sx, "oy": sy}
+                for _, i, j, sx, sy in _obstruction_exponents(self)
+            ],
         }
 
     def fixed_dim(self) -> dict:
@@ -150,43 +102,31 @@ class WeightData:
 
         Returns a dict with:
 
-        * ``dimT0`` — dimension of the torus-fixed tangent subspace: tangent
-          records whose coordinate direction has zero scaling weight (see
-          ``TangentRecord.is_fixed_direction``).
+        * ``dimT0`` — dimension of the torus-fixed tangent subspace: free
+          coordinates with ``s = 2e``.
         * ``dimOb0`` — dimension of the torus-fixed obstruction subspace:
-          records whose commutator equation has zero scaling weight.
+          obstruction pairs with ``s = 2e``.
         * ``inequality`` — whether dimOb0 >= dimT0 (the virtual-dimension-zero
           expectation; holds for every chart with n <= 7 and empty ``link_s``).
-        * ``vanishing_factors`` — number of tangent records with the stored
-          exponents (dx, dy) = (0, 0), i.e. vanishing denominator factors of
-          the fixed-point sum.  A nonzero count marks the chart as degenerate
-          for localization (the explicit n = 4 chart has one, at y_{12}).
-        * ``vanishing_obstruction_factors`` — same literal count on the
-          obstruction side, for the numerator product.
+        * ``vanishing_factors`` — free coordinates with ``s = 0``, i.e.
+          vanishing denominator factors of the fixed-point sum.  A nonzero
+          count marks the chart as degenerate for localization (the
+          explicit n = 4 chart has one, at y_{12}).
+        * ``vanishing_obstruction_factors`` — obstruction pairs with
+          ``s = 0``, for the numerator product.
 
         The obstruction counts run over this data's pairs, so they include
-        the adjacent pairs of a nonempty ``link_s``.  Each count applies the
-        predicate of its record class to the exponents the record would
-        store.
+        the adjacent pairs of a nonempty ``link_s``.
         """
-        wx, wy = self.wx, self.wy
-        tangent = [
-            (side, dx, dy) for side, _, _, dx, dy in _tangent_exponents(self.chart, wx, wy)
-        ]
-        dim_t0 = tangent.count(("x", 2, 0)) + tangent.count(("y", 0, 2))
-        # The stored obstruction exponents are (Dx + 1, Dy + 1), so the
-        # equation is fixed at D = (1, 1) and the factor vanishes at (-1, -1).
-        drops = [
-            (wx[i - 1] - wx[j - 1], wy[i - 1] - wy[j - 1])
-            for i, j in _obstruction_pairs(self.chart.n, self.link)
-        ]
-        dim_ob0 = drops.count((1, 1))
+        tangent = _tangent_exponents(self.chart, self.wx, self.wy)
+        dim_t0, vanishing = _unit_counts(tangent)
+        dim_ob0, vanishing_obstruction = _unit_counts(_obstruction_exponents(self))
         return {
             "dimT0": dim_t0,
             "dimOb0": dim_ob0,
             "inequality": dim_ob0 >= dim_t0,
-            "vanishing_factors": tangent.count(("x", 0, 0)) + tangent.count(("y", 0, 0)),
-            "vanishing_obstruction_factors": drops.count((-1, -1)),
+            "vanishing_factors": vanishing,
+            "vanishing_obstruction_factors": vanishing_obstruction,
         }
 
 
@@ -205,60 +145,47 @@ def weight_vectors(chart: Chart) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     )
 
 
-def tangent_weights(chart: Chart) -> Tuple[TangentRecord, ...]:
-    """One record per free coordinate, with the side-dependent +1 applied."""
-    return weight_data(chart).tangent
+def _stored(
+    kind: str,
+    pairs: Iterable[IndexPair],
+    taken: Sequence[Iterable[int]],
+    wx: Tuple[int, ...],
+    wy: Tuple[int, ...],
+) -> List[Row]:
+    """One row per pair ``(i, j)`` with ``j`` not in ``taken[i - 1]`` (a
+    chain's level sets, or empty sets), with the stored exponent ``s = D + e``."""
+    ex, ey = UNITS[kind]
+    return [
+        (kind, i, j, wx[i - 1] - wx[j - 1] + ex, wy[i - 1] - wy[j - 1] + ey)
+        for i, j in pairs
+        if j not in taken[i - 1]
+    ]
 
 
 def _tangent_exponents(
     chart: Chart, wx: Tuple[int, ...], wy: Tuple[int, ...]
-) -> List[Tuple[str, int, int, int, int]]:
-    """``(side, i, j, dx, dy)`` for each free coordinate, as plain ints: the
-    x side first, then the y side, each in sorted pair order.
+) -> List[Row]:
+    """One row per free coordinate: the x side first, then the y side, each
+    in sorted pair order.
 
     ``(i, j)`` is free on a side when ``j`` is not in that chain's
-    level-``i`` set, the rule of ``Chart.nx``/``ny``.  Every count and
-    record of the tangent side reads this list.
+    level-``i`` set, the rule of ``Chart.nx``/``ny``.
 
     Raises:
         ConsistencyError: if the free coordinates do not number n(n-1)/2.
     """
     label = chart.label
     pairs = _upper_triangle(label.n)
-    exponents: List[Tuple[str, int, int, int, int]] = []
-    for side, chain, ex, ey in (("x", label.sx, 1, 0), ("y", label.sy, 0, 1)):
-        exponents += [
-            (side, i, j, wx[i - 1] - wx[j - 1] + ex, wy[i - 1] - wy[j - 1] + ey)
-            for i, j in pairs
-            if j not in chain[i - 1]
-        ]
-    if len(exponents) != len(pairs):
-        raise ConsistencyError(
-            f"expected {len(pairs)} tangent records, got {len(exponents)}"
-        )
-    return exponents
+    rows = _stored("x", pairs, label.sx, wx, wy) + _stored("y", pairs, label.sy, wx, wy)
+    if len(rows) != len(pairs):
+        raise ConsistencyError(f"expected {len(pairs)} tangent records, got {len(rows)}")
+    return rows
 
 
-def obstruction_weights(
-    chart: Chart, link_s: Sequence[int] = ()
-) -> Tuple[ObstructionRecord, ...]:
-    """One record per obstruction pair.
-
-    The default index set is {(i,j) : j - i > 1}.  For the quasi-Coxeter
-    braid that skips the generators in ``link_s`` the equation set grows by
-    the adjacent pairs (i, i+1) for i in ``link_s`` — those commutator
-    entries are no longer killed by the skipped crossing.
-
-    Args:
-        chart: a built chart.
-        link_s: strictly increasing generator indices in {1..n-1} (the set S
-            of skipped Coxeter generators); empty for the plain case.
-
-    Raises:
-        ValueError: if ``link_s`` is not a sequence of ``int``, or an entry
-            lies outside ``1..n-1``.
-    """
-    return weight_data(chart, link_s).obstruction
+def _obstruction_exponents(data: WeightData) -> List[Row]:
+    """One row per obstruction pair of ``data``, in sorted pair order."""
+    pairs = _obstruction_pairs(data.chart.n, data.link)
+    return _stored("obstruction", pairs, ((),) * data.chart.n, data.wx, data.wy)
 
 
 def _link(n: int, link_s: Sequence[int]) -> Tuple[int, ...]:
@@ -292,9 +219,13 @@ def _obstruction_pairs(n: int, link: Tuple[int, ...]) -> Tuple[IndexPair, ...]:
 def weight_data(chart: Chart, link_s: Sequence[int] = ()) -> WeightData:
     """Bundle a chart with its weight vectors and its checked ``link_s``.
 
+    Args:
+        link_s: the skipped Coxeter generators, in {1..n-1}; each ``i``
+            adds the obstruction pair (i, i+1).  Empty for the plain case.
+
     Raises:
-        ValueError: for a bad ``link_s``, as :func:`obstruction_weights`;
-            checked here, although the records are built only on access.
+        ValueError: if ``link_s`` is not a sequence of ``int``, or an entry
+            lies outside ``1..n-1``.
     """
     wx, wy = weight_vectors(chart)
     return WeightData(chart=chart, wx=wx, wy=wy, link=_link(chart.n, link_s))
@@ -314,8 +245,8 @@ def torus_rescaling_check(chart: Chart, t: Fraction, s: Fraction) -> bool:
         X ↦ t⁻¹ · D X D⁻¹,   Y ↦ s⁻¹ · D Y D⁻¹,   D = diag(t^{w_x^i} s^{w_y^i}),
 
     and verifies the result is again a point of the chart (pivots 1, zeros
-    0) whose free entries scaled exactly by ``t^{Δx-1} s^{Δy}`` (x-side) or
-    ``t^{Δx} s^{Δy-1}`` (y-side).
+    0) whose free entries scaled exactly by ``t^{Dx-ex} s^{Dy-ey}``, with
+    the unit ``e`` of their side.
 
     Args:
         chart: a built chart.
@@ -360,13 +291,9 @@ def torus_rescaling_check(chart: Chart, t: Fraction, s: Fraction) -> bool:
         for i, j in zeros:
             if matrix[i - 1][j - 1] != 0:
                 return False
+        ex, ey = UNITS[side]
         for i, j in free:
-            dx = wx[i - 1] - wx[j - 1]
-            dy = wy[i - 1] - wy[j - 1]
-            if side == "x":
-                expected = t ** (dx - 1) * s ** dy * source[i - 1][j - 1]
-            else:
-                expected = t ** dx * s ** (dy - 1) * source[i - 1][j - 1]
-            if matrix[i - 1][j - 1] != expected:
+            scale = t ** (wx[i - 1] - wx[j - 1] - ex) * s ** (wy[i - 1] - wy[j - 1] - ey)
+            if matrix[i - 1][j - 1] != scale * source[i - 1][j - 1]:
                 return False
     return True

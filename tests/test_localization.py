@@ -25,7 +25,7 @@ from coxlinks.localization import (
 )
 from coxlinks.polyalg import BinomialRational, LaurentPoly
 from coxlinks.twostrand import AQT, homology_T2_odd
-from coxlinks.weights import tangent_weights, weight_data
+from coxlinks.weights import weight_data
 
 FAMILY_CHART = build_chart(
     NestedSetPair.from_lists(4, [{3, 4}, {3}, (), ()], [{4}, {4}, {4}, ()])
@@ -121,7 +121,10 @@ def test_link_s_is_flagged_experimental():
 
 
 def _reference_term(data, k):
-    """``_calibrated_term`` rebuilt with public ``LaurentPoly`` products."""
+    """``_calibrated_term`` rebuilt with public ``LaurentPoly`` products from
+    the ``to_record()`` dicts, each side's exponent written out: ``(2 - dx,
+    -dy)`` for x, ``(-dx, 2 - dy)`` for y, ``(2 - ox, 2 - oy)`` for an
+    obstruction pair."""
 
     def uv(a_power, u_power, v_power):
         return LaurentPoly.monomial(AQT, (a_power, 2 * u_power - 2 * v_power, 2 * v_power))
@@ -130,14 +133,15 @@ def _reference_term(data, k):
     n = data.chart.n
     for wx_i, wy_i in zip(data.wx[: n - 1], data.wy[: n - 1]):
         num = num * (1 + uv(1, -wx_i, -wy_i))
-    for record in data.obstruction:
-        num = num * (1 - uv(0, 2 - record.ox, 2 - record.oy))
+    records = data.to_record()
+    for record in records["obstruction"]:
+        num = num * (1 - uv(0, 2 - record["ox"], 2 - record["oy"]))
     den = {}
-    for record in data.tangent:
-        if record.side == "x":
-            factor = uv(0, 2 - record.dx, -record.dy)
+    for record in records["tangent"]:
+        if record["side"] == "x":
+            factor = uv(0, 2 - record["dx"], -record["dy"])
         else:
-            factor = uv(0, -record.dx, 2 - record.dy)
+            factor = uv(0, -record["dx"], 2 - record["dy"])
         ((exponent, _),) = factor.terms.items()
         den[exponent] = den.get(exponent, 0) + 1
     return BinomialRational(num, den)
@@ -167,12 +171,11 @@ def test_degenerate_census(n, count):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_degenerate_scan_matches_the_record_filter(n):
-    expected = [
-        chart
-        for chart in all_charts(n)
-        if any(rec.is_zero() for rec in tangent_weights(chart))
-    ]
-    assert detect_degenerate(n) == expected
+    def has_zero_record(chart):
+        tangent = weight_data(chart).to_record()["tangent"]
+        return any(rec["dx"] == rec["dy"] == 0 for rec in tangent)
+
+    assert detect_degenerate(n) == list(filter(has_zero_record, all_charts(n)))
 
 
 def test_family_chart_is_detected_and_unusable():
@@ -198,8 +201,10 @@ def test_calibrated_term_rejects_fixed_tangent_direction():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_no_commuting_chart_has_a_fixed_direction(n):
+    fixed = {("x", 2, 0), ("y", 0, 2)}
     for chart in commuting_charts(n):
-        assert not any(rec.is_fixed_direction() for rec in weight_data(chart).tangent)
+        tangent = weight_data(chart).to_record()["tangent"]
+        assert not any((rec["side"], rec["dx"], rec["dy"]) in fixed for rec in tangent)
 
 
 def test_non_integral_arguments_are_rejected():

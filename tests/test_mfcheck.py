@@ -302,6 +302,13 @@ def test_link_s_adds_superdiagonal_entries():
         commutator_entries(e12, e23, link_s=(3,))
 
 
+@pytest.mark.parametrize("link_s", [(True,), (1.0,), ("1",), 1, (1, True), None])
+def test_malformed_link_s_is_rejected_by_name(link_s):
+    e12 = _elementary(3, 1, 2)
+    with pytest.raises(ValueError, match="link_s"):
+        commutator_entries(e12, e12, link_s)
+
+
 def test_family_base_point_fails_exactly_at_24():
     chart = build_chart(
         NestedSetPair.from_lists(4, [{3, 4}, {3}, (), ()], [{4}, {4}, {4}, ()])

@@ -144,6 +144,16 @@ def test_non_integer_coefficient_is_rejected(bad):
     assert repr(bad) in str(raised.value)
 
 
+@pytest.mark.parametrize(
+    "exponent, message",
+    [((0, 1.5), r"\(0, 1.5\) has entry 1.5"), ((True, 2), r"\(True, 2\) has entry True")],
+    ids=["float", "bool"],
+)
+def test_non_int_exponent_entry_is_rejected(exponent, message):
+    with pytest.raises(ValueError, match=message):
+        LaurentPoly(AQ, {exponent: 1})
+
+
 def test_integral_coefficients_are_accepted():
     zeros = {(2,): 0.0, (3,): False, (4,): Fraction(0)}
     f = LaurentPoly(("q",), {(1,): Fraction(4, 2), (0,): 3.0, **zeros})
@@ -306,8 +316,19 @@ def test_rational_normalization_cancels_common_factor():
         ({(0, 1): "1"}, r"\(0, 1\) has multiplicity '1', not an int"),
         ({(1,): 1}, r"\(1,\) has 1 entries for variables \('a', 'q'\)"),
         ({(0, 1, 0): 1}, r"\(0, 1, 0\) has 3 entries"),
+        ({(0, 1.5): 1}, r"factor \(0, 1.5\) has entry 1.5, not an int"),
+        ({(True, 2): 1}, r"factor \(True, 2\) has entry True, not an int"),
     ],
-    ids=["float", "integral-float", "bool", "str", "short-exponent", "long-exponent"],
+    ids=[
+        "float",
+        "integral-float",
+        "bool",
+        "str",
+        "short-exponent",
+        "long-exponent",
+        "float-entry",
+        "bool-entry",
+    ],
 )
 def test_rational_rejects_malformed_denominator(den, message):
     with pytest.raises(ValueError, match=message):

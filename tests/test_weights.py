@@ -1,4 +1,9 @@
-"""Weight vectors, tangent/obstruction records, and fixed-locus counts."""
+"""Weight vectors, tangent/obstruction records, and fixed-locus counts.
+
+The references here read the ``to_record()`` dicts with literal
+conditions, (2, 0)/(0, 2) and (2, 2) for a fixed row and (0, 0) for a
+vanishing factor, so they stay independent of the package's unit rule.
+"""
 
 import dataclasses
 from fractions import Fraction
@@ -6,14 +11,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxlinks import cli, weights as weights_module
+from coxlinks import weights as weights_module
 from coxlinks.charts import NestedSetPair, all_charts, build_chart, monomial_vector
 from coxlinks.errors import ConsistencyError
 from coxlinks.weights import (
-    ObstructionRecord,
     fixed_dim_check,
-    obstruction_weights,
-    tangent_weights,
     torus_rescaling_check,
     weight_data,
     weight_vectors,
@@ -78,68 +80,110 @@ def test_malformed_charts_raise_consistency_error():
         weight_vectors(backwards)
 
 
+def _tangent(chart):
+    return weight_data(chart).to_record()["tangent"]
+
+
+def _obstruction(chart, link_s=()):
+    return weight_data(chart, link_s).to_record()["obstruction"]
+
+
+def _link_sets(n):
+    """``()``, ``(1,)`` and ``(1, n - 1)``, where ``n`` admits them."""
+    return [link for link in ((), (1,), (1, n - 1)) if all(0 < i < n for i in link)]
+
+
 def test_tangent_record_counts_and_sides():
-    records = tangent_weights(FAMILY_CHART)
+    records = _tangent(FAMILY_CHART)
     assert len(records) == 6
-    assert {record.side for record in records} == {"x", "y"}
+    assert {record["side"] for record in records} == {"x", "y"}
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_tangent_records_index_the_free_coordinates(n):
     for chart in all_charts(n):
-        records = tangent_weights(chart)
+        records = _tangent(chart)
         for side, free in (("x", chart.nx), ("y", chart.ny)):
-            assert [rec.index for rec in records if rec.side == side] == sorted(free)
+            indices = [tuple(rec["index"]) for rec in records if rec["side"] == side]
+            assert indices == sorted(free)
 
 
 def test_family_chart_has_one_vanishing_factor():
     # The y_{12} record carries (dx, dy) = (0, 0): a vanishing denominator
     # factor (the chart sits in a positive-dimensional torus orbit).
-    zero_records = [rec for rec in tangent_weights(FAMILY_CHART) if rec.is_zero()]
-    assert [(rec.side, rec.index) for rec in zero_records] == [("y", (1, 2))]
+    zero_records = [rec for rec in _tangent(FAMILY_CHART) if rec["dx"] == rec["dy"] == 0]
+    assert [(rec["side"], rec["index"]) for rec in zero_records] == [("y", [1, 2])]
     assert fixed_dim_check(FAMILY_CHART)["vanishing_factors"] == 1
 
 
 def test_obstruction_records_default_index_set():
-    records = obstruction_weights(FAMILY_CHART)
-    assert [record.index for record in records] == [(1, 3), (1, 4), (2, 4)]
+    records = _obstruction(FAMILY_CHART)
+    assert [record["index"] for record in records] == [[1, 3], [1, 4], [2, 4]]
 
 
 def test_obstruction_records_grow_with_link_s():
-    base = obstruction_weights(FAMILY_CHART)
-    extended = obstruction_weights(FAMILY_CHART, link_s=(2,))
+    base = _obstruction(FAMILY_CHART)
+    extended = _obstruction(FAMILY_CHART, link_s=(2,))
     assert len(extended) == len(base) + 1
-    assert (2, 3) in {record.index for record in extended}
+    assert [2, 3] in [record["index"] for record in extended]
     with pytest.raises(ValueError):
-        obstruction_weights(FAMILY_CHART, link_s=(4,))
+        weight_data(FAMILY_CHART, link_s=(4,))
 
 
 @pytest.mark.parametrize("link_s", [("1",), (True,), (2.0,), 1, 0, None])
 def test_non_int_link_s_is_rejected_by_name(link_s):
-    for call in (obstruction_weights, weight_data):
-        with pytest.raises(ValueError, match="link_s"):
-            call(FAMILY_CHART, link_s)
+    with pytest.raises(ValueError, match="link_s"):
+        weight_data(FAMILY_CHART, link_s)
+
+
+def _drop(wx, wy, i, j):
+    return wx[i - 1] - wx[j - 1], wy[i - 1] - wy[j - 1]
 
 
 def _unhoisted_obstruction(chart, link_s):
-    """The obstruction records with the pair list built for this one chart."""
+    """The obstruction records with the pair list built for this one chart:
+    ``(ox, oy) = (Dx + 1, Dy + 1)``."""
     n = chart.n
     wx, wy = weight_vectors(chart)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1)]
     pairs += [(i, i + 1) for i in sorted(set(link_s))]
-    return tuple(
-        ObstructionRecord((i, j), wx[i - 1] - wx[j - 1] + 1, wy[i - 1] - wy[j - 1] + 1)
-        for i, j in sorted(pairs)
-    )
+    records = []
+    for i, j in sorted(pairs):
+        dx, dy = _drop(wx, wy, i, j)
+        records.append({"index": [i, j], "ox": dx + 1, "oy": dy + 1})
+    return records
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_obstruction_records_match_the_unhoisted_pair_list(n):
-    link_sets = [link for link in ((), (1,), (1, n - 1)) if all(0 < i < n for i in link)]
     for chart in all_charts(n):
-        for link_s in link_sets:
-            expected = _unhoisted_obstruction(chart, link_s)
-            assert weight_data(chart, link_s).obstruction == expected
+        for link_s in _link_sets(n):
+            assert _obstruction(chart, link_s) == _unhoisted_obstruction(chart, link_s)
+
+
+def _documented_record(chart, link_s):
+    """``to_record()`` from the module docstring's formulas: an x-coordinate
+    stores ``(Dx + 1, Dy)``, a y-coordinate ``(Dx, Dy + 1)``."""
+    wx, wy = weight_vectors(chart)
+    tangent = []
+    for side, free, ex, ey in (("x", chart.nx, 1, 0), ("y", chart.ny, 0, 1)):
+        for i, j in sorted(free):
+            dx, dy = _drop(wx, wy, i, j)
+            tangent.append({"side": side, "index": [i, j], "dx": dx + ex, "dy": dy + ey})
+    return {
+        "wx": list(wx),
+        "wy": list(wy),
+        "tangent": tangent,
+        "obstruction": _unhoisted_obstruction(chart, link_s),
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_records_follow_the_documented_formulas(n):
+    for chart in all_charts(n):
+        for link_s in _link_sets(n):
+            record = weight_data(chart, link_s).to_record()
+            assert record == _documented_record(chart, link_s)
 
 
 # -- fixed-locus counts --------------------------------------------------------------
@@ -172,15 +216,18 @@ def test_vanishing_factor_census():
     assert FAMILY_CHART.label.mirror().flat_key() in labels
 
 
-def _counts_from_records(tangent, obstruction):
-    dim_t0 = sum(rec.is_fixed_direction() for rec in tangent)
-    dim_ob0 = sum(rec.is_equation_fixed() for rec in obstruction)
+def _counts_from_records(record):
+    """The fixed-dimension counts, read off ``to_record()`` dicts."""
+    tangent = [(rec["side"], rec["dx"], rec["dy"]) for rec in record["tangent"]]
+    obstruction = [(rec["ox"], rec["oy"]) for rec in record["obstruction"]]
+    dim_t0 = tangent.count(("x", 2, 0)) + tangent.count(("y", 0, 2))
+    dim_ob0 = obstruction.count((2, 2))
     return {
         "dimT0": dim_t0,
         "dimOb0": dim_ob0,
         "inequality": dim_ob0 >= dim_t0,
-        "vanishing_factors": sum(rec.is_zero() for rec in tangent),
-        "vanishing_obstruction_factors": sum(rec.is_zero() for rec in obstruction),
+        "vanishing_factors": tangent.count(("x", 0, 0)) + tangent.count(("y", 0, 0)),
+        "vanishing_obstruction_factors": obstruction.count((0, 0)),
     }
 
 
@@ -188,12 +235,11 @@ def test_fixed_dim_counts_agree_with_weight_data():
     for n in range(1, 7):
         for chart in all_charts(n):
             data = weight_data(chart)
-            expected = _counts_from_records(
-                tangent_weights(chart), obstruction_weights(chart)
-            )
-            assert data.tangent == tangent_weights(chart)
-            assert data.obstruction == obstruction_weights(chart)
+            expected = _counts_from_records(data.to_record())
             assert fixed_dim_check(chart) == data.fixed_dim() == expected
+            for link_s in _link_sets(n)[1:]:
+                data = weight_data(chart, link_s)
+                assert data.fixed_dim() == _counts_from_records(data.to_record())
 
 
 def test_weight_data_computes_the_weight_vectors_once(monkeypatch):
@@ -211,41 +257,13 @@ def test_weight_data_computes_the_weight_vectors_once(monkeypatch):
         assert len(calls) == before + 1
 
 
-def test_counts_and_scans_build_no_records(monkeypatch, capsys):
-    built = []
-
-    class CountingTangent(weights_module.TangentRecord):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            built.append("tangent")
-            super().__init__(*args)
-
-    class CountingObstruction(weights_module.ObstructionRecord):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            built.append("obstruction")
-            super().__init__(*args)
-
-    monkeypatch.setattr(weights_module, "TangentRecord", CountingTangent)
-    monkeypatch.setattr(weights_module, "ObstructionRecord", CountingObstruction)
-    for command in ("weights", "degenerate"):
-        assert cli.main([command, "5"]) == 0
-        assert built == [], command
-    assert cli.main(["--format", "tree", "weights", "3"]) == 0
-    capsys.readouterr()
-    # Six charts of three tangent records and one obstruction record each.
-    assert built.count("tangent") == 18 and built.count("obstruction") == 6
-
-
 def test_weight_data_bundles_everything():
     data = weight_data(FAMILY_CHART, link_s=(2,))
     assert data.wx == (1, 1, 0, 0)
-    assert len(data.tangent) == 6
-    assert len(data.obstruction) == 4
     record = data.to_record()
     assert set(record) == {"wx", "wy", "tangent", "obstruction"}
+    assert len(record["tangent"]) == 6
+    assert len(record["obstruction"]) == 4
 
 
 # -- the rescaling gauge check --------------------------------------------------------
