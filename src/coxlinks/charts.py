@@ -44,17 +44,13 @@ from itertools import product
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
-from .errors import CapacityError, ConsistencyError
+from .errors import CapacityError, ConsistencyError, _is_int
 
 IndexPair = Tuple[int, int]
 Matrix = Tuple[Tuple[int, ...], ...]
 
 MAX_ENUMERATION_N = 9
 MAX_INJECTIVITY_N = 7
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, slots=True)

@@ -288,93 +288,61 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+def _arg(*flags: str, **options) -> tuple:  # noqa: ANN003
+    """One ``add_argument`` call, as its flags and options."""
+    return flags, options
+
+
+def _link_s_arg(note: str) -> tuple:
+    help_text = f"skipped generator indices ({note}comma list)"
+    return _arg("--link-s", type=_int_list, default=(), dest="link_s", help=help_text)
+
+
+_GLOBAL_OPTIONS = (
+    _arg("--version", action="version", version=__version__),
+    _arg("--format", choices=("plain", "tree"), default="plain",
+         help="plain text lines or one JSON document (default: plain)"),
+    _arg("--degree", type=int, default=40,
+         help="truncation degree for series output (default: 40)"),
+    _arg("--seed", type=int, default=0, help="seed for the randomized suites (default: 0)"),
+)
+_N = _arg("n", type=_positive_int)
+_K = _arg("--k", type=_int_list, required=True, help="comma list, length n-1")
+
+#: Each subcommand: its name, help, handler and ``add_argument`` calls.
+_COMMANDS = (
+    ("charts", "enumerate all chart records for size n", _cmd_charts, [_N]),
+    ("weights", "weight and fixed-dimension data per chart", _cmd_weights, [_N]),
+    ("superpoly", "fixed-point superpolynomial for (n, k, link_s)", _cmd_superpoly,
+     [_N, _K, _link_s_arg("experimental; ")]),
+    ("twostrand", "closed-form two-strand homology", _cmd_twostrand,
+     [_arg("column", choices=("odd", "even")),
+      _arg("index", type=int, help="k for odd columns, n for even columns")]),
+    ("homfly", "HOMFLY polynomial of a braid closure", _cmd_homfly,
+     [_arg("braid", help="braid word, e.g. 'strands=2 s1 s1 s1'")]),
+    ("coxbraid", "the quasi-Coxeter braid word for (n, k, link_s)", _cmd_coxbraid,
+     [_N, _K, _link_s_arg("")]),
+    ("degenerate", "charts with vanishing localization factors", _cmd_degenerate, [_N]),
+    ("gyt", "tableau-image injectivity report", _cmd_gyt, [_N]),
+    ("mfcheck", "seeded determinant/containment suite", _cmd_mfcheck,
+     [_arg("--n", type=_positive_int, required=True),
+      _arg("--samples", type=_positive_int, default=500)]),
+    ("check", "run the acceptance suite", _cmd_check,
+     [_arg("--level", choices=("quick", "full"), default="quick",
+           help="quick: fast all-green subset; full: all eleven criteria")]),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coxlinks",
-        description=__doc__.split("\n\n")[0],
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--format",
-        choices=("plain", "tree"),
-        default="plain",
-        help="plain text lines or one JSON document (default: plain)",
-    )
-    parser.add_argument(
-        "--degree",
-        type=int,
-        default=40,
-        help="truncation degree for series output (default: 40)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for the randomized suites (default: 0)",
-    )
+    parser = argparse.ArgumentParser(prog="coxlinks", description=__doc__.split("\n\n")[0])
+    for flags, options in _GLOBAL_OPTIONS:
+        parser.add_argument(*flags, **options)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("charts", help="enumerate all chart records for size n")
-    sub.add_argument("n", type=_positive_int)
-    sub.set_defaults(handler=_cmd_charts)
-
-    sub = commands.add_parser("weights", help="weight and fixed-dimension data per chart")
-    sub.add_argument("n", type=_positive_int)
-    sub.set_defaults(handler=_cmd_weights)
-
-    sub = commands.add_parser(
-        "superpoly", help="fixed-point superpolynomial for (n, k, link_s)"
-    )
-    sub.add_argument("n", type=_positive_int)
-    sub.add_argument("--k", type=_int_list, required=True, help="comma list, length n-1")
-    sub.add_argument(
-        "--link-s", type=_int_list, default=(), dest="link_s",
-        help="skipped generator indices (experimental; comma list)",
-    )
-    sub.set_defaults(handler=_cmd_superpoly)
-
-    sub = commands.add_parser("twostrand", help="closed-form two-strand homology")
-    sub.add_argument("column", choices=("odd", "even"))
-    sub.add_argument("index", type=int, help="k for odd columns, n for even columns")
-    sub.set_defaults(handler=_cmd_twostrand)
-
-    sub = commands.add_parser("homfly", help="HOMFLY polynomial of a braid closure")
-    sub.add_argument("braid", help="braid word, e.g. 'strands=2 s1 s1 s1'")
-    sub.set_defaults(handler=_cmd_homfly)
-
-    sub = commands.add_parser(
-        "coxbraid", help="the quasi-Coxeter braid word for (n, k, link_s)"
-    )
-    sub.add_argument("n", type=_positive_int)
-    sub.add_argument("--k", type=_int_list, required=True, help="comma list, length n-1")
-    sub.add_argument(
-        "--link-s", type=_int_list, default=(), dest="link_s",
-        help="skipped generator indices (comma list)",
-    )
-    sub.set_defaults(handler=_cmd_coxbraid)
-
-    sub = commands.add_parser("degenerate", help="charts with vanishing localization factors")
-    sub.add_argument("n", type=_positive_int)
-    sub.set_defaults(handler=_cmd_degenerate)
-
-    sub = commands.add_parser("gyt", help="tableau-image injectivity report")
-    sub.add_argument("n", type=_positive_int)
-    sub.set_defaults(handler=_cmd_gyt)
-
-    sub = commands.add_parser("mfcheck", help="seeded determinant/containment suite")
-    sub.add_argument("--n", type=_positive_int, required=True)
-    sub.add_argument("--samples", type=_positive_int, default=500)
-    sub.set_defaults(handler=_cmd_mfcheck)
-
-    sub = commands.add_parser("check", help="run the acceptance suite")
-    sub.add_argument(
-        "--level",
-        choices=("quick", "full"),
-        default="quick",
-        help="quick: fast all-green subset; full: all eleven criteria",
-    )
-    sub.set_defaults(handler=_cmd_check)
-
+    for name, help_text, handler, specs in _COMMANDS:
+        sub = commands.add_parser(name, help=help_text)
+        for flags, options in specs:
+            sub.add_argument(*flags, **options)
+        sub.set_defaults(handler=handler)
     return parser
 
 

@@ -32,8 +32,8 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .errors import BraidSyntaxError, CapacityError
-from .polyalg import LaurentPoly, _integral
+from .errors import BraidSyntaxError, CapacityError, _coxeter_arguments, _is_int
+from .polyalg import LaurentPoly
 
 #: Canonical variable order for HOMFLY-PT polynomials.
 AZ = ("a", "z")
@@ -56,8 +56,9 @@ Perm = Tuple[int, ...]
 class BraidWord:
     """A braid on ``strands`` strands as a sequence of signed generators.
 
-    ``word`` holds pairs ``(i, sign)`` with ``1 <= i < strands`` and sign
-    ``+1`` or ``-1`` (``s_i`` or its inverse).
+    ``strands`` is a positive ``int`` and ``word`` holds ``int`` pairs ``(i,
+    sign)`` with ``1 <= i < strands`` and sign ``+1`` or ``-1`` (``s_i`` or its
+    inverse).
 
     Examples:
         >>> b = BraidWord(2, ((1, 1), (1, 1), (1, 1)))
@@ -71,9 +72,13 @@ class BraidWord:
     word: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if not _is_int(self.strands):
+            raise ValueError(f"strand count {self.strands!r} is not an int")
         if self.strands < 1:
             raise ValueError(f"strand count must be positive, got {self.strands}")
         for index, sign in self.word:
+            if not (_is_int(index) and _is_int(sign)):
+                raise ValueError(f"generator {(index, sign)!r} is not a pair of ints")
             if not 1 <= index <= self.strands - 1:
                 raise ValueError(
                     f"generator index {index} out of range for "
@@ -249,41 +254,6 @@ def coxeter_braid(
         else:
             word.extend((j, -1) for _ in range(-power) for j in twist[::-1])
     return BraidWord(n, tuple(word))
-
-
-def _integers(values: Sequence[int], name: str) -> Tuple[int, ...]:
-    result = []
-    for value in values:
-        integral = _integral(value)
-        if integral is None:
-            raise ValueError(f"{name} entry {value!r} is not an integer")
-        result.append(integral)
-    return tuple(result)
-
-
-def _coxeter_arguments(
-    n: int, k: Sequence[int], link_s: Sequence[int]
-) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-    """Validate the ``(n, k, link_s)`` of a Coxeter braid or localization sum.
-
-    ``n`` and the entries must be integral (``2.0`` passes, ``1.5`` does
-    not), ``k`` must have ``n - 1`` entries and ``link_s`` distinct ones in
-    ``1..n-1``.  Returns ``n`` and ``k`` as ints and ``link_s`` sorted.
-    """
-    integral_n = _integral(n)
-    if integral_n is None or integral_n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    n = integral_n
-    k = _integers(k, "k")
-    if len(k) != n - 1:
-        raise ValueError(f"k must have length n-1 = {n - 1}, got {len(k)}")
-    link_s = tuple(sorted(_integers(link_s, "link_s")))
-    if len(set(link_s)) != len(link_s):
-        raise ValueError(f"link_s has repeated entries: {link_s}")
-    for i in link_s:
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"link_s entry {i} outside 1..{n - 1}")
-    return n, k, link_s
 
 
 # -- Hecke algebra and Markov trace -------------------------------------------

@@ -38,10 +38,9 @@ from .errors import (
     DegenerateChartError,
     ExperimentalFeatureWarning,
     PositivityRegimeWarning,
+    _coxeter_arguments,
 )
-from .homfly import _coxeter_arguments
-from .polyalg import BinomialRational, LaurentPoly, _lift
-from .twostrand import AQT
+from .polyalg import AQT, BinomialRational, LaurentPoly, _lift
 from .weights import (
     WeightData,
     _obstruction_exponents,

@@ -32,7 +32,7 @@ import random
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .errors import CapacityError, ConsistencyError, SingularMatrixError
+from .errors import CapacityError, ConsistencyError, SingularMatrixError, _is_int, _link_s
 from .polyalg import LaurentPoly
 
 Matrix = Tuple[tuple, ...]
@@ -270,18 +270,7 @@ def commutator_entries(
     """
     n = len(x)
     bracket = commutator(x, y)
-    try:
-        link = tuple(link_s)
-    except TypeError:
-        raise ValueError(
-            f"link_s must be a sequence of integers, got {link_s!r}"
-        ) from None
-    for i in link:
-        if not isinstance(i, int) or isinstance(i, bool):
-            raise ValueError(f"link_s entry {i!r} is not an int")
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"link_s entry {i} outside 1..{n - 1}")
-    link_set = set(link)
+    link_set = set(_link_s(n, link_s))
     pairs = [
         (i, j)
         for i in range(1, n + 1)
@@ -318,7 +307,7 @@ def sample_strictly_upper(rng: random.Random, n: int) -> Matrix:
 
 def _check_positive(name: str, value: int) -> None:
     """Reject a ``bool``, a non-``int`` or a value below 1, naming it."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    if not _is_int(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 

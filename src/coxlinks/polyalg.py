@@ -60,9 +60,14 @@ import re
 from operator import add, mul, sub
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
-from .errors import ExpansionError, NotDivisibleError
+from .errors import ExpansionError, NotDivisibleError, _integral, _is_int
 
 Exponent = Tuple[int, ...]
+
+#: The variables ``(a, q, t)`` of homological superpolynomials.  The
+#: localization sums and the two-strand oracle both build their values over
+#: this tuple, so their results compare equal only if it is shared.
+AQT = ("a", "q", "t")
 
 # The three patterns of :func:`parse_poly`: a run of signs, one factor (an
 # integer, or a variable with an optional signed exponent) and a ``*``.
@@ -86,20 +91,10 @@ def _weight_vector(variables: Sequence[str], weights: Mapping[str, int]) -> tupl
     return tuple(weights[name] for name in variables)
 
 
-def _integral(value) -> int | None:  # noqa: ANN001
-    """``value`` as an ``int`` when it is integral (``Fraction(4, 2)``,
-    ``3.0``), else ``None`` (``Fraction(1, 2)``, ``2.7``, ``"3"``, ``inf``)."""
-    try:
-        integral = int(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return integral if integral == value else None
-
-
 def _check_entries(exponent: tuple, what: str) -> None:
     """Reject an exponent entry that is not an ``int`` (or is a ``bool``)."""
     for entry in exponent:
-        if type(entry) is not int:
+        if not _is_int(entry):
             raise ValueError(f"{what} {exponent} has entry {entry!r}, not an int")
 
 
@@ -502,7 +497,7 @@ class BinomialRational:
                     f"entries for variables {variables}"
                 )
             _check_entries(exponent, "denominator factor")
-            if isinstance(multiplicity, bool) or not isinstance(multiplicity, int):
+            if not _is_int(multiplicity):
                 raise ValueError(
                     f"denominator factor {exponent} has multiplicity "
                     f"{multiplicity!r}, not an int"

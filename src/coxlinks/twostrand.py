@@ -34,13 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConsistencyError
-from .polyalg import BinomialRational, LaurentPoly
-
-#: Canonical variable order for homological superpolynomials.  Downstream
-#: modules that compare against this oracle must build their polynomials
-#: over the same tuple.
-AQT = ("a", "q", "t")
+from .errors import ConsistencyError, _is_int
+from .polyalg import AQT, BinomialRational, LaurentPoly
 
 #: Exponent vector of ``q^2`` over :data:`AQT`; the unique denominator
 #: monomial allowed in a :class:`GradedDim`.
@@ -155,7 +150,7 @@ def _a_times_t(a_power: int, t_power: int) -> LaurentPoly:
 
 
 def homology_T2_odd(n: int) -> GradedDim:
-    """Homology of the torus knot ``T(2, 2n+1)``, closure of ``s1^(2n+1)``.
+    """Homology of ``T(2, 2n+1)``, the closure of ``s1^(2n+1)``, for an ``int`` ``n``.
 
     The underlying space is ``C[x]`` tensored with::
 
@@ -171,6 +166,8 @@ def homology_T2_odd(n: int) -> GradedDim:
         >>> print(homology_T2_odd(-1))  # unknot, negatively framed
         (t^2) / (1 - q^2)
     """
+    if not _is_int(n):
+        raise ValueError(f"n must be an int, got {n!r}")
     shift = LaurentPoly.monomial(AQT, (n, 0, -n))
     bracket = (
         dim_H0_P1(n)
@@ -201,7 +198,7 @@ def _dim_V_prime(m: int) -> LaurentPoly:
 
 
 def homology_T2_even(n: int) -> GradedDim:
-    """Homology of the torus link ``T(2, 2n)``, closure of ``s1^(2n)``.
+    """Homology of ``T(2, 2n)``, the closure of ``s1^(2n)``, for an ``int`` ``n``.
 
     For ``n >= 0`` the space is ``(a/t)^n (t V_n + a t V_{n-1})`` tensored
     with ``C[x_+]``; for ``n < 0`` it is ``(a/t)^n (t V'_n + t^2 V''_n +
@@ -229,6 +226,8 @@ def homology_T2_even(n: int) -> GradedDim:
         >>> sorted(homology_T2_even(-2).t_parities())
         [0, 1]
     """
+    if not _is_int(n):
+        raise ValueError(f"n must be an int, got {n!r}")
     shift = LaurentPoly.monomial(AQT, (n, 0, -n))
     if n >= 0:
         inner = (

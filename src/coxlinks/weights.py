@@ -32,14 +32,13 @@ detection.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .charts import Chart, _is_int, _upper_triangle, monomial_vector
-from .errors import ConsistencyError
+from .charts import Chart, _upper_triangle, monomial_vector
+from .errors import ConsistencyError, _link_s
 
 IndexPair = Tuple[int, int]
 #: ``(kind, i, j, sx, sy)``: a coordinate kind, its pair and its stored exponent.
@@ -188,24 +187,12 @@ def _obstruction_exponents(data: WeightData) -> List[Row]:
     return _stored("obstruction", pairs, ((),) * data.chart.n, data.wx, data.wy)
 
 
-def _link(n: int, link_s: Sequence[int]) -> Tuple[int, ...]:
-    """``link_s`` sorted and duplicate-free, after checking it."""
-    if link_s == ():
-        return ()
-    if not isinstance(link_s, Iterable) or not all(map(_is_int, link_s)):
-        raise ValueError(f"link_s must be a sequence of integers, got {link_s!r}")
-    link = tuple(sorted(set(link_s)))
-    if link and not (1 <= link[0] and link[-1] <= n - 1):
-        raise ValueError(f"link_s entries must lie in 1..{n - 1}, got {list(link)}")
-    return link
-
-
 @lru_cache(maxsize=64)
 def _obstruction_pairs(n: int, link: Tuple[int, ...]) -> Tuple[IndexPair, ...]:
     """The sorted obstruction index pairs of size ``n``: every ``(i, j)``
     with ``j - i > 1``, plus ``(i, i + 1)`` for each ``i`` in the sorted,
-    duplicate-free ``link`` that :func:`_link` returns.  Shared by every
-    chart of one size."""
+    duplicate-free ``link`` from :func:`~coxlinks.errors._link_s`.  Shared
+    by every chart of one size."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1)]
     pairs += [(i, i + 1) for i in link]
     base_count = (n - 1) * (n - 2) // 2
@@ -228,7 +215,7 @@ def weight_data(chart: Chart, link_s: Sequence[int] = ()) -> WeightData:
             lies outside ``1..n-1``.
     """
     wx, wy = weight_vectors(chart)
-    return WeightData(chart=chart, wx=wx, wy=wy, link=_link(chart.n, link_s))
+    return WeightData(chart=chart, wx=wx, wy=wy, link=_link_s(chart.n, link_s))
 
 
 def fixed_dim_check(chart: Chart) -> dict:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,21 @@ def test_coxeter_braid_accepts_integral_values_only():
     for bad in (2.5, "2", None, 0):
         with pytest.raises(ValueError, match="n must be a positive integer"):
             coxeter_braid(bad, (), (1,))
+
+
+@pytest.mark.parametrize(
+    "strands, word, match",
+    [
+        (2.0, ((1, 1),), "strand count 2.0"),
+        (True, (), "strand count True"),
+        (2, ((True, 1),), "generator (True, 1)"),
+        (3, ((1.0, 1),), "generator (1.0, 1)"),
+        (2, ((1, True),), "generator (1, True)"),
+    ],
+)
+def test_braid_word_rejects_non_int_entries_by_name(strands, word, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        BraidWord(strands, word)
 
 
 def test_coxeter_braid_rejects_repeated_link_s():

@@ -17,12 +17,14 @@ from coxlinks.errors import (
     ExperimentalFeatureWarning,
     PositivityRegimeWarning,
 )
+from coxlinks.homfly import coxeter_braid
 from coxlinks.localization import (
     _calibrated_term,
     calibrated_superpolynomial,
     detect_degenerate,
     in_positivity_regime,
 )
+from coxlinks.mfcheck import commutator_entries, matrix_from_rows
 from coxlinks.polyalg import BinomialRational, LaurentPoly
 from coxlinks.twostrand import AQT, homology_T2_odd
 from coxlinks.weights import weight_data
@@ -226,6 +228,20 @@ def test_integral_arguments_are_accepted():
     assert cal.k == (2, 1) and all(type(v) is int for v in cal.k)
     assert type(cal.n) is int and cal.n == 3
     assert str(cal.value) == str(exact.value)
+
+
+def test_one_shot_link_s_reads_like_its_tuple():
+    matrix = matrix_from_rows(FAMILY_CHART.mx)
+    readers = [
+        lambda link_s: weight_data(FAMILY_CHART, link_s).to_record(),
+        lambda link_s: commutator_entries(matrix, matrix, link_s),
+        lambda link_s: str(calibrated_superpolynomial(4, (1, 0, 0), link_s).value),
+        lambda link_s: coxeter_braid(4, link_s, (1, 0, 0)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExperimentalFeatureWarning)
+        for read in readers:
+            assert read(iter([3, 1])) == read((3, 1))
 
 
 def test_localization_capacity_cap():

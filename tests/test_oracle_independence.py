@@ -61,6 +61,11 @@ def test_oracles_import_no_sum_layer(module):
     assert not _imported_modules(_tree(module)) & SUM_LAYERS
 
 
+@pytest.mark.parametrize("module", ["charts", "weights", "localization"])
+def test_sum_layers_import_no_oracle(module):
+    assert not _imported_modules(_tree(module)) & set(ORACLES)
+
+
 @pytest.mark.parametrize("module", ["homfly", "_planar_skein"])
 def test_homfly_oracles_do_not_reference_binomial_rationals(module):
     assert "BinomialRational" not in _referenced_names(_tree(module))

@@ -109,6 +109,13 @@ def test_odd_denominator_is_one_tensor_factor(k):
     assert homology_T2_odd(k).value.den == {(0, 2, 0): 1}
 
 
+@pytest.mark.parametrize("homology", [homology_T2_odd, homology_T2_even])
+@pytest.mark.parametrize("n", ["1", 2.0, True, None])
+def test_non_int_n_is_rejected_by_name(homology, n):
+    with pytest.raises(ValueError, match="n must be an int"):
+        homology(n)
+
+
 # -- the wrapper type -----------------------------------------------------------------
 
 
