@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from typing import Optional, Tuple
 
-from .errors import CapacityError
+from .errors import _size
 from .homfly import AZ, BraidWord
 from .polyalg import LaurentPoly
 
@@ -87,9 +87,5 @@ def resolve_homfly(braid: BraidWord) -> LaurentPoly:
         >>> print(resolve_homfly(parse_braid("strands=2 s1 s1 s1")))
         -a^4 + a^2*z^2 + 2*a^2
     """
-    if len(braid.word) > MAX_RESOLVER_CROSSINGS:
-        raise CapacityError(
-            f"diagram resolver is limited to {MAX_RESOLVER_CROSSINGS} "
-            f"crossings; got {len(braid.word)}"
-        )
+    _size("crossings", len(braid.word), MAX_RESOLVER_CROSSINGS, "the diagram resolver", least=0)
     return _resolve(braid.strands, braid.word)

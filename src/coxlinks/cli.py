@@ -60,7 +60,7 @@ EXIT_CHECK_FAILED = 3
 
 _REMEDIES = [
     (BraidSyntaxError, "write the braid as 'strands=N s1 s2^-1 ...'"),
-    (CapacityError, "stay inside the documented size caps (see --help and docstrings)"),
+    (CapacityError, "stay inside the documented size caps (the error names its cap; README lists all)"),
     (DegenerateChartError, "run 'weights <n>': the charts with dimT0 > 0 have a fixed direction"),
     (SingularMatrixError, "supply an invertible matrix g"),
     (ExpansionError, "denominator factors must have positive weighted degree; raise --degree weights"),
@@ -71,12 +71,16 @@ _REMEDIES = [
 
 
 def _module_of(exc: BaseException) -> str:
-    """The deepest package module in the traceback, for error reporting."""
+    """The deepest package module in the traceback, for error reporting.
+
+    The shared argument rules in ``coxlinks.errors`` are skipped, so an error
+    is reported from the module whose call broke a rule.
+    """
     module = "cli"
     trace = exc.__traceback__
     while trace is not None:
         name = trace.tb_frame.f_globals.get("__name__", "")
-        if name.startswith("coxlinks."):
+        if name.startswith("coxlinks.") and name != "coxlinks.errors":
             module = name.split(".", 1)[1]
         trace = trace.tb_next
     return module

@@ -7,8 +7,10 @@ validation; the classes here mark conditions with a domain meaning.
 
 Every module, the oracles included, imports this one, so the argument rules
 that several layers share are written here once: :func:`_is_int`,
-:func:`_integral`, :func:`_link_s` and :func:`_coxeter_arguments`.  Each
-caller keeps its own policy on top of them.
+:func:`_integral`, :func:`_size`, :func:`_link_s` and
+:func:`_coxeter_arguments`.  :func:`_size` checks every count argument and
+every size cap, so this is the one module that raises
+:class:`CapacityError`.  Each caller keeps its own policy on top of them.
 """
 
 from __future__ import annotations
@@ -105,10 +107,35 @@ def _integral(value) -> int | None:  # noqa: ANN001
     return integral if integral == value else None
 
 
+def _size(
+    name: str, value: int, cap: int | None = None, what: str = "", least: int = 1
+) -> int:
+    """``value`` if it is an ``int`` (not a ``bool``) in ``least..cap``.
+
+    A ``ValueError`` names ``name`` if ``value`` is not such an ``int`` or is
+    below ``least``; a :class:`CapacityError` names ``what`` and the cap if
+    it is above ``cap``.  So a non-integer never reaches the cap comparison.
+    """
+    if not _is_int(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if cap is not None and value > cap:
+        raise CapacityError(f"{what} is limited to {name} <= {cap}; got {name} = {value}")
+    return value
+
+
+def _sequence(values: Iterable, name: str) -> tuple:
+    """``values`` read once into a tuple; a ``ValueError`` names ``name`` if
+    it is not iterable (a bare int, ``None``)."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
+
+
 def _integers(values: Iterable, name: str) -> Tuple[int, ...]:
     """``values`` as ints by :func:`_integral`; the first non-integral one is named."""
     result = []
-    for value in values:
+    for value in _sequence(values, name):
         integral = _integral(value)
         if integral is None:
             raise ValueError(f"{name} entry {value!r} is not an integer")
@@ -123,10 +150,7 @@ def _link_s(n: int, link_s: Iterable[int]) -> Tuple[int, ...]:
     gives.  A ``ValueError`` names ``link_s`` if it is not iterable, or the
     first entry that is not an ``int`` in ``1..n-1`` (a ``bool`` is not).
     """
-    try:
-        link = tuple(link_s)
-    except TypeError:
-        raise ValueError(f"link_s must be a sequence of integers, got {link_s!r}") from None
+    link = _sequence(link_s, "link_s")
     for i in link:
         if not _is_int(i):
             raise ValueError(f"link_s entry {i!r} is not an int")

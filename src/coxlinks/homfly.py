@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .errors import BraidSyntaxError, CapacityError, _coxeter_arguments, _is_int
+from .errors import BraidSyntaxError, _coxeter_arguments, _is_int, _size
 from .polyalg import LaurentPoly
 
 #: Canonical variable order for HOMFLY-PT polynomials.
@@ -56,9 +56,9 @@ Perm = Tuple[int, ...]
 class BraidWord:
     """A braid on ``strands`` strands as a sequence of signed generators.
 
-    ``strands`` is a positive ``int`` and ``word`` holds ``int`` pairs ``(i,
-    sign)`` with ``1 <= i < strands`` and sign ``+1`` or ``-1`` (``s_i`` or its
-    inverse).
+    ``strands`` is a positive ``int`` and ``word`` is a tuple of ``int``
+    pairs ``(i, sign)`` with ``1 <= i < strands`` and sign ``+1`` or ``-1``
+    (``s_i`` or its inverse).
 
     Examples:
         >>> b = BraidWord(2, ((1, 1), (1, 1), (1, 1)))
@@ -72,13 +72,17 @@ class BraidWord:
     word: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not _is_int(self.strands):
-            raise ValueError(f"strand count {self.strands!r} is not an int")
-        if self.strands < 1:
-            raise ValueError(f"strand count must be positive, got {self.strands}")
-        for index, sign in self.word:
-            if not (_is_int(index) and _is_int(sign)):
-                raise ValueError(f"generator {(index, sign)!r} is not a pair of ints")
+        _size("strands", self.strands)
+        if not isinstance(self.word, tuple):
+            raise ValueError(f"word must be a tuple of generator pairs, got {self.word!r}")
+        for generator in self.word:
+            if not (
+                isinstance(generator, tuple)
+                and len(generator) == 2
+                and all(map(_is_int, generator))
+            ):
+                raise ValueError(f"generator {generator!r} is not a pair of ints")
+            index, sign = generator
             if not 1 <= index <= self.strands - 1:
                 raise ValueError(
                     f"generator index {index} out of range for "
@@ -379,10 +383,6 @@ def homfly(braid: BraidWord) -> LaurentPoly:
         >>> print(homfly(parse_braid("strands=2 s1 s1 s1")))
         -a^4 + a^2*z^2 + 2*a^2
     """
-    if braid.strands > MAX_HOMFLY_STRANDS:
-        raise CapacityError(
-            f"Hecke trace is limited to {MAX_HOMFLY_STRANDS} strands "
-            f"(dimension n!); got {braid.strands}"
-        )
+    _size("strands", braid.strands, MAX_HOMFLY_STRANDS, "the Hecke trace")
     framing = LaurentPoly.monomial(AZ, (braid.writhe() - braid.strands + 1, 0))
     return framing * markov_trace(braid_to_hecke(braid))

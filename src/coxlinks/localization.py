@@ -31,14 +31,14 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .charts import Chart, _check_size, all_charts, commuting_charts
+from .charts import Chart, all_charts, commuting_charts
 from .errors import (
-    CapacityError,
     ConsistencyError,
     DegenerateChartError,
     ExperimentalFeatureWarning,
     PositivityRegimeWarning,
     _coxeter_arguments,
+    _size,
 )
 from .polyalg import AQT, BinomialRational, LaurentPoly, _lift
 from .weights import (
@@ -170,10 +170,7 @@ def calibrated_superpolynomial(
         True
     """
     n, k, link_s = _coxeter_arguments(n, k, link_s)
-    if n > MAX_LOCALIZATION_N:
-        raise CapacityError(
-            f"localization sums are limited to n <= {MAX_LOCALIZATION_N}; got {n}"
-        )
+    _size("n", n, MAX_LOCALIZATION_N, "a localization sum")
     regime = _warn_flags(k, link_s)
     total = BinomialRational.zero(AQT)
     for chart in commuting_charts(n):
@@ -217,11 +214,7 @@ def detect_degenerate(n: int) -> List[Chart]:
         >>> len(detect_degenerate(4))
         2
     """
-    _check_size(n)
-    if n > MAX_LOCALIZATION_N:
-        raise CapacityError(
-            f"degeneracy scan is limited to n <= {MAX_LOCALIZATION_N}; got {n}"
-        )
+    _size("n", n, MAX_LOCALIZATION_N, "the degeneracy scan")
     return [
         chart
         for chart in all_charts(n)

@@ -32,7 +32,7 @@ import random
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .errors import CapacityError, ConsistencyError, SingularMatrixError, _is_int, _link_s
+from .errors import ConsistencyError, SingularMatrixError, _link_s, _size
 from .polyalg import LaurentPoly
 
 Matrix = Tuple[tuple, ...]
@@ -305,22 +305,6 @@ def sample_strictly_upper(rng: random.Random, n: int) -> Matrix:
     )
 
 
-def _check_positive(name: str, value: int) -> None:
-    """Reject a ``bool``, a non-``int`` or a value below 1, naming it."""
-    if not _is_int(value) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
-def _check_suite_arguments(n: int, samples: int) -> None:
-    _check_positive("n", n)
-    _check_positive("samples", samples)
-    if n > MAX_SUITE_N:
-        raise CapacityError(
-            f"mfcheck suites are limited to n <= {MAX_SUITE_N} (cofactor "
-            f"determinants cost 3-5x more per two sizes); got n = {n}"
-        )
-
-
 def containment_suite(n: int, samples: int, seed: int) -> dict:
     """By-construction positive suite: Hessenberg ``g``, ``xhat(X) = g K``.
 
@@ -331,7 +315,8 @@ def containment_suite(n: int, samples: int, seed: int) -> dict:
         ValueError: if ``n`` or ``samples`` is not a positive ``int``.
         CapacityError: if ``n > MAX_SUITE_N``.
     """
-    _check_suite_arguments(n, samples)
+    _size("samples", samples)
+    _size("n", n, MAX_SUITE_N, "an mfcheck suite")
     rng = random.Random(seed)
     failures = []
     for sample in range(samples):
@@ -373,9 +358,8 @@ def negative_control(n: int, samples: int, seed: int) -> dict:
             is not a positive ``int``.
         CapacityError: if ``n > MAX_SUITE_N``.
     """
-    _check_suite_arguments(n, samples)
-    if n < 3:
-        raise ValueError("the negative control needs n >= 3 for a (3,1) entry")
+    _size("samples", samples)
+    _size("n", n, MAX_SUITE_N, "an mfcheck suite", least=3)  # room for a (3,1) entry
     rng = random.Random(seed)
     broken = 0
     checked = 0
@@ -416,12 +400,13 @@ def symbolic_gid_check(n: int) -> bool:
 
     Raises:
         ValueError: if ``n`` is not a positive ``int``.
+        CapacityError: if ``n > MAX_SUITE_N``.
 
     Examples:
         >>> all(symbolic_gid_check(n) for n in (2, 3, 4))
         True
     """
-    _check_positive("n", n)
+    _size("n", n, MAX_SUITE_N, "the symbolic identity check")
     names = tuple(
         f"x{i}{j}" for i in range(1, n + 1) for j in range(i, n + 1)
     )

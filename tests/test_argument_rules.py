@@ -1,0 +1,152 @@
+"""One size rule: every count argument and size cap goes through ``errors._size``.
+
+The table feeds each entry point a ``bool``, a float, a value below its
+least and its cap + 1, and checks the exception class and that the message
+names the argument.  The static guards keep the rule in one place.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import coxlinks
+from coxlinks._planar_skein import MAX_RESOLVER_CROSSINGS, resolve_homfly
+from coxlinks.charts import (
+    MAX_ENUMERATION_N,
+    MAX_INJECTIVITY_N,
+    MAX_TABLEAU_N,
+    NestedSetPair,
+    all_charts,
+    commuting_charts,
+    count_standard_tableaux,
+    enumerate_nested_pairs,
+    gyt_injectivity_report,
+)
+from coxlinks.errors import CapacityError, _size
+from coxlinks.homfly import MAX_HOMFLY_STRANDS, BraidWord, homfly
+from coxlinks.localization import (
+    MAX_LOCALIZATION_N,
+    calibrated_superpolynomial,
+    detect_degenerate,
+)
+from coxlinks.mfcheck import (
+    MAX_SUITE_N,
+    containment_suite,
+    negative_control,
+    symbolic_gid_check,
+)
+
+SOURCE = Path(coxlinks.__file__).parent
+
+
+def _label(n):
+    return NestedSetPair(n, (frozenset(),), (frozenset(),))
+
+
+def _sum(n):
+    k = (0,) * (n - 1) if isinstance(n, int) and n >= 1 else ()
+    return calibrated_superpolynomial(n, k)
+
+
+# (id, call, argument name, least, cap); a cap of None means no cap.
+STRICT = [
+    ("all_charts", all_charts, "n", 1, MAX_ENUMERATION_N),
+    ("commuting_charts", commuting_charts, "n", 1, MAX_ENUMERATION_N),
+    ("enumerate_nested_pairs", enumerate_nested_pairs, "n", 1, MAX_ENUMERATION_N),
+    ("gyt_injectivity_report", gyt_injectivity_report, "n", 1, MAX_INJECTIVITY_N),
+    ("detect_degenerate", detect_degenerate, "n", 1, MAX_LOCALIZATION_N),
+    ("count_standard_tableaux", count_standard_tableaux, "n", 0, MAX_TABLEAU_N),
+    ("NestedSetPair", _label, "n", 1, None),
+    ("BraidWord", lambda n: BraidWord(n, ()), "strands", 1, None),
+    ("containment_suite.n", lambda n: containment_suite(n, 1, 0), "n", 1, MAX_SUITE_N),
+    ("containment_suite.samples", lambda s: containment_suite(3, s, 0), "samples", 1, None),
+    ("negative_control.n", lambda n: negative_control(n, 1, 0), "n", 3, MAX_SUITE_N),
+    ("negative_control.samples", lambda s: negative_control(3, s, 0), "samples", 1, None),
+    ("symbolic_gid_check", symbolic_gid_check, "n", 1, MAX_SUITE_N),
+]
+
+
+def _strict_cases():
+    for label, call, name, least, cap in STRICT:
+        yield pytest.param(call, True, ValueError, name, id=f"{label}-bool")
+        yield pytest.param(call, float(least + 1), ValueError, name, id=f"{label}-float")
+        yield pytest.param(call, least - 1, ValueError, name, id=f"{label}-below")
+        if cap is not None:
+            yield pytest.param(call, cap + 1, CapacityError, name, id=f"{label}-cap")
+
+
+CASES = [
+    *_strict_cases(),
+    # The Coxeter arguments convert integral values, so True and 2.0 pass.
+    pytest.param(_sum, 2.5, ValueError, "n", id="calibrated_superpolynomial-float"),
+    pytest.param(_sum, 0, ValueError, "n", id="calibrated_superpolynomial-below"),
+    pytest.param(_sum, MAX_LOCALIZATION_N + 1, CapacityError, "n",
+                 id="calibrated_superpolynomial-cap"),
+    # Validated braids reach these caps only through their lengths.
+    pytest.param(lambda n: homfly(BraidWord(n, ())), MAX_HOMFLY_STRANDS + 1,
+                 CapacityError, "strands", id="homfly-cap"),
+    pytest.param(lambda c: resolve_homfly(BraidWord(2, ((1, 1),) * c)),
+                 MAX_RESOLVER_CROSSINGS + 1, CapacityError, "crossings",
+                 id="resolve_homfly-cap"),
+    # The sample count is checked first, so a bad count is named even when
+    # n is over the cap too.
+    pytest.param(lambda s: containment_suite(MAX_SUITE_N + 1, s, 0), 0, ValueError,
+                 "samples", id="containment_suite-samples-first"),
+    pytest.param(lambda s: negative_control(2, s, 0), 0, ValueError, "samples",
+                 id="negative_control-samples-first"),
+]
+
+
+@pytest.mark.parametrize("call, value, error, name", CASES)
+def test_each_entry_point_names_a_bad_size(call, value, error, name):
+    with pytest.raises(error) as raised:
+        call(value)
+    assert type(raised.value) is error
+    message = str(raised.value)
+    if error is CapacityError:
+        assert f"{name} <= " in message and f"got {name} = {value}" in message
+    else:
+        assert message.startswith(f"{name} must be ")
+
+
+def test_size_rule_returns_the_value_and_orders_its_checks():
+    assert _size("n", 3, cap=3) == 3
+    assert _size("n", 0, least=0) == 0
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got '9'$"):
+        _size("n", "9", cap=3, what="a scan")
+    with pytest.raises(CapacityError, match=r"^a scan is limited to n <= 3; got n = 4$"):
+        _size("n", 4, cap=3, what="a scan")
+
+
+# -- static guards -------------------------------------------------------------
+
+
+def _modules():
+    return sorted(SOURCE.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", _modules(), ids=lambda path: path.stem)
+def test_capacity_errors_are_raised_only_by_the_size_rule(path):
+    if path.stem == "errors":
+        return
+    calls = [
+        node
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CapacityError"
+    ]
+    assert not calls
+
+
+@pytest.mark.parametrize("path", _modules(), ids=lambda path: path.stem)
+def test_no_module_defines_its_own_size_checker(path):
+    names = {
+        node.name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not {
+        name for name in names if re.fullmatch(r"_check_\w*(size|positive|suite|argument)\w*", name)
+    }

@@ -7,7 +7,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxlinks import charts
 from coxlinks.charts import (
+    MAX_TABLEAU_N,
     Chart,
     NestedSetPair,
     all_charts,
@@ -214,6 +216,14 @@ def test_tableau_count_oracle_values():
     assert [count_standard_tableaux(n) for n in range(0, 7)] == [
         1, 1, 2, 4, 10, 26, 76,
     ]
+
+
+def test_tableau_count_is_capped_before_it_fills_the_shape_cache():
+    assert count_standard_tableaux(MAX_TABLEAU_N) == 23758664096  # OEIS A000085
+    cached = charts._filling_count.cache_info().currsize
+    with pytest.raises(CapacityError, match=f"n <= {MAX_TABLEAU_N}; got n = 50"):
+        count_standard_tableaux(50)
+    assert charts._filling_count.cache_info().currsize == cached
 
 
 def test_commuting_chart_tableaux_are_standard_hooks():

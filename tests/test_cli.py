@@ -226,6 +226,29 @@ def test_capacity_error_exit(capsys):
     assert "remedy:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, module",
+    [
+        (["coxbraid", "3", "--k", "0,0", "--link-s", "5"], "homfly"),
+        (["superpoly", "3", "--k", "1"], "localization"),
+        (["superpoly", "8", "--k", "0,0,0,0,0,0,0"], "localization"),
+        (["charts", "12"], "charts"),
+        (["weights", "10"], "charts"),
+        (["gyt", "8"], "charts"),
+        (["degenerate", "8"], "localization"),
+        (["homfly", "strands=7 s1"], "homfly"),
+        (["mfcheck", "--n", "40", "--samples", "1"], "mfcheck"),
+    ],
+)
+def test_bad_arguments_name_the_module_of_their_command(capsys, argv, module):
+    # The shared argument rules live in coxlinks.errors; an error is reported
+    # from the module that applied them.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error [{module}]: ")
+    assert "[errors]" not in err
+
+
 def test_degenerate_chart_remedy_points_to_fixed_directions(capsys, monkeypatch):
     def degenerate(*args, **kwargs):
         raise DegenerateChartError("chart has a torus-fixed tangent direction")
@@ -239,7 +262,7 @@ def test_degenerate_chart_remedy_points_to_fixed_directions(capsys, monkeypatch)
 def test_mfcheck_size_cap_exits_with_remedy(capsys):
     code, out, err = run(capsys, "mfcheck", "--n", "40", "--samples", "1")
     assert code == 2 and out == ""
-    assert "error [mfcheck]: mfcheck suites are limited to n <= 12" in err
+    assert "error [mfcheck]: an mfcheck suite is limited to n <= 12" in err
     assert "remedy: stay inside the documented size caps" in err
 
 

@@ -206,16 +206,25 @@ def test_coxeter_braid_accepts_integral_values_only():
     for bad in (2.5, "2", None, 0):
         with pytest.raises(ValueError, match="n must be a positive integer"):
             coxeter_braid(bad, (), (1,))
+    with pytest.raises(ValueError, match="k must be a sequence of integers"):
+        coxeter_braid(3, (), 5)
+    with pytest.raises(ValueError, match="link_s must be a sequence of integers"):
+        coxeter_braid(3, 1, (0, 0))
 
 
 @pytest.mark.parametrize(
     "strands, word, match",
     [
-        (2.0, ((1, 1),), "strand count 2.0"),
-        (True, (), "strand count True"),
+        (2.0, ((1, 1),), "strands must be an integer >= 1, got 2.0"),
+        (True, (), "strands must be an integer >= 1, got True"),
         (2, ((True, 1),), "generator (True, 1)"),
         (3, ((1.0, 1),), "generator (1.0, 1)"),
         (2, ((1, True),), "generator (1, True)"),
+        # A list word was accepted but made the braid unhashable.
+        (2, [(1, 1)], "word must be a tuple"),
+        (2, 5, "word must be a tuple"),
+        (2, ((1, 1, 1),), "generator (1, 1, 1) is not a pair"),
+        (2, ([1, 1],), "generator [1, 1] is not a pair"),
     ],
 )
 def test_braid_word_rejects_non_int_entries_by_name(strands, word, match):

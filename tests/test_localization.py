@@ -216,6 +216,10 @@ def test_non_integral_arguments_are_rejected():
         calibrated_superpolynomial(3, (1, 1), link_s=(1.5,))
     with pytest.raises(ValueError, match="repeated"):
         calibrated_superpolynomial(3, (1, 1), link_s=(1, 1))
+    with pytest.raises(ValueError, match="k must be a sequence of integers"):
+        calibrated_superpolynomial(3, 5)
+    with pytest.raises(ValueError, match="link_s must be a sequence of integers"):
+        calibrated_superpolynomial(3, (1, 1), link_s=1)
     # n is checked before the capacity cap compares it with an int.
     for bad in (3.5, "3", None):
         with pytest.raises(ValueError, match="n must be a positive integer"):

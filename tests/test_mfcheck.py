@@ -260,7 +260,7 @@ def test_suites_are_capped(suite):
         suite(MAX_SUITE_N + 1, 1, seed=0)
     with pytest.raises(CapacityError):
         suite(40, 1, seed=0)
-    with pytest.raises(ValueError, match="n must be a positive integer"):
+    with pytest.raises(ValueError, match="n must be an integer >= "):
         suite("3", 1, seed=0)
 
 
@@ -268,7 +268,7 @@ def test_suites_are_capped(suite):
 @pytest.mark.parametrize("samples", (0, -5, "5", 5.0, True))
 def test_suites_reject_a_bad_sample_count_by_name(suite, samples):
     # A count below 1 would check no sample and still report a pass.
-    with pytest.raises(ValueError, match="samples must be a positive integer"):
+    with pytest.raises(ValueError, match="samples must be an integer >= 1"):
         suite(3, samples, seed=0)
 
 
@@ -277,9 +277,16 @@ def test_symbolic_identity_check(n):
     assert symbolic_gid_check(n)
 
 
+def test_symbolic_identity_check_is_capped():
+    # n = 40 took seconds of symbolic determinants before the cap.
+    for n in (MAX_SUITE_N + 1, 40):
+        with pytest.raises(CapacityError, match=f"n <= {MAX_SUITE_N}; got n = {n}"):
+            symbolic_gid_check(n)
+
+
 @pytest.mark.parametrize("n", (0, -1, "3", 3.0, True))
 def test_symbolic_identity_check_rejects_a_bad_n_by_name(n):
-    with pytest.raises(ValueError, match="n must be a positive integer"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
         symbolic_gid_check(n)
 
 
