@@ -6,10 +6,12 @@ A chart is labeled by a *nested set pair* ``S``: two chains of sets
 
 with ``S_x^k, S_y^k ⊆ {k+1, …, n}`` and ``|S_x^i| + |S_y^i| = n - i``.
 Exactly one new element joins exactly one chain at each level going up, so
-there are ``n!`` labels.  (The two chains may overlap: nothing in the
-defining conditions forces levelwise disjointness, and the n = 4 chart with
-``S_x = {3,4} ⊃ {3}`` and ``S_y = {4} ⊃ {4} ⊃ {4}`` — which is needed below —
-has ``4`` in both chains at level 1.)
+there are ``n!`` labels.  Each level is stored as a strictly increasing tuple
+of ints, so neither the sort key ``sx + sy`` nor a record sorts it again.
+(The two chains may overlap: nothing in the defining conditions forces
+levelwise disjointness, and the n = 4 chart with ``S_x = {3,4} ⊃ {3}`` and
+``S_y = {4} ⊃ {4} ⊃ {4}`` — which is needed below — has ``4`` in both
+chains at level 1.)
 
 From a label the chart data is derived:
 
@@ -20,7 +22,8 @@ From a label the chart data is derived:
 * a vector of non-commutative monomials in X, Y and its generalized-Young-
   tableau image.
 
-A ``Chart`` stores only its label and pivots; the rest is derived on access.
+A ``Chart`` stores only its label and pivots (per side a tuple sorted by
+row); the rest is derived on access.
 
 Which paths validate: the public ``NestedSetPair(...)`` and
 ``NestedSetPair.from_lists`` check every defining condition, and
@@ -41,12 +44,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import ConsistencyError, _is_int, _size
 
 IndexPair = Tuple[int, int]
+Chain = Tuple[Tuple[int, ...], ...]  # one strictly increasing tuple per level
+Pivots = Tuple[IndexPair, ...]  # one side's pivots, sorted by row
 Matrix = Tuple[Tuple[int, ...], ...]
 
 MAX_ENUMERATION_N = 9
@@ -63,44 +67,45 @@ class NestedSetPair:
     ``sx[i-1]`` holds the level-``i`` set ``S_x^i`` (1-based levels), and
     likewise for ``sy``.  The public constructor (and ``from_lists``)
     validates every condition: ``n`` is a positive ``int``, each chain is a
-    tuple of ``n`` frozensets of ``int``, nested, inside ``{i+1..n}`` at
-    level ``i``, with level sizes summing to ``n - i``.  Only the chart
-    recursion behind ``all_charts`` skips these checks, through
-    ``_trusted``.
+    tuple of ``n`` levels, each level a tuple of ``int`` in strictly
+    increasing order, nested, inside ``{i+1..n}`` at level ``i``, with level
+    sizes summing to ``n - i``.  ``from_lists`` sorts each level and merges
+    repeats first.  Only the chart recursion behind ``all_charts`` skips
+    these checks, through ``_trusted``.
 
     Raises:
         ValueError: naming the field that breaks a condition.
     """
 
     n: int
-    sx: Tuple[FrozenSet[int], ...]
-    sy: Tuple[FrozenSet[int], ...]
+    sx: Chain
+    sy: Chain
 
     def __post_init__(self):
         n = _size("n", self.n)
         for chain, side in ((self.sx, "x"), (self.sy, "y")):
             if not isinstance(chain, tuple):
                 raise ValueError(
-                    f"s{side} must be a tuple of frozensets, got {type(chain).__name__}"
+                    f"s{side} must be a tuple of tuples, got {type(chain).__name__}"
                 )
             if len(chain) != n:
                 raise ValueError("chains must have exactly n levels")
             for level, level_set in enumerate(chain, start=1):
-                if not isinstance(level_set, frozenset):
+                if not (
+                    isinstance(level_set, tuple)
+                    and all(map(_is_int, level_set))
+                    and all(a < b for a, b in zip(level_set, level_set[1:]))
+                ):
                     raise ValueError(
-                        f"S_{side}^{level} must be a frozenset, got "
-                        f"{type(level_set).__name__}"
+                        f"S_{side}^{level} must be a strictly increasing tuple of ints, "
+                        f"got {level_set!r}"
                     )
-                if not all(map(_is_int, level_set)):
+                if level_set and not level < level_set[0] <= level_set[-1] <= n:
                     raise ValueError(
-                        f"S_{side}^{level} = {set(level_set)} has a non-int element"
-                    )
-                if not level_set <= set(range(level + 1, n + 1)):
-                    raise ValueError(
-                        f"S_{side}^{level} = {sorted(level_set)} is not a "
+                        f"S_{side}^{level} = {list(level_set)} is not a "
                         f"subset of {{{level + 1}..{n}}}"
                     )
-                if level > 1 and not chain[level - 2] >= level_set:
+                if level > 1 and not set(chain[level - 2]).issuperset(level_set):
                     raise ValueError(f"S_{side} chain is not nested at level {level - 1}")
             if chain[n - 1]:
                 raise ValueError(f"S_{side}^{n} must be empty")
@@ -112,9 +117,7 @@ class NestedSetPair:
                 )
 
     @classmethod
-    def _trusted(
-        cls, n: int, sx: Tuple[FrozenSet[int], ...], sy: Tuple[FrozenSet[int], ...]
-    ) -> "NestedSetPair":
+    def _trusted(cls, n: int, sx: Chain, sy: Chain) -> "NestedSetPair":
         """Wrap chains that the chart recursion built; nothing is checked.
 
         The caller guarantees every condition the public constructor checks.
@@ -129,17 +132,12 @@ class NestedSetPair:
     def from_lists(
         cls, n: int, sx: Sequence[Iterable[int]], sy: Sequence[Iterable[int]]
     ) -> "NestedSetPair":
-        return cls(
-            n,
-            tuple(frozenset(level) for level in sx),
-            tuple(frozenset(level) for level in sy),
-        )
+        """A checked label from iterables of ints, each level sorted, repeats merged."""
+        return cls(n, _levels(sx), _levels(sy))
 
-    def flat_key(self) -> tuple:
+    def flat_key(self) -> Chain:
         """Flattened chain representation, the canonical sort key."""
-        return tuple(tuple(sorted(level)) for level in self.sx) + tuple(
-            tuple(sorted(level)) for level in self.sy
-        )
+        return self.sx + self.sy
 
     def mirror(self) -> "NestedSetPair":
         """Swap the x- and y-chains."""
@@ -148,9 +146,17 @@ class NestedSetPair:
     def to_record(self) -> dict:
         return {
             "n": self.n,
-            "sx": [sorted(level) for level in self.sx],
-            "sy": [sorted(level) for level in self.sy],
+            "sx": [list(level) for level in self.sx],
+            "sy": [list(level) for level in self.sy],
         }
+
+
+def _levels(chain: Sequence[Iterable[int]]) -> tuple:
+    # Non-int elements need not compare: leave them for the constructor to reject.
+    return tuple(
+        tuple(sorted(level)) if all(map(_is_int, level)) else tuple(level)
+        for level in map(set, chain)
+    )
 
 
 def enumerate_nested_pairs(n: int) -> List[NestedSetPair]:
@@ -168,7 +174,8 @@ def enumerate_nested_pairs(n: int) -> List[NestedSetPair]:
 
 @dataclass(frozen=True, slots=True)
 class Chart:
-    """One chart: its label and the pivot index pairs ``px``/``py``.
+    """One chart: its label and the pivot index pairs ``px``/``py``, each a
+    tuple sorted by row (a side has at most one pivot per row).
 
     Everything else is derived on each access: ``zx``/``zy`` are the
     constrained zeros read off the label, ``nx``/``ny`` the free coordinates.
@@ -180,8 +187,8 @@ class Chart:
     """
 
     label: NestedSetPair
-    px: FrozenSet[IndexPair]
-    py: FrozenSet[IndexPair]
+    px: Pivots
+    py: Pivots
 
     @property
     def n(self) -> int:
@@ -214,10 +221,7 @@ class Chart:
     def to_record(self) -> dict:
         return {
             "label": self.label.to_record(),
-            "pivots": {
-                "x": sorted(self.px),
-                "y": sorted(self.py),
-            },
+            "pivots": {"x": list(self.px), "y": list(self.py)},
             "free": {"x": sorted(self.nx), "y": sorted(self.ny)},
             "zeros": {"x": sorted(self.zx), "y": sorted(self.zy)},
             "base_mx": [list(row) for row in self.mx],
@@ -227,27 +231,19 @@ class Chart:
         }
 
 
-def _pivots(chain: Tuple[FrozenSet[int], ...], n: int) -> FrozenSet[IndexPair]:
-    pivots = set()
-    for level in range(1, n):
-        for j in chain[level - 1] - chain[level]:
-            pivots.add((level, j))
-    return frozenset(pivots)
+def _pivots(chain: Chain, n: int) -> Pivots:
+    return tuple((i, j) for i in range(1, n) for j in chain[i - 1] if j not in chain[i])
 
 
-def _zeros(chain: Tuple[FrozenSet[int], ...], n: int) -> FrozenSet[IndexPair]:
-    zeros = set()
-    for level in range(2, n + 1):
-        for j in chain[level - 1]:
-            zeros.add((level - 1, j))
-    return frozenset(zeros)
+def _zeros(chain: Chain, n: int) -> FrozenSet[IndexPair]:
+    return frozenset((i, j) for i in range(1, n) for j in chain[i])
 
 
-def _free(chain: Tuple[FrozenSet[int], ...], n: int) -> FrozenSet[IndexPair]:
+def _free(chain: Chain, n: int) -> FrozenSet[IndexPair]:
     return frozenset((i, j) for i, j in _upper_triangle(n) if j not in chain[i - 1])
 
 
-def _base_matrix(n: int, pivots: FrozenSet[IndexPair]) -> Matrix:
+def _base_matrix(n: int, pivots: Pivots) -> Matrix:
     rows = [[0] * n for _ in range(n)]
     for i, j in pivots:
         rows[i - 1][j - 1] = 1
@@ -271,14 +267,14 @@ def build_chart(label: NestedSetPair) -> Chart:
     n = label.n
     chart = Chart(label, _pivots(label.sx, n), _pivots(label.sy, n))
     for side, pivots, zeros in (("x", chart.px, chart.zx), ("y", chart.py, chart.zy)):
-        if pivots & zeros:
-            raise ConsistencyError(f"pivot/zero overlap on side {side}: {pivots & zeros}")
+        if zeros & set(pivots):
+            raise ConsistencyError(f"pivot/zero overlap on side {side}: {zeros & set(pivots)}")
     nx, ny = chart.nx, chart.ny
     if len(nx) + len(ny) != n * (n - 1) // 2:
         raise ConsistencyError(
             f"free-coordinate count {len(nx)} + {len(ny)} != n(n-1)/2 for {label}"
         )
-    levels_covered = sorted(i for i, _ in chart.px | chart.py)
+    levels_covered = sorted(i for i, _ in chart.px + chart.py)
     if levels_covered != list(range(1, n)):
         raise ConsistencyError(f"pivot levels {levels_covered} do not cover 1..{n - 1}")
     return chart
@@ -307,11 +303,8 @@ def monomial_vector(chart: Chart) -> Tuple[str, ...]:
     n = chart.n
     words: List[str | None] = [None] * (n + 1)
     words[1] = ""
-    pivot_of_level: Dict[int, tuple[str, int]] = {}
-    for i, j in chart.px:
-        pivot_of_level[i] = ("X", j)
-    for i, j in chart.py:
-        pivot_of_level[i] = ("Y", j)
+    pivot_of_level = {i: ("X", j) for i, j in chart.px}
+    pivot_of_level.update({i: ("Y", j) for i, j in chart.py})
     for level in range(n - 1, 0, -1):
         if level not in pivot_of_level:
             raise ConsistencyError(f"no pivot at level {level}; chart is malformed")
@@ -401,7 +394,7 @@ def to_gyt(chart: Chart) -> GYT:
     return GYT(tuple(sorted((cell, frozenset(labels)) for cell, labels in cells.items())))
 
 
-def _product_entries(pa: FrozenSet[IndexPair], pb: FrozenSet[IndexPair]) -> Counter:
+def _product_entries(pa: Pivots, pb: Pivots) -> Counter:
     """Nonzero entries of the product of two base matrices, from their pivots.
 
     A base matrix has a 1 exactly at its pivots, so entry ``(i, l)`` of the
@@ -421,28 +414,26 @@ def is_commutative(chart: Chart) -> bool:
     return _product_entries(chart.px, chart.py) == _product_entries(chart.py, chart.px)
 
 
-def _descend(n, found, i, sx, sy, kx, ky, px, py):  # noqa: ANN001, ANN202
+def _descend(n, found, i, sx, sy, px, py):  # noqa: ANN001, ANN202
     """One level of the :func:`all_charts` recursion, appending to ``found``.
 
-    ``sx[0]``, ``sy[0]`` are the level-``(i+1)`` sets and ``kx``, ``ky``
-    their flat keys; ``px``, ``py`` hold the pivots of rows ``i+1..n-1``.
+    ``sx[0]``, ``sy[0]`` are the level-``(i+1)`` sets; ``px``, ``py`` hold
+    the pivots of rows ``i+1..n-1``, so prepending keeps them sorted by row.
     This is a module-level function, not a closure: a closure that calls
     itself is a reference cycle, and it would keep ``found`` with all ``n!``
     charts alive until the next full garbage collection.
     """
     if i == 0:
-        found.append((kx + ky, Chart(NestedSetPair._trusted(n, sx, sy), px, py)))
+        found.append(Chart(NestedSetPair._trusted(n, sx, sy), px, py))
         return
     top_x, top_y = sx[0], sy[0]
     for j in range(i + 1, n + 1):
         if j not in top_x:
-            grown = top_x | {j}
-            _descend(n, found, i - 1, (grown,) + sx, (top_y,) + sy,
-                     (tuple(sorted(grown)),) + kx, ky[:1] + ky, px | {(i, j)}, py)
+            grown = tuple(sorted(top_x + (j,)))
+            _descend(n, found, i - 1, (grown,) + sx, (top_y,) + sy, ((i, j),) + px, py)
         if j not in top_y:
-            grown = top_y | {j}
-            _descend(n, found, i - 1, (top_x,) + sx, (grown,) + sy,
-                     kx[:1] + kx, (tuple(sorted(grown)),) + ky, px, py | {(i, j)})
+            grown = tuple(sorted(top_y + (j,)))
+            _descend(n, found, i - 1, (top_x,) + sx, (grown,) + sy, px, ((i, j),) + py)
 
 
 def all_charts(n: int) -> List[Chart]:
@@ -462,11 +453,10 @@ def all_charts(n: int) -> List[Chart]:
         CapacityError: if ``n > 9`` (factorial growth).
     """
     _size("n", n, MAX_ENUMERATION_N, "chart enumeration")
-    empty: FrozenSet = frozenset()
-    found: List[Tuple[tuple, Chart]] = []
-    _descend(n, found, n - 1, (empty,), (empty,), ((),), ((),), empty, empty)
-    found.sort(key=itemgetter(0))
-    return [chart for _, chart in found]
+    found: List[Chart] = []
+    _descend(n, found, n - 1, ((),), ((),), (), ())
+    found.sort(key=lambda chart: chart.label.flat_key())
+    return found
 
 
 def commuting_charts(n: int) -> List[Chart]:
@@ -498,17 +488,16 @@ def commuting_charts(n: int) -> List[Chart]:
     _size("n", n, MAX_ENUMERATION_N, "chart enumeration")
     labels = []
     for sides in product("xy", repeat=n - 1):
-        # chains[L][-1] is the latest level's set; they grow toward level 1.
-        chains = {"x": [frozenset()], "y": [frozenset()]}
+        # chains[L][0] is the latest level's set; they grow toward level 1.
+        # An arm's columns fall as it grows, so prepending keeps levels sorted.
+        chains = {"x": [()], "y": [()]}
         arm_end = {"x": 1, "y": 1}
         for k, side in enumerate(sides, start=2):
             column = n + 1 - arm_end[side]
             for other, chain in chains.items():
-                chain.append(chain[-1] | {column} if other == side else chain[-1])
+                chain.insert(0, (column,) + chain[0] if other == side else chain[0])
             arm_end[side] = k
-        labels.append(
-            NestedSetPair(n, tuple(reversed(chains["x"])), tuple(reversed(chains["y"])))
-        )
+        labels.append(NestedSetPair(n, tuple(chains["x"]), tuple(chains["y"])))
     labels.sort(key=NestedSetPair.flat_key)
     return [build_chart(label) for label in labels]
 

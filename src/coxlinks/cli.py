@@ -133,10 +133,7 @@ def _emit(
 
 
 def _label_fields(label: NestedSetPair) -> str:
-    return "sx={} sy={}".format(
-        json.dumps([sorted(level) for level in label.sx]),
-        json.dumps([sorted(level) for level in label.sy]),
-    )
+    return f"sx={json.dumps(label.sx)} sy={json.dumps(label.sy)}"
 
 
 # -- subcommand handlers -------------------------------------------------------

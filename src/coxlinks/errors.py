@@ -132,11 +132,16 @@ def _sequence(values: Iterable, name: str) -> tuple:
         raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
 
 
+def _coxeter_integral(value) -> int | None:  # noqa: ANN001
+    """:func:`_integral` for a Coxeter argument, where a ``bool`` is ``None``."""
+    return None if isinstance(value, bool) else _integral(value)
+
+
 def _integers(values: Iterable, name: str) -> Tuple[int, ...]:
-    """``values`` as ints by :func:`_integral`; the first non-integral one is named."""
+    """``values`` as ints by :func:`_coxeter_integral`, naming the first that is not."""
     result = []
     for value in _sequence(values, name):
-        integral = _integral(value)
+        integral = _coxeter_integral(value)
         if integral is None:
             raise ValueError(f"{name} entry {value!r} is not an integer")
         result.append(integral)
@@ -165,11 +170,12 @@ def _coxeter_arguments(
     """Validate the ``(n, k, link_s)`` of a Coxeter braid or localization sum;
     both read it here, so a sum and its HOMFLY oracle see the same link.
 
-    ``n`` and the entries must be integral (``2.0`` passes, ``1.5`` does
-    not), ``k`` must have ``n - 1`` entries and ``link_s`` distinct ones in
-    ``1..n-1``.  Returns ``n`` and ``k`` as ints and ``link_s`` sorted.
+    ``n`` and the entries must be integral (``2.0`` passes, ``1.5`` and
+    ``True`` do not), ``k`` must have ``n - 1`` entries and ``link_s``
+    distinct ones in ``1..n-1``.  Returns ``n`` and ``k`` as ints and
+    ``link_s`` sorted.
     """
-    integral_n = _integral(n)
+    integral_n = _coxeter_integral(n)
     if integral_n is None or integral_n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     n = integral_n

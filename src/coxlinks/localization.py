@@ -23,6 +23,11 @@ its factor is ``(1 - 1)``) has no well-defined contribution
 (:class:`~coxlinks.errors.DegenerateChartError`).  No commuting chart has
 a fixed direction for ``n <= 7``, every ``n`` the cap admits (checked
 exhaustively); the guard remains for callers that evaluate single charts.
+
+Known gap: the hook charts miss the fixed points of the non-hook standard
+tableaux, which exist from ``n = 4`` on, so the values for ``n >= 4`` are
+not superpolynomials yet: ``n = 4, k = (1, 1, 1)`` has five denominator
+factors, not ``(1 - q^2)``.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .weights import (
     weight_vectors,
 )
 
-#: Chart enumeration is factorial; summing past this is a typo, not a plan.
+#: The sum visits 2^(n-1) hook charts, the degeneracy scan all n!; past 7 is a typo.
 MAX_LOCALIZATION_N = 7
 
 

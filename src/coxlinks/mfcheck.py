@@ -5,7 +5,8 @@ samples, :class:`~fractions.Fraction` wherever a caller passes one,
 :class:`~coxlinks.polyalg.LaurentPoly` for the symbolic identities).
 Inverses and the containment test go through one fraction-free integer
 elimination, so no ``Fraction`` arithmetic runs on the sampling path.
-Roles, enforced by the validators rather than by a wrapper class:
+Roles, which the samplers build (the suites check only that ``X`` is upper,
+and none calls ``is_hessenberg`` or ``is_strictly_upper``):
 
 * ``X`` — upper-triangular (``X`` in the Borel), with ``xhat(X) = X -
   x_11 Id``;

@@ -5,11 +5,15 @@ n = 4 on); its test fails by design and the analysis lives in
 reports/gyt_injectivity.md.  Run with ``-v`` to see the per-criterion lines.
 """
 
+from itertools import product
+
 import pytest
 
 from coxlinks import acceptance
+from coxlinks.errors import ExperimentalFeatureWarning
 from coxlinks.homfly import coxeter_braid, homfly
 from coxlinks.localization import calibrated_superpolynomial
+from coxlinks.polyalg import AQT, LaurentPoly
 
 _IDS = [f"{number:02d}-{name}" for number, name, _, _ in acceptance.CRITERIA]
 
@@ -62,3 +66,28 @@ def test_nonmonomial_bridge_holds_at_three_strands(k):
     left = superpoly.value.num.substitute(acceptance._BRIDGE_SPECIALIZATION)
     right = homfly(coxeter_braid(3, (), k)).substitute(acceptance._Z_IMAGE)
     assert left == right
+
+
+_MONOTONE_K3 = [k for k in product(range(3), repeat=2) if k[0] >= k[1]]
+
+
+@pytest.mark.parametrize(
+    "n, k, link_s",
+    [(2, (k,), (1,)) for k in range(7)]
+    + [(3, k, link_s) for link_s in ((1,), (2,), (1, 2)) for k in _MONOTONE_K3],
+    ids=str,
+)
+def test_link_bridge_holds_at_two_and_three_strands(n, k, link_s):
+    # Dropping the generators in link_s leaves c = 1 + |link_s| components:
+    # the denominator is (1 - q^2)^c, and the bridge picks up a^|link_s| and
+    # z^(c-1).  The power of z goes on in the (a, z) ring, since a
+    # c-component HOMFLY has z^-(c-1) terms, and q - 1/q has no inverse.
+    c = 1 + len(link_s)
+    with pytest.warns(ExperimentalFeatureWarning):
+        superpoly = calibrated_superpolynomial(n, k, link_s)
+    assert superpoly.value.den == {(0, 2, 0): c}
+    left = superpoly.value.num.substitute(acceptance._BRIDGE_SPECIALIZATION)
+    value = homfly(coxeter_braid(n, link_s, k))
+    lifted = LaurentPoly.monomial(value.variables, (0, c - 1)) * value
+    a_power = LaurentPoly.monomial(AQT, (len(link_s), 0, 0))
+    assert left == a_power * lifted.substitute(acceptance._Z_IMAGE)

@@ -25,7 +25,7 @@ from coxlinks.charts import (
     gyt_injectivity_report,
 )
 from coxlinks.errors import CapacityError, _size
-from coxlinks.homfly import MAX_HOMFLY_STRANDS, BraidWord, homfly
+from coxlinks.homfly import MAX_HOMFLY_STRANDS, BraidWord, coxeter_braid, homfly
 from coxlinks.localization import (
     MAX_LOCALIZATION_N,
     calibrated_superpolynomial,
@@ -42,7 +42,7 @@ SOURCE = Path(coxlinks.__file__).parent
 
 
 def _label(n):
-    return NestedSetPair(n, (frozenset(),), (frozenset(),))
+    return NestedSetPair(n, ((),), ((),))
 
 
 def _sum(n):
@@ -79,8 +79,20 @@ def _strict_cases():
 
 CASES = [
     *_strict_cases(),
-    # The Coxeter arguments convert integral values, so True and 2.0 pass.
+    # The Coxeter arguments convert integral values, so 2.0 passes; a bool
+    # is rejected as n and as an entry of k or link_s.
     pytest.param(_sum, 2.5, ValueError, "n", id="calibrated_superpolynomial-float"),
+    pytest.param(_sum, True, ValueError, "n", id="calibrated_superpolynomial-bool"),
+    pytest.param(lambda v: calibrated_superpolynomial(2, (v,)), True, ValueError,
+                 "k entry", id="calibrated_superpolynomial-k-bool"),
+    pytest.param(lambda v: calibrated_superpolynomial(3, (1, 1), (v,)), True, ValueError,
+                 "link_s entry", id="calibrated_superpolynomial-link_s-bool"),
+    pytest.param(lambda n: coxeter_braid(n, (), ()), True, ValueError, "n",
+                 id="coxeter_braid-bool"),
+    pytest.param(lambda v: coxeter_braid(2, (), (v,)), True, ValueError, "k entry",
+                 id="coxeter_braid-k-bool"),
+    pytest.param(lambda v: coxeter_braid(3, (v,), (0, 0)), True, ValueError,
+                 "link_s entry", id="coxeter_braid-link_s-bool"),
     pytest.param(_sum, 0, ValueError, "n", id="calibrated_superpolynomial-below"),
     pytest.param(_sum, MAX_LOCALIZATION_N + 1, CapacityError, "n",
                  id="calibrated_superpolynomial-cap"),
@@ -107,6 +119,8 @@ def test_each_entry_point_names_a_bad_size(call, value, error, name):
     message = str(raised.value)
     if error is CapacityError:
         assert f"{name} <= " in message and f"got {name} = {value}" in message
+    elif name.endswith(" entry"):
+        assert message == f"{name} {value!r} is not an integer"
     else:
         assert message.startswith(f"{name} must be ")
 

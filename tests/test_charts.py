@@ -78,10 +78,10 @@ def test_enumeration_rejects_non_int_sizes(call, n):
 
 
 def test_chains_need_not_be_disjoint():
-    # The two chains may share elements, e.g. sx = ({3},{3},{}) with
-    # sy = ({2,3},{3},{}): only the per-level size sum is constrained.
+    # The two chains may share elements, e.g. sx = ((3,), (3,), ()) with
+    # sy = ((2, 3), (3,), ()): only the per-level size sum is constrained.
     overlapping = [
-        lab for lab in enumerate_nested_pairs(3) if lab.sx[0] & lab.sy[0]
+        lab for lab in enumerate_nested_pairs(3) if set(lab.sx[0]) & set(lab.sy[0])
     ]
     assert overlapping
 
@@ -112,15 +112,28 @@ EMPTY = frozenset()
         # A list chain used to build an unhashable label.
         pytest.param(lambda: NestedSetPair(2, [frozenset({2}), EMPTY], (EMPTY, EMPTY)),
                      "sx", id="list-sx"),
-        pytest.param(lambda: NestedSetPair(2, (EMPTY, EMPTY), [frozenset({2}), EMPTY]),
-                     "sy", id="list-sy"),
+        pytest.param(lambda: NestedSetPair(2, ((), ()), [(2,), ()]), "sy", id="list-sy"),
         pytest.param(lambda: NestedSetPair(2, ({2}, EMPTY), (EMPTY, EMPTY)), "S_x\\^1",
                      id="set-level"),
+        # Levels are sorted tuples, so a frozenset level is rejected like a set.
+        pytest.param(lambda: NestedSetPair(2, (frozenset({2}), ()), ((), ())),
+                     "S_x\\^1 must be a strictly increasing tuple", id="frozenset-level"),
+        pytest.param(lambda: NestedSetPair(3, ((3, 2), (3,), ()), ((), (), ())), "S_x\\^1",
+                     id="unsorted-level"),
+        pytest.param(lambda: NestedSetPair(3, ((2, 3), (3,), ()), ((3, 3), (), ())),
+                     "S_y\\^1", id="repeated-element"),
     ],
 )
 def test_label_validation_names_the_field(build, field):
     with pytest.raises(ValueError, match=field):
         build()
+
+
+def test_from_lists_sorts_levels_and_merges_repeats():
+    assert label(3, [[3, 2, 2], {3}, ()], [(), (), ()]).sx == ((2, 3), (3,), ())
+    # Elements that do not compare are named, not left to fail the sort.
+    with pytest.raises(ValueError, match="S_x\\^1 must be a strictly increasing tuple of ints"):
+        label(3, [{2, "3"}, {3}, ()], [(), (), ()])
 
 
 # -- chart structure ---------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import operator
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,59 @@ def test_calibrated_truncation_has_no_negative_coefficients():
     truncated = calibrated_superpolynomial(3, (1, 1)).truncated(30)
     assert truncated.terms
     assert all(coeff > 0 for coeff in truncated.terms.values())
+
+
+def test_n3_series_is_negative_exactly_when_k1_exceeds_k2_by_two():
+    # A recorded boundary, not a regime change: inside the monotone cone the
+    # degree-40 series at n = 3 has a negative coefficient for exactly these k.
+    monotone = [(k1, k2) for k1 in range(6) for k2 in range(k1 + 1)]
+    negative = [
+        k for k in monotone
+        if min(calibrated_superpolynomial(3, k).truncated(40).terms.values()) < 0
+    ]
+    assert len(monotone) == 21
+    assert negative == [k for k in monotone if k[0] - k[1] >= 2]
+    assert negative == [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1), (4, 2),
+                        (5, 0), (5, 1), (5, 2), (5, 3)]
+
+
+def _area_vectors(n):
+    """The area vectors of the Dyck paths of size n: a_1 = 0 and
+    0 <= a_{i+1} <= a_i + 1."""
+    vectors = [(0,)]
+    for _ in range(n - 1):
+        vectors = [a + (step,) for a in vectors for step in range(a[-1] + 2)]
+    return vectors
+
+
+def _qt_catalan(n):
+    """C_n(u, v) = sum of u^dinv v^area over the Dyck paths of size n
+    (Haglund, The q,t-Catalan Numbers and the Space of Diagonal Harmonics,
+    AMS 2008), with u^x v^y read as the (q, t) exponent (2x - 2y, 2y)."""
+    terms = Counter()
+    for a in _area_vectors(n):
+        area = sum(a)
+        dinv = sum(
+            a[i] - a[j] in (0, 1) for i in range(n) for j in range(i + 1, n)
+        )
+        terms[(2 * dinv - 2 * area, 2 * area)] += 1
+    return dict(terms)
+
+
+@pytest.mark.parametrize("n, size", [(2, 2), (3, 5)])
+def test_lowest_a_part_is_the_qt_catalan_number(n, size):
+    # For k = (1, ..., 1) the closure is T(n, n + 1), whose lowest a-degree
+    # carries C_n(u, v) times one monomial.  Sums with n >= 4 miss fixed
+    # points and fail this.
+    num = calibrated_superpolynomial(n, (1,) * (n - 1)).value.num.terms
+    lowest = min(a for a, _, _ in num)
+    part = {(q, t): c for (a, q, t), c in num.items() if a == lowest}
+    catalan = _qt_catalan(n)
+    assert len(part) == len(catalan) == size
+    top, start = min(part), min(catalan)
+    dq, dt = top[0] - start[0], top[1] - start[1]
+    coefficient = part[top] // catalan[start]
+    assert part == {(q + dq, t + dt): coefficient * c for (q, t), c in catalan.items()}
 
 
 # -- regime flags and warnings --------------------------------------------------------
