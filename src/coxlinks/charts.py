@@ -26,14 +26,16 @@ A ``Chart`` stores only its label and pivots (per side a tuple sorted by
 row); the rest is derived on access.
 
 Which paths validate: the public ``NestedSetPair(...)`` and
-``NestedSetPair.from_lists`` check every defining condition, and
-``build_chart`` checks that the pivots and the derived zeros and free
-coordinates partition the upper triangle.  ``all_charts`` and
-``enumerate_nested_pairs`` share one recursion, which builds each label with
-its pivots, correct by construction; its labels skip re-validation
-(``NestedSetPair._trusted``), and the tests compare its charts with
-``build_chart`` on the publicly rebuilt labels.  ``commuting_charts`` builds
-its labels with the public constructor and its charts with ``build_chart``.
+``NestedSetPair.from_lists`` check every defining condition, the public
+``Chart(...)`` checks that its pivots are the label's, and ``build_chart``
+checks that the pivots and the derived zeros and free coordinates partition
+the upper triangle.  ``all_charts`` and ``enumerate_nested_pairs`` share one
+recursion, which builds each label with its pivots, correct by
+construction; its labels and charts skip re-validation
+(``NestedSetPair._trusted``, ``Chart._trusted``), and the tests compare its
+charts with ``build_chart`` on the publicly rebuilt labels.
+``commuting_charts`` builds its labels with the public constructor and its
+charts with ``build_chart``.
 
 All values are immutable; every function is pure and thread-safe.
 """
@@ -184,11 +186,43 @@ class Chart:
     and pivots, zeros and free coordinates partition the strictly upper
     triangle.  ``mx``/``my`` are the base-point matrices (pivots 1,
     everything else 0).
+
+    The public constructor checks that ``px``/``py`` are the pivots the
+    label determines, in that sorted form.  Only ``build_chart`` and the
+    chart recursion behind ``all_charts``, which read the pivots off the
+    label, skip the check, through ``_trusted``.
+
+    Raises:
+        ValueError: if ``label`` is not a :class:`NestedSetPair`, or naming
+            the side whose pivots are not the label's.
     """
 
     label: NestedSetPair
     px: Pivots
     py: Pivots
+
+    def __post_init__(self):
+        label = self.label
+        if not isinstance(label, NestedSetPair):
+            raise ValueError(f"label must be a NestedSetPair, got {type(label).__name__}")
+        for side, chain, pivots in (("x", label.sx, self.px), ("y", label.sy, self.py)):
+            expected = _pivots(chain, label.n)
+            if pivots != expected:
+                raise ValueError(
+                    f"p{side} must be the label's {side}-pivots {expected!r}, got {pivots!r}"
+                )
+
+    @classmethod
+    def _trusted(cls, label: NestedSetPair, px: Pivots, py: Pivots) -> "Chart":
+        """Wrap pivots read off ``label``; nothing is checked.
+
+        The caller guarantees ``px``/``py`` equal the label's pivots.
+        """
+        chart = object.__new__(cls)
+        object.__setattr__(chart, "label", label)
+        object.__setattr__(chart, "px", px)
+        object.__setattr__(chart, "py", py)
+        return chart
 
     @property
     def n(self) -> int:
@@ -265,7 +299,7 @@ def build_chart(label: NestedSetPair) -> Chart:
     the oracle of :func:`all_charts`.
     """
     n = label.n
-    chart = Chart(label, _pivots(label.sx, n), _pivots(label.sy, n))
+    chart = Chart._trusted(label, _pivots(label.sx, n), _pivots(label.sy, n))
     for side, pivots, zeros in (("x", chart.px, chart.zx), ("y", chart.py, chart.zy)):
         if zeros & set(pivots):
             raise ConsistencyError(f"pivot/zero overlap on side {side}: {zeros & set(pivots)}")
@@ -424,7 +458,7 @@ def _descend(n, found, i, sx, sy, px, py):  # noqa: ANN001, ANN202
     charts alive until the next full garbage collection.
     """
     if i == 0:
-        found.append(Chart(NestedSetPair._trusted(n, sx, sy), px, py))
+        found.append(Chart._trusted(NestedSetPair._trusted(n, sx, sy), px, py))
         return
     top_x, top_y = sx[0], sy[0]
     for j in range(i + 1, n + 1):

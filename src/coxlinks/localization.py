@@ -27,7 +27,10 @@ exhaustively); the guard remains for callers that evaluate single charts.
 Known gap: the hook charts miss the fixed points of the non-hook standard
 tableaux, which exist from ``n = 4`` on, so the values for ``n >= 4`` are
 not superpolynomials yet: ``n = 4, k = (1, 1, 1)`` has five denominator
-factors, not ``(1 - q^2)``.
+factors, not ``(1 - q^2)``.  ``tests/test_tableau_sum.py`` holds the sum
+over every standard tableau as a test-side oracle, which gives the ``n = 4``
+values the denominator ``(1 - q^2)`` and the HOMFLY bridge; moving it here
+is step B of ROADMAP item 1.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ samples, :class:`~fractions.Fraction` wherever a caller passes one,
 :class:`~coxlinks.polyalg.LaurentPoly` for the symbolic identities).
 Inverses and the containment test go through one fraction-free integer
 elimination, so no ``Fraction`` arithmetic runs on the sampling path.
-Roles, which the samplers build (the suites check only that ``X`` is upper,
-and none calls ``is_hessenberg`` or ``is_strictly_upper``):
+Roles, which the samplers build (the suites check only that ``X`` is upper):
 
 * ``X`` — upper-triangular (``X`` in the Borel), with ``xhat(X) = X -
   x_11 Id``;
@@ -86,14 +85,6 @@ def mat_scale(a: Matrix, scalar) -> Matrix:  # noqa: ANN001
 
 def is_upper(a: Matrix) -> bool:
     return all(not a[i][j] for i in range(len(a)) for j in range(i))
-
-
-def is_strictly_upper(a: Matrix) -> bool:
-    return all(not a[i][j] for i in range(len(a)) for j in range(i + 1))
-
-
-def is_hessenberg(a: Matrix) -> bool:
-    return all(not a[i][j] for i in range(len(a)) for j in range(len(a)) if i - j > 1)
 
 
 def xhat(x: Matrix) -> Matrix:

@@ -12,8 +12,9 @@ pair with weight drop ``D = w^i - w^j`` stores the exponent ``s = D + e``.
 A direct gauge computation (rescale (X, Y), then conjugate back to pivot
 form by a diagonal matrix) shows that the coordinate value, or for an
 obstruction pair the commutator entry [X,Y]_{ij} that cuts the commuting
-locus, scales with torus weight ``D - e`` (``torus_rescaling_check``
-verifies this for the coordinates).  So, for every kind:
+locus, scales with torus weight ``D - e`` (the rescaling test in
+``tests/test_weights.py`` verifies this for the coordinates).  So, for
+every kind:
 
 * the coordinate (or equation) is torus-fixed iff ``s = 2e``;
 * its verbatim factor ``(1 - Q^sx T^sy)`` vanishes iff ``s = 0``;
@@ -33,7 +34,6 @@ detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -195,11 +195,6 @@ def _obstruction_pairs(n: int, link: Tuple[int, ...]) -> Tuple[IndexPair, ...]:
     by every chart of one size."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1)]
     pairs += [(i, i + 1) for i in link]
-    base_count = (n - 1) * (n - 2) // 2
-    if len(pairs) != base_count + len(link):
-        raise ConsistencyError(
-            f"expected {base_count + len(link)} obstruction records, got {len(pairs)}"
-        )
     return tuple(sorted(pairs))
 
 
@@ -221,66 +216,3 @@ def weight_data(chart: Chart, link_s: Sequence[int] = ()) -> WeightData:
 def fixed_dim_check(chart: Chart) -> dict:
     """Fixed-locus dimension counts of a chart: ``weight_data(chart).fixed_dim()``."""
     return weight_data(chart).fixed_dim()
-
-
-def torus_rescaling_check(chart: Chart, t: Fraction, s: Fraction) -> bool:
-    """Exact check that the weight vectors produce a torus action on the chart.
-
-    Builds a sample point of the chart with distinct rational free
-    coordinates, applies the two one-parameter rescalings
-
-        X ↦ t⁻¹ · D X D⁻¹,   Y ↦ s⁻¹ · D Y D⁻¹,   D = diag(t^{w_x^i} s^{w_y^i}),
-
-    and verifies the result is again a point of the chart (pivots 1, zeros
-    0) whose free entries scaled exactly by ``t^{Dx-ex} s^{Dy-ey}``, with
-    the unit ``e`` of their side.
-
-    Args:
-        chart: a built chart.
-        t, s: nonzero rationals, the torus parameters.
-
-    Raises:
-        ValueError: if t or s is zero.
-    """
-    if t == 0 or s == 0:
-        raise ValueError("torus parameters must be nonzero")
-    n = chart.n
-    wx, wy = weight_vectors(chart)
-
-    def sample(side_free, pivots):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i, j in pivots:
-            m[i - 1][j - 1] = Fraction(1)
-        for counter, (i, j) in enumerate(sorted(side_free), start=2):
-            m[i - 1][j - 1] = Fraction(counter, counter + 1)
-        return m
-
-    nx, ny = chart.nx, chart.ny
-    mx = sample(nx, chart.px)
-    my = sample(ny, chart.py)
-    d = [t ** wx[i] * s ** wy[i] for i in range(n)]
-
-    def rescaled(m, overall):
-        return [
-            [overall * d[i] / d[j] * m[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-
-    new_x = rescaled(mx, 1 / t)
-    new_y = rescaled(my, 1 / s)
-    for matrix, pivots, zeros, free, source, side in (
-        (new_x, chart.px, chart.zx, nx, mx, "x"),
-        (new_y, chart.py, chart.zy, ny, my, "y"),
-    ):
-        for i, j in pivots:
-            if matrix[i - 1][j - 1] != 1:
-                return False
-        for i, j in zeros:
-            if matrix[i - 1][j - 1] != 0:
-                return False
-        ex, ey = UNITS[side]
-        for i, j in free:
-            scale = t ** (wx[i - 1] - wx[j - 1] - ex) * s ** (wy[i - 1] - wy[j - 1] - ey)
-            if matrix[i - 1][j - 1] != scale * source[i - 1][j - 1]:
-                return False
-    return True

@@ -149,6 +149,33 @@ def test_family_chart_structure():
     assert not is_commutative(chart)
 
 
+X_CHAIN_LABEL = NestedSetPair(3, ((2, 3), (3,), ()), ((), (), ()))
+
+
+@pytest.mark.parametrize(
+    "px, py, side",
+    [
+        # Unsorted, the chart would compare unequal to build_chart's.
+        pytest.param(((2, 3), (1, 2)), (), "px", id="unsorted"),
+        # Pivots that are not the label's would make to_record() raise.
+        pytest.param(((1, 3), (2, 3)), (), "px", id="wrong-column"),
+        pytest.param(frozenset({(1, 2), (2, 3)}), (), "px", id="frozenset"),
+        pytest.param(((1, 2), (2, 3)), ((1, 2),), "py", id="extra-y-pivot"),
+    ],
+)
+def test_chart_constructor_checks_the_pivots(px, py, side):
+    with pytest.raises(ValueError, match=f"{side} must be the label's"):
+        Chart(X_CHAIN_LABEL, px, py)
+
+
+def test_chart_constructor_accepts_the_label_pivots():
+    chart = Chart(X_CHAIN_LABEL, ((1, 2), (2, 3)), ())
+    assert chart == build_chart(X_CHAIN_LABEL)
+    assert chart.to_record()["monomials"] == ["1", "X", "XX"]
+    with pytest.raises(ValueError, match="label must be a NestedSetPair"):
+        Chart(X_CHAIN_LABEL.to_record(), (), ())
+
+
 def test_free_coordinate_count_is_triangular():
     for n in range(1, 7):
         upper = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}

@@ -20,8 +20,6 @@ from coxlinks.mfcheck import (
     det,
     hessenberg_check,
     identity_matrix,
-    is_hessenberg,
-    is_strictly_upper,
     is_upper,
     mat_add,
     mat_inverse,
@@ -59,9 +57,8 @@ def test_shape_predicates():
     upper = matrix_from_rows([[1, 2], [0, 3]])
     strict = matrix_from_rows([[0, 2], [0, 0]])
     hess = matrix_from_rows([[1, 2, 3], [4, 5, 6], [0, 7, 8]])
-    assert is_upper(upper) and not is_strictly_upper(upper)
-    assert is_strictly_upper(strict)
-    assert is_hessenberg(hess) and not is_upper(hess)
+    assert is_upper(upper) and is_upper(strict)
+    assert not is_upper(hess)
 
 
 def test_inverse_round_trip():

@@ -5,21 +5,15 @@ conditions, (2, 0)/(0, 2) and (2, 2) for a fixed row and (0, 0) for a
 vanishing factor, so they stay independent of the package's unit rule.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxlinks import weights as weights_module
-from coxlinks.charts import NestedSetPair, all_charts, build_chart, monomial_vector
+from coxlinks.charts import Chart, NestedSetPair, all_charts, build_chart, monomial_vector
 from coxlinks.errors import ConsistencyError
-from coxlinks.weights import (
-    fixed_dim_check,
-    torus_rescaling_check,
-    weight_data,
-    weight_vectors,
-)
+from coxlinks.weights import fixed_dim_check, weight_data, weight_vectors
 
 FAMILY_CHART = build_chart(
     NestedSetPair.from_lists(4, [{3, 4}, {3}, (), ()], [{4}, {4}, {4}, ()])
@@ -70,12 +64,13 @@ def test_weights_match_the_pivot_recursion(n):
 
 
 def test_malformed_charts_raise_consistency_error():
+    # The public constructor rejects both charts, so they skip its check.
     # Level 3 loses its only pivot, the y-pivot (3, 4).
-    no_pivot = dataclasses.replace(FAMILY_CHART, py=frozenset())
+    no_pivot = Chart._trusted(FAMILY_CHART.label, FAMILY_CHART.px, ())
     with pytest.raises(ConsistencyError, match="no pivot at level 3"):
         weight_vectors(no_pivot)
     # The level-2 pivot points at column 1, whose word is produced last.
-    backwards = dataclasses.replace(FAMILY_CHART, px=frozenset({(1, 4), (2, 1)}))
+    backwards = Chart._trusted(FAMILY_CHART.label, ((1, 4), (2, 1)), FAMILY_CHART.py)
     with pytest.raises(ConsistencyError, match="before it is produced"):
         weight_vectors(backwards)
 
@@ -269,6 +264,60 @@ def test_weight_data_bundles_everything():
 # -- the rescaling gauge check --------------------------------------------------------
 
 
+def _torus_rescaling_check(chart, t, s):
+    """Exact check that the weight vectors produce a torus action on the chart.
+
+    Builds a sample point of the chart with distinct rational free
+    coordinates, applies the two one-parameter rescalings
+
+        X -> t^-1 D X D^-1,   Y -> s^-1 D Y D^-1,   D = diag(t^(w_x^i) s^(w_y^i)),
+
+    for nonzero rationals ``t`` and ``s``, and verifies the result is again a
+    point of the chart (pivots 1, zeros 0) whose free entries scaled exactly
+    by ``t^(Dx-ex) s^(Dy-ey)``, with the unit ``e`` of their side: ``(1, 0)``
+    for x, ``(0, 1)`` for y.
+    """
+    n = chart.n
+    wx, wy = weight_vectors(chart)
+
+    def sample(side_free, pivots):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i, j in pivots:
+            m[i - 1][j - 1] = Fraction(1)
+        for counter, (i, j) in enumerate(sorted(side_free), start=2):
+            m[i - 1][j - 1] = Fraction(counter, counter + 1)
+        return m
+
+    nx, ny = chart.nx, chart.ny
+    mx = sample(nx, chart.px)
+    my = sample(ny, chart.py)
+    d = [t ** wx[i] * s ** wy[i] for i in range(n)]
+
+    def rescaled(m, overall):
+        return [
+            [overall * d[i] / d[j] * m[i][j] for j in range(n)]
+            for i in range(n)
+        ]
+
+    new_x = rescaled(mx, 1 / t)
+    new_y = rescaled(my, 1 / s)
+    for matrix, pivots, zeros, free, source, (ex, ey) in (
+        (new_x, chart.px, chart.zx, nx, mx, (1, 0)),
+        (new_y, chart.py, chart.zy, ny, my, (0, 1)),
+    ):
+        for i, j in pivots:
+            if matrix[i - 1][j - 1] != 1:
+                return False
+        for i, j in zeros:
+            if matrix[i - 1][j - 1] != 0:
+                return False
+        for i, j in free:
+            scale = t ** (wx[i - 1] - wx[j - 1] - ex) * s ** (wy[i - 1] - wy[j - 1] - ey)
+            if matrix[i - 1][j - 1] != scale * source[i - 1][j - 1]:
+                return False
+    return True
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=5),
@@ -278,9 +327,4 @@ def test_weight_data_bundles_everything():
 )
 def test_rescaling_is_a_torus_action_on_every_chart(n, data, t, s):
     chart = data.draw(st.sampled_from(all_charts(n)))
-    assert torus_rescaling_check(chart, t, s)
-
-
-def test_rescaling_rejects_zero_parameters():
-    with pytest.raises(ValueError):
-        torus_rescaling_check(FAMILY_CHART, Fraction(0), Fraction(1))
+    assert _torus_rescaling_check(chart, t, s)
