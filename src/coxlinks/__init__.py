@@ -41,7 +41,6 @@ from .errors import (
     CapacityError,
     ConsistencyError,
     CoxlinksError,
-    DegenerateChartError,
     ExpansionError,
     ExperimentalFeatureWarning,
     NotDivisibleError,
@@ -69,7 +68,6 @@ __all__ = [
     "Chart",
     "ConsistencyError",
     "CoxlinksError",
-    "DegenerateChartError",
     "ExpansionError",
     "ExperimentalFeatureWarning",
     "GradedDim",

@@ -26,16 +26,19 @@ A ``Chart`` stores only its label and pivots (per side a tuple sorted by
 row); the rest is derived on access.
 
 Which paths validate: the public ``NestedSetPair(...)`` and
-``NestedSetPair.from_lists`` check every defining condition, the public
-``Chart(...)`` checks that its pivots are the label's, and ``build_chart``
-checks that the pivots and the derived zeros and free coordinates partition
-the upper triangle.  ``all_charts`` and ``enumerate_nested_pairs`` share one
-recursion, which builds each label with its pivots, correct by
-construction; its labels and charts skip re-validation
-(``NestedSetPair._trusted``, ``Chart._trusted``), and the tests compare its
-charts with ``build_chart`` on the publicly rebuilt labels.
-``commuting_charts`` builds its labels with the public constructor and its
-charts with ``build_chart``.
+``NestedSetPair.from_lists`` check every defining condition, and the public
+``Chart(...)`` checks that its pivots are the label's.  Nothing downstream
+checks again: on a label those constructors accept, pivots, zeros and free
+coordinates partition the upper triangle, the pivots cover every level
+once, and the monomial words are distinct and build an edge-connected
+tableau.  These are theorems about valid labels, and the tests assert them
+for every chart with ``n <= 7``.
+``all_charts`` and ``enumerate_nested_pairs`` share one recursion, which
+builds each label with its pivots, correct by construction; its labels and
+charts skip re-validation (``NestedSetPair._trusted``, ``Chart._trusted``),
+and the tests compare its charts with ``build_chart`` on the publicly
+rebuilt labels.  ``commuting_charts`` builds its labels with the public
+constructor and its charts with ``build_chart``.
 
 All values are immutable; every function is pure and thread-safe.
 """
@@ -48,7 +51,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
-from .errors import ConsistencyError, _is_int, _size
+from .errors import _is_int, _size
 
 IndexPair = Tuple[int, int]
 Chain = Tuple[Tuple[int, ...], ...]  # one strictly increasing tuple per level
@@ -292,33 +295,21 @@ def _upper_triangle(n: int) -> Tuple[IndexPair, ...]:
 
 
 def build_chart(label: NestedSetPair) -> Chart:
-    """Read the pivots off a label and check the chart they give.
+    """The chart of a label, with its pivots read off the chains.
 
-    Checks that pivots, zeros and free coordinates partition the upper
-    triangle and that the pivots cover every level, so it also serves as
-    the oracle of :func:`all_charts`.
+    Nothing is checked again: the label's constructor checked every
+    condition, and the chart facts follow from them.  This is the oracle
+    the tests compare the :func:`all_charts` recursion with.
     """
     n = label.n
-    chart = Chart._trusted(label, _pivots(label.sx, n), _pivots(label.sy, n))
-    for side, pivots, zeros in (("x", chart.px, chart.zx), ("y", chart.py, chart.zy)):
-        if zeros & set(pivots):
-            raise ConsistencyError(f"pivot/zero overlap on side {side}: {zeros & set(pivots)}")
-    nx, ny = chart.nx, chart.ny
-    if len(nx) + len(ny) != n * (n - 1) // 2:
-        raise ConsistencyError(
-            f"free-coordinate count {len(nx)} + {len(ny)} != n(n-1)/2 for {label}"
-        )
-    levels_covered = sorted(i for i, _ in chart.px + chart.py)
-    if levels_covered != list(range(1, n)):
-        raise ConsistencyError(f"pivot levels {levels_covered} do not cover 1..{n - 1}")
-    return chart
+    return Chart._trusted(label, _pivots(label.sx, n), _pivots(label.sy, n))
 
 
 def monomial_vector(chart: Chart) -> Tuple[str, ...]:
     """The non-commutative monomial vector ``(m_1, …, m_n)`` of a chart.
 
     Words are strings over ``{"X", "Y"}`` with ``""`` standing for 1.  The
-    convention (fixed once, asserted uniformly): ``m_1 = 1`` and the pivot at
+    convention (fixed once, applied uniformly): ``m_1 = 1`` and the pivot at
     level ``i`` prepends its letter to the word of the flag step its column
     points at,
 
@@ -331,29 +322,18 @@ def monomial_vector(chart: Chart) -> Tuple[str, ...]:
     ``m_1`` and is well-founded.  Words need not have length ``k - 1`` (a
     pivot column may point below the previous flag step), but the n words
     are always pairwise distinct — two equal words would force two pivots in
-    one column on one side, which the nesting of the chains forbids.  Both
-    facts are asserted.
+    one column on one side, which the nesting of the chains forbids.  Every
+    level has exactly one pivot (``|S_x^i| + |S_y^i| = n - i``), so each
+    word is one letter put in front of an earlier word.
     """
     n = chart.n
-    words: List[str | None] = [None] * (n + 1)
-    words[1] = ""
+    words = [""] * (n + 1)
     pivot_of_level = {i: ("X", j) for i, j in chart.px}
     pivot_of_level.update({i: ("Y", j) for i, j in chart.py})
     for level in range(n - 1, 0, -1):
-        if level not in pivot_of_level:
-            raise ConsistencyError(f"no pivot at level {level}; chart is malformed")
         letter, j = pivot_of_level[level]
-        source = words[n + 1 - j]
-        if source is None:
-            raise ConsistencyError(
-                f"monomial recursion at level {level} references m_{n + 1 - j} "
-                "before it is produced"
-            )
-        words[n + 1 - level] = letter + source
-    result = tuple(words[1:])
-    if any(word is None for word in result) or len(set(result)) != n:
-        raise ConsistencyError(f"monomial vector is not a basis: {result!r}")
-    return result
+        words[n + 1 - level] = letter + words[n + 1 - j]
+    return tuple(words[1:])
 
 
 def word_str(word: str) -> str:
@@ -406,25 +386,14 @@ def to_gyt(chart: Chart) -> GYT:
 
     Cell ``(i, j)`` collects every index ``k`` whose monomial ``m_k`` has
     X-degree ``i`` and Y-degree ``j``.  The occupied cells are always
-    edge-connected (each word extends another by one letter); this is
-    asserted rather than trusted.
+    edge-connected: each word is one letter put in front of an earlier
+    word, so each cell is one unit step from an earlier cell.
     """
     words = monomial_vector(chart)
     cells: Dict[IndexPair, set] = {}
     for k, word in enumerate(words, start=1):
         cell = (word.count("X"), word.count("Y"))
         cells.setdefault(cell, set()).add(k)
-    occupied = set(cells)
-    frontier = [(0, 0)]
-    seen = {(0, 0)}
-    while frontier:
-        i, j = frontier.pop()
-        for neighbor in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-            if neighbor in occupied and neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append(neighbor)
-    if seen != occupied:
-        raise ConsistencyError(f"tableau image is disconnected: {sorted(occupied)}")
     return GYT(tuple(sorted((cell, frozenset(labels)) for cell, labels in cells.items())))
 
 

@@ -43,7 +43,6 @@ from .errors import (
     CapacityError,
     ConsistencyError,
     CoxlinksError,
-    DegenerateChartError,
     ExpansionError,
     NotDivisibleError,
     SingularMatrixError,
@@ -61,7 +60,6 @@ EXIT_CHECK_FAILED = 3
 _REMEDIES = [
     (BraidSyntaxError, "write the braid as 'strands=N s1 s2^-1 ...'"),
     (CapacityError, "stay inside the documented size caps (the error names its cap; README lists all)"),
-    (DegenerateChartError, "run 'weights <n>': the charts with dimT0 > 0 have a fixed direction"),
     (SingularMatrixError, "supply an invertible matrix g"),
     (ExpansionError, "denominator factors must have positive weighted degree; raise --degree weights"),
     (NotDivisibleError, "the value is genuinely rational; keep its denominator"),

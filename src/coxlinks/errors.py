@@ -33,24 +33,12 @@ class CapacityError(CoxlinksError):
 class ConsistencyError(CoxlinksError):
     """An internal identity that should hold by construction failed.
 
-    Raised, for example, if the monomial-vector recursion would reference a
-    word that has not been produced yet.  Seeing this error means a bug, not
-    a bad input.
+    Raised, for example, if a sample of
+    :func:`~coxlinks.mfcheck.negative_control`, built so that every ``F_i``
+    vanishes, gives a nonzero ``F_i``, or if a two-strand closed form builds
+    a :class:`~coxlinks.twostrand.GradedDim` of the wrong shape.  Seeing this
+    error means a bug, not a bad input.
     """
-
-
-class DegenerateChartError(CoxlinksError):
-    """A chart has a torus-fixed tangent direction in the calibrated weights.
-
-    The calibrated localization term divides by (1 - u^i v^j) for every free
-    coordinate; when some coordinate has (i, j) = (0, 0) that factor is
-    (1 - 1), so the chart has no well-defined contribution and must be
-    handled (or excluded) explicitly by the caller.
-    """
-
-    def __init__(self, message: str, charts: tuple = ()):  # noqa: ANN001
-        super().__init__(message)
-        self.charts = charts
 
 
 class ExpansionError(CoxlinksError):

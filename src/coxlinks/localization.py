@@ -18,11 +18,9 @@ exponent ``c = 2e - s = e - D`` (:mod:`coxlinks.weights`):
 * one global monomial shift ``(a/t)^{c(k)}`` with ``c(k) = sum k_i (n-i)``
   and one global polynomial tensor factor ``1 / (1-u)^{1+|link_s|}``.
 
-A chart with a torus-fixed free coordinate (``s = 2e``, so ``c = 0`` and
-its factor is ``(1 - 1)``) has no well-defined contribution
-(:class:`~coxlinks.errors.DegenerateChartError`).  No commuting chart has
-a fixed direction for ``n <= 7``, every ``n`` the cap admits (checked
-exhaustively); the guard remains for callers that evaluate single charts.
+The sum never meets a factor ``(1 - 1)``: that needs a torus-fixed free
+coordinate (``s = 2e``), and no commuting chart has one for ``n <= 7``,
+every ``n`` the cap admits (the tests check this exhaustively).
 
 Known gap: the hook charts miss the fixed points of the non-hook standard
 tableaux, which exist from ``n = 4`` on, so the values for ``n >= 4`` are
@@ -41,8 +39,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from .charts import Chart, all_charts, commuting_charts
 from .errors import (
-    ConsistencyError,
-    DegenerateChartError,
     ExperimentalFeatureWarning,
     PositivityRegimeWarning,
     _coxeter_arguments,
@@ -118,14 +114,7 @@ def _calibrated_term(data: WeightData, k: Tuple[int, ...]) -> BinomialRational:
         terms = _lift(terms, _uv_exponent(0, *calibrated_exponent(kind, sx, sy)), 1)
     den: Dict[tuple, int] = {}
     for kind, _, _, sx, sy in _tangent_exponents(data.chart, data.wx, data.wy):
-        calibrated = calibrated_exponent(kind, sx, sy)
-        if calibrated == (0, 0):
-            raise DegenerateChartError(
-                f"chart {data.chart.label.flat_key()} has a torus-fixed "
-                "tangent direction in the calibrated weights",
-                charts=(data.chart,),
-            )
-        exponent = _uv_exponent(0, *calibrated)
+        exponent = _uv_exponent(0, *calibrated_exponent(kind, sx, sy))
         den[exponent] = den.get(exponent, 0) + 1
     return BinomialRational(LaurentPoly._trusted(AQT, terms), den)
 
@@ -188,19 +177,11 @@ def calibrated_superpolynomial(
     tensor = BinomialRational(
         LaurentPoly.one(AQT), {(0, 2, 0): 1 + len(link_s)}
     )
-    value = (shift * total * tensor).normalize()
-    a_exponents = value.num.exponents_of("a")
-    if a_exponents and max(a_exponents) - min(a_exponents) > n - 1:
-        raise ConsistencyError(
-            f"numerator a-degrees {sorted(a_exponents)} span "
-            f"{max(a_exponents) - min(a_exponents)} steps; at n = {n} "
-            f"the span is at most {n - 1}"
-        )
     return CalibratedSuperpolynomial(
         n=n,
         k=k,
         link_s=link_s,
-        value=value,
+        value=(shift * total * tensor).normalize(),
         shift_exponent=shift_exponent,
         in_conjecture_regime=regime,
     )

@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .charts import Chart, _upper_triangle, monomial_vector
-from .errors import ConsistencyError, _link_s
+from .errors import _link_s
 
 IndexPair = Tuple[int, int]
 #: ``(kind, i, j, sx, sy)``: a coordinate kind, its pair and its stored exponent.
@@ -132,10 +132,6 @@ class WeightData:
 def weight_vectors(chart: Chart) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """The weight vectors (w_x, w_y), indices 1..n: the X- and Y-degrees of
     the monomial words ``m_n, …, m_1`` of :func:`~coxlinks.charts.monomial_vector`.
-
-    Raises:
-        ConsistencyError: if the chart is malformed (from ``monomial_vector``;
-            cannot happen for built charts).
     """
     words = monomial_vector(chart)[::-1]
     return (
@@ -168,17 +164,13 @@ def _tangent_exponents(
     in sorted pair order.
 
     ``(i, j)`` is free on a side when ``j`` is not in that chain's
-    level-``i`` set, the rule of ``Chart.nx``/``ny``.
-
-    Raises:
-        ConsistencyError: if the free coordinates do not number n(n-1)/2.
+    level-``i`` set, the rule of ``Chart.nx``/``ny``.  The two sides give
+    n(n-1)/2 rows together, since the two level-``i`` sets hold ``n - i``
+    elements between them.
     """
     label = chart.label
     pairs = _upper_triangle(label.n)
-    rows = _stored("x", pairs, label.sx, wx, wy) + _stored("y", pairs, label.sy, wx, wy)
-    if len(rows) != len(pairs):
-        raise ConsistencyError(f"expected {len(pairs)} tangent records, got {len(rows)}")
-    return rows
+    return _stored("x", pairs, label.sx, wx, wy) + _stored("y", pairs, label.sy, wx, wy)
 
 
 def _obstruction_exponents(data: WeightData) -> List[Row]:

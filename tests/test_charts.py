@@ -5,7 +5,6 @@ import gc
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from coxlinks import charts
 from coxlinks.charts import (
@@ -177,7 +176,7 @@ def test_chart_constructor_accepts_the_label_pivots():
 
 
 def test_free_coordinate_count_is_triangular():
-    for n in range(1, 7):
+    for n in range(1, 8):
         upper = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
         for chart in all_charts(n):
             assert len(chart.nx) + len(chart.ny) == n * (n - 1) // 2
@@ -185,6 +184,8 @@ def test_free_coordinate_count_is_triangular():
             for parts in ((chart.px, chart.zx, chart.nx), (chart.py, chart.zy, chart.ny)):
                 assert sum(map(len, parts)) == len(upper)
                 assert set().union(*parts) == upper
+            # One pivot per row 1..n-1, over both sides.
+            assert sorted(i for i, _ in chart.px + chart.py) == list(range(1, n))
 
 
 def test_base_matrices_have_pivot_ones():
@@ -195,14 +196,33 @@ def test_base_matrices_have_pivot_ones():
     assert sum(map(sum, chart.my)) == 1
 
 
-@settings(max_examples=60)
-@given(st.integers(min_value=1, max_value=5), st.data())
-def test_monomial_vectors_are_distinct_words(n, data):
-    labels = enumerate_nested_pairs(n)
-    lab = data.draw(st.sampled_from(labels))
-    words = monomial_vector(build_chart(lab))
-    assert words[0] == ""
-    assert len(set(words)) == n
+def _edge_connected(cells):
+    """Whether the cells, which hold the origin, are one edge-connected set."""
+    seen, frontier = {(0, 0)}, [(0, 0)]
+    while frontier:
+        i, j = frontier.pop()
+        for step in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if step in cells and step not in seen:
+                seen.add(step)
+                frontier.append(step)
+    return seen == cells
+
+
+def test_monomial_vectors_are_distinct_words():
+    # Each word m_k, k >= 2, is the letter of the level-(n+1-k) pivot (i, j)
+    # put in front of m_(n+1-j), an earlier word since j > i.
+    for n in range(1, 8):
+        for chart in all_charts(n):
+            words = monomial_vector(chart)
+            pivot_of_level = {i: ("X", j) for i, j in chart.px}
+            pivot_of_level.update({i: ("Y", j) for i, j in chart.py})
+            assert words[0] == ""
+            for k in range(2, n + 1):
+                letter, j = pivot_of_level[n + 1 - k]
+                assert n + 1 - j < k
+                assert words[k - 1] == letter + words[n - j]
+            assert len(set(words)) == n
+            assert _edge_connected({cell for cell, _ in to_gyt(chart).cells})
 
 
 def test_monomial_words_may_skip_lengths():

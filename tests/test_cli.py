@@ -8,7 +8,6 @@ import pytest
 
 from coxlinks import cli
 from coxlinks.cli import EXIT_CHECK_FAILED, main
-from coxlinks.errors import DegenerateChartError
 from coxlinks.polyalg import parse_poly
 from coxlinks.weights import weight_data
 
@@ -247,16 +246,6 @@ def test_bad_arguments_name_the_module_of_their_command(capsys, argv, module):
     assert code == 2 and out == ""
     assert err.startswith(f"error [{module}]: ")
     assert "[errors]" not in err
-
-
-def test_degenerate_chart_remedy_points_to_fixed_directions(capsys, monkeypatch):
-    def degenerate(*args, **kwargs):
-        raise DegenerateChartError("chart has a torus-fixed tangent direction")
-
-    monkeypatch.setattr(cli, "calibrated_superpolynomial", degenerate)
-    code, out, err = run(capsys, "superpoly", "2", "--k", "1")
-    assert code == 2 and out == ""
-    assert "remedy: run 'weights <n>': the charts with dimT0 > 0" in err
 
 
 def test_mfcheck_size_cap_exits_with_remedy(capsys):

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxlinks import weights as weights_module
-from coxlinks.charts import Chart, NestedSetPair, all_charts, build_chart, monomial_vector
-from coxlinks.errors import ConsistencyError
+from coxlinks.charts import NestedSetPair, all_charts, build_chart, monomial_vector
 from coxlinks.weights import fixed_dim_check, weight_data, weight_vectors
 
 FAMILY_CHART = build_chart(
@@ -61,18 +60,6 @@ def _pivot_recursion(chart):
 def test_weights_match_the_pivot_recursion(n):
     for chart in all_charts(n):
         assert weight_vectors(chart) == _pivot_recursion(chart)
-
-
-def test_malformed_charts_raise_consistency_error():
-    # The public constructor rejects both charts, so they skip its check.
-    # Level 3 loses its only pivot, the y-pivot (3, 4).
-    no_pivot = Chart._trusted(FAMILY_CHART.label, FAMILY_CHART.px, ())
-    with pytest.raises(ConsistencyError, match="no pivot at level 3"):
-        weight_vectors(no_pivot)
-    # The level-2 pivot points at column 1, whose word is produced last.
-    backwards = Chart._trusted(FAMILY_CHART.label, ((1, 4), (2, 1)), FAMILY_CHART.py)
-    with pytest.raises(ConsistencyError, match="before it is produced"):
-        weight_vectors(backwards)
 
 
 def _tangent(chart):
