@@ -26,7 +26,6 @@ from .charts import (
     Chart,
     NestedSetPair,
     all_charts,
-    build_chart,
     commuting_charts,
     count_standard_tableaux,
     enumerate_nested_pairs,
@@ -77,7 +76,6 @@ __all__ = [
     "PositivityRegimeWarning",
     "SingularMatrixError",
     "all_charts",
-    "build_chart",
     "calibrated_superpolynomial",
     "commuting_charts",
     "count_standard_tableaux",

@@ -22,12 +22,13 @@ From a label the chart data is derived:
 * a vector of non-commutative monomials in X, Y and its generalized-Young-
   tableau image.
 
-A ``Chart`` stores only its label and pivots (per side a tuple sorted by
-row); the rest is derived on access.
+A ``Chart`` is built from its label alone and stores the label and the
+pivots read off it once (per side a tuple sorted by row); the rest is
+derived on access.
 
 Which paths validate: the public ``NestedSetPair(...)`` and
-``NestedSetPair.from_lists`` check every defining condition, and the public
-``Chart(...)`` checks that its pivots are the label's.  Nothing downstream
+``NestedSetPair.from_lists`` check every defining condition, and
+``Chart(label)`` checks that it was given a label.  Nothing downstream
 checks again: on a label those constructors accept, pivots, zeros and free
 coordinates partition the upper triangle, the pivots cover every level
 once, and the monomial words are distinct and build an edge-connected
@@ -35,10 +36,10 @@ tableau.  These are theorems about valid labels, and the tests assert them
 for every chart with ``n <= 7``.
 ``all_charts`` and ``enumerate_nested_pairs`` share one recursion, which
 builds each label with its pivots, correct by construction; its labels and
-charts skip re-validation (``NestedSetPair._trusted``, ``Chart._trusted``),
-and the tests compare its charts with ``build_chart`` on the publicly
-rebuilt labels.  ``commuting_charts`` builds its labels with the public
-constructor and its charts with ``build_chart``.
+charts skip re-validation and the pivot reading (``NestedSetPair._trusted``,
+``Chart._trusted``), and the tests compare its charts with ``Chart`` on the
+publicly rebuilt labels.  ``commuting_charts`` builds its labels with the
+public constructor and its charts with ``Chart``.
 
 All values are immutable; every function is pure and thread-safe.
 """
@@ -46,7 +47,7 @@ All values are immutable; every function is pure and thread-safe.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
@@ -144,10 +145,6 @@ class NestedSetPair:
         """Flattened chain representation, the canonical sort key."""
         return self.sx + self.sy
 
-    def mirror(self) -> "NestedSetPair":
-        """Swap the x- and y-chains."""
-        return NestedSetPair(self.n, self.sy, self.sx)
-
     def to_record(self) -> dict:
         return {
             "n": self.n,
@@ -179,8 +176,8 @@ def enumerate_nested_pairs(n: int) -> List[NestedSetPair]:
 
 @dataclass(frozen=True, slots=True)
 class Chart:
-    """One chart: its label and the pivot index pairs ``px``/``py``, each a
-    tuple sorted by row (a side has at most one pivot per row).
+    """One chart: its label and the pivot index pairs ``px``/``py`` read off
+    it, each a tuple sorted by row (a side has at most one pivot per row).
 
     Everything else is derived on each access: ``zx``/``zy`` are the
     constrained zeros read off the label, ``nx``/``ny`` the free coordinates.
@@ -190,30 +187,24 @@ class Chart:
     triangle.  ``mx``/``my`` are the base-point matrices (pivots 1,
     everything else 0).
 
-    The public constructor checks that ``px``/``py`` are the pivots the
-    label determines, in that sorted form.  Only ``build_chart`` and the
-    chart recursion behind ``all_charts``, which read the pivots off the
-    label, skip the check, through ``_trusted``.
+    The constructor takes the label alone and reads ``px``/``py`` off it
+    once.  Only the chart recursion behind ``all_charts``, which already
+    holds the pivots, skips that reading, through ``_trusted``.
 
     Raises:
-        ValueError: if ``label`` is not a :class:`NestedSetPair`, or naming
-            the side whose pivots are not the label's.
+        ValueError: if ``label`` is not a :class:`NestedSetPair`.
     """
 
     label: NestedSetPair
-    px: Pivots
-    py: Pivots
+    px: Pivots = field(init=False)
+    py: Pivots = field(init=False)
 
     def __post_init__(self):
         label = self.label
         if not isinstance(label, NestedSetPair):
             raise ValueError(f"label must be a NestedSetPair, got {type(label).__name__}")
-        for side, chain, pivots in (("x", label.sx, self.px), ("y", label.sy, self.py)):
-            expected = _pivots(chain, label.n)
-            if pivots != expected:
-                raise ValueError(
-                    f"p{side} must be the label's {side}-pivots {expected!r}, got {pivots!r}"
-                )
+        object.__setattr__(self, "px", _pivots(label.sx, label.n))
+        object.__setattr__(self, "py", _pivots(label.sy, label.n))
 
     @classmethod
     def _trusted(cls, label: NestedSetPair, px: Pivots, py: Pivots) -> "Chart":
@@ -292,17 +283,6 @@ def _upper_triangle(n: int) -> Tuple[IndexPair, ...]:
     """The index pairs ``(i, j)`` with ``1 <= i < j <= n``, sorted.  Shared
     by every chart of one size."""
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-
-
-def build_chart(label: NestedSetPair) -> Chart:
-    """The chart of a label, with its pivots read off the chains.
-
-    Nothing is checked again: the label's constructor checked every
-    condition, and the chart facts follow from them.  This is the oracle
-    the tests compare the :func:`all_charts` recursion with.
-    """
-    n = label.n
-    return Chart._trusted(label, _pivots(label.sx, n), _pivots(label.sy, n))
 
 
 def monomial_vector(chart: Chart) -> Tuple[str, ...]:
@@ -448,8 +428,9 @@ def all_charts(n: int) -> List[Chart]:
     that chain, so each of the ``n!`` labels arises once, and ``(i, j)`` is
     the pivot of side ``L``.  The zeros and free coordinates are derived
     from the label by the ``Chart`` properties.  The labels are correct by
-    construction and skip re-validation (``NestedSetPair._trusted``);
-    ``build_chart`` on the publicly rebuilt label is the test oracle.
+    construction and skip re-validation (``NestedSetPair._trusted``,
+    ``Chart._trusted``); ``Chart`` on the publicly rebuilt label is the test
+    oracle.
 
     Raises:
         ValueError: if ``n`` is not an ``int`` or ``n < 1``.
@@ -472,7 +453,8 @@ def commuting_charts(n: int) -> List[Chart]:
     the hook, ``m_k = L + m_e`` where ``m_e`` is the current end of that arm
     (``e = 1`` while the arm is empty).  That is the pivot ``(n+1-k, n+1-e)``
     on side ``L``, and ``S_L^i`` collects the ``L``-pivot columns at levels
-    ``>= i``.  The filter ``[c for c in all_charts(n) if is_commutative(c)]``
+    ``>= i``.  Each label passes the public constructor, and ``Chart(label)``
+    reads those pivots back off it.  The filter ``[c for c in all_charts(n) if is_commutative(c)]``
     gives the same list and serves as the test oracle.
 
     The first non-hook shape (two rows of two cells, n = 4) has a commuting
@@ -502,7 +484,7 @@ def commuting_charts(n: int) -> List[Chart]:
             arm_end[side] = k
         labels.append(NestedSetPair(n, tuple(chains["x"]), tuple(chains["y"])))
     labels.sort(key=NestedSetPair.flat_key)
-    return [build_chart(label) for label in labels]
+    return [Chart(label) for label in labels]
 
 
 def standard_tableau_images(n: int) -> Dict[GYT, List[Chart]]:

@@ -146,19 +146,6 @@ def _is_invertible(a: Matrix) -> bool:
     return True
 
 
-def mat_inverse(g: Matrix) -> Matrix:
-    """Exact inverse with :class:`~fractions.Fraction` entries.
-
-    Solves ``g U = Id`` by fraction-free integer elimination; ``int`` and
-    ``Fraction`` input both give ``Fraction`` entries.
-
-    Raises:
-        SingularMatrixError: no inverse exists.
-    """
-    rows, d = _bareiss_jordan(g, identity_matrix(len(g)))
-    return tuple(tuple(Fraction(v, d) for v in row) for row in rows)
-
-
 def det(a: Matrix):  # noqa: ANN201
     """Determinant by first-column cofactor expansion.
 

@@ -545,9 +545,6 @@ class BinomialRational:
             product = product * _binomial(self.variables, exponent) ** multiplicity
         return product
 
-    def is_polynomial(self) -> bool:
-        return not self.den
-
     def _check_compatible(self, other: "BinomialRational") -> None:
         if self.variables != other.variables:
             raise ValueError(

@@ -6,6 +6,7 @@ reports/gyt_injectivity.md.  Run with ``-v`` to see the per-criterion lines.
 """
 
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,7 @@ def test_criterion(number):
 
 def test_quick_level_is_the_all_green_subset():
     assert 3 not in acceptance.QUICK_NUMBERS
+    assert 9 in acceptance.QUICK_NUMBERS
     results = acceptance.run("quick", seed=0)
     assert all(result.passed for result in results)
 
@@ -41,18 +43,11 @@ def test_result_lines_are_well_formed():
     assert "[bound 10 s]" in line
 
 
-def test_bridge_criterion_fails_on_report_drift(monkeypatch, tmp_path):
-    report = tmp_path / "reports" / "specialization_bridge.md"
-    report.parent.mkdir()
-    report.write_text(
-        acceptance.bridge_report_text().replace("T(2,7)", "T(2,11)"),
-        encoding="utf-8",
-    )
-    monkeypatch.setattr(acceptance, "_repo_root", lambda: tmp_path)
-    result = acceptance.run_criterion(9, seed=0)
-    assert not result.passed
-    assert str(report) in result.detail
-    assert "regenerate it from acceptance.bridge_report_text()" in result.detail
+def test_committed_bridge_report_is_up_to_date():
+    # Criterion 9 reads no file; this test holds the committed report to the
+    # live values.  Regenerate it from acceptance.bridge_report_text().
+    report = Path(__file__).resolve().parents[1] / "reports" / "specialization_bridge.md"
+    assert report.read_text(encoding="utf-8") == acceptance.bridge_report_text()
 
 
 @pytest.mark.parametrize(

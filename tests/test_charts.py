@@ -12,7 +12,6 @@ from coxlinks.charts import (
     Chart,
     NestedSetPair,
     all_charts,
-    build_chart,
     commuting_charts,
     count_standard_tableaux,
     enumerate_nested_pairs,
@@ -139,7 +138,7 @@ def test_from_lists_sorts_levels_and_merges_repeats():
 
 
 def test_family_chart_structure():
-    chart = build_chart(FAMILY_LABEL)
+    chart = Chart(FAMILY_LABEL)
     assert sorted(chart.px) == [(1, 4), (2, 3)]
     assert sorted(chart.py) == [(3, 4)]
     assert sorted(chart.zx) == [(1, 3)]
@@ -151,28 +150,25 @@ def test_family_chart_structure():
 X_CHAIN_LABEL = NestedSetPair(3, ((2, 3), (3,), ()), ((), (), ()))
 
 
-@pytest.mark.parametrize(
-    "px, py, side",
-    [
-        # Unsorted, the chart would compare unequal to build_chart's.
-        pytest.param(((2, 3), (1, 2)), (), "px", id="unsorted"),
-        # Pivots that are not the label's would make to_record() raise.
-        pytest.param(((1, 3), (2, 3)), (), "px", id="wrong-column"),
-        pytest.param(frozenset({(1, 2), (2, 3)}), (), "px", id="frozenset"),
-        pytest.param(((1, 2), (2, 3)), ((1, 2),), "py", id="extra-y-pivot"),
-    ],
-)
-def test_chart_constructor_checks_the_pivots(px, py, side):
-    with pytest.raises(ValueError, match=f"{side} must be the label's"):
-        Chart(X_CHAIN_LABEL, px, py)
-
-
-def test_chart_constructor_accepts_the_label_pivots():
-    chart = Chart(X_CHAIN_LABEL, ((1, 2), (2, 3)), ())
-    assert chart == build_chart(X_CHAIN_LABEL)
+def test_chart_constructor_takes_the_label_alone():
+    chart = Chart(X_CHAIN_LABEL)
+    assert (chart.px, chart.py) == (((1, 2), (2, 3)), ())
     assert chart.to_record()["monomials"] == ["1", "X", "XX"]
+    with pytest.raises(TypeError):
+        Chart(X_CHAIN_LABEL, ((1, 2), (2, 3)), ())
+
+
+def test_chart_constructor_rejects_a_non_label():
     with pytest.raises(ValueError, match="label must be a NestedSetPair"):
-        Chart(X_CHAIN_LABEL.to_record(), (), ())
+        Chart(X_CHAIN_LABEL.to_record())
+
+
+def test_replacing_the_label_rereads_the_pivots():
+    other = NestedSetPair(3, X_CHAIN_LABEL.sy, X_CHAIN_LABEL.sx)
+    chart = dataclasses.replace(Chart(X_CHAIN_LABEL), label=other)
+    assert chart.label == other
+    assert (chart.px, chart.py) == ((), ((1, 2), (2, 3)))
+    assert chart == Chart(other)
 
 
 def test_free_coordinate_count_is_triangular():
@@ -189,7 +185,7 @@ def test_free_coordinate_count_is_triangular():
 
 
 def test_base_matrices_have_pivot_ones():
-    chart = build_chart(FAMILY_LABEL)
+    chart = Chart(FAMILY_LABEL)
     assert chart.mx[0][3] == 1 and chart.mx[1][2] == 1
     assert sum(map(sum, chart.mx)) == 2
     assert chart.my[2][3] == 1
@@ -236,7 +232,7 @@ def test_monomial_words_may_skip_lengths():
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_chart_recursion_matches_build_chart_oracle(n):
+def test_chart_recursion_matches_the_public_constructor(n):
     charts = all_charts(n)
     labels = [chart.label for chart in charts]
     assert enumerate_nested_pairs(n) == labels
@@ -244,8 +240,9 @@ def test_chart_recursion_matches_build_chart_oracle(n):
     assert keys == sorted(set(keys)) and len(keys) == math.factorial(n)
     names = [field.name for field in dataclasses.fields(Chart)]
     for chart, lab in zip(charts, labels):
-        # Rebuilding through the public constructor re-runs every check.
-        oracle = build_chart(NestedSetPair(n, lab.sx, lab.sy))
+        # The public label constructor re-runs every check, and the public
+        # chart constructor reads the pivots off that label.
+        oracle = Chart(NestedSetPair(n, lab.sx, lab.sy))
         assert [getattr(chart, name) for name in names] == [
             getattr(oracle, name) for name in names
         ]
@@ -328,14 +325,14 @@ def test_commutation_test_matches_dense_matrix_products():
         for chart in all_charts(n):
             dense = _dense_product(chart.mx, chart.my) == _dense_product(chart.my, chart.mx)
             assert is_commutative(chart) == dense
-    assert not is_commutative(build_chart(FAMILY_LABEL))
+    assert not is_commutative(Chart(FAMILY_LABEL))
 
 
 # -- tableau map and its failure of injectivity -------------------------------------
 
 
 def test_gyt_of_family_chart():
-    tableau = to_gyt(build_chart(FAMILY_LABEL))
+    tableau = to_gyt(Chart(FAMILY_LABEL))
     assert tableau.as_dict() == {
         (0, 0): frozenset({1}),
         (0, 1): frozenset({2}),
@@ -379,7 +376,7 @@ def test_first_collision_pair_is_the_word_order_swap():
 
 def test_mirror_transposes_the_tableau():
     for chart in all_charts(4):
-        mirrored = build_chart(chart.label.mirror())
+        mirrored = Chart(NestedSetPair(4, chart.label.sy, chart.label.sx))
         direct = to_gyt(chart).as_dict()
         swapped = {(c, r): v for (r, c), v in to_gyt(mirrored).as_dict().items()}
         assert direct == swapped

@@ -122,8 +122,8 @@ def test_tree_output_is_bit_stable(capsys):
 
 # SHA-256 of stdout.  The charts and weights digests were pinned when plain
 # lines were still formatted from the tree records; the gyt and degenerate
-# digests were pinned while all_charts still validated every label and ran
-# build_chart on it.
+# digests were pinned while all_charts still validated every label and read
+# its pivots off it.
 LISTING_DIGESTS = {
     ("plain", "charts"): "75731631734f31769cfd4c2fd536266d4f7e3d198d22077c14b1f4e32100d4af",
     ("plain", "degenerate"): "32d823449daf718ee36003597b003cb4605437626f0f920fca42f1af30af60bd",
