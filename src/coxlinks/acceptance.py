@@ -18,9 +18,9 @@ Two criteria deserve a note up front:
   (provably — the suite re-verifies the obstruction each run), so the
   criterion is met by the documented negative report plus the non-monomial
   bridge that does work.  The report is committed as
-  ``reports/specialization_bridge.md`` and regenerated by
-  :func:`bridge_report_text`; the criterion checks the mathematics only and
-  reads no file (the test suite checks the committed report).
+  ``reports/specialization_bridge.md``; the criterion checks the mathematics
+  only and reads no file (the test suite checks the values the report
+  quotes).
 """
 
 from __future__ import annotations
@@ -332,86 +332,6 @@ def positivity_audit(seed: int) -> Tuple[bool, str]:
         f"negative truncated terms: {len(negatives)}; negative numerator "
         f"terms: {len(numerator_negatives)}; out-of-regime warning: {warned}"
     )
-
-
-# -- the report artifact for criterion 9 ---------------------------------------
-
-
-def bridge_report_text() -> str:
-    """The negative-result report, regenerated from live values."""
-    superpoly = calibrated_superpolynomial(2, (1,))
-    trefoil = homfly(BraidWord(2, ((1, 1),) * 3))
-    masses = []
-    for k in (1, 2):
-        numerator = calibrated_superpolynomial(2, (k,)).value.num
-        value = homfly(BraidWord(2, ((1, 1),) * (2 * k + 1)))
-        masses.append(
-            (2 * k + 1, numerator.coefficient_mass(), value.coefficient_mass())
-        )
-    lines = [
-        "# Specialization bridge: negative result, with the bridge that works",
-        "",
-        "## Claim",
-        "",
-        "No monomial substitution phi — mapping each of q, t, a to a nonzero",
-        "rational multiple of a monomial in (a, z) — sends the calibrated",
-        "two-strand superpolynomial to the corresponding HOMFLY polynomial.",
-        "The obstruction already appears at the trefoil and is re-verified by",
-        "`coxlinks.acceptance.specialization_bridge` on every run.",
-        "",
-        "## Proof",
-        "",
-        "The n = 2, k = 1 superpolynomial is",
-        "",
-        f"    P = ({superpoly.value.num}) / (1 - q^2)",
-        "",
-        "whose numerator N has 3 unit-coefficient terms, and the trefoil",
-        "HOMFLY value is",
-        "",
-        f"    H = {trefoil}",
-        "",
-        "with support size 3 and coefficients -1, 1, 2.  A monomial phi would",
-        "force phi(N) = H * (1 - phi(q)^2), whose left side has at most 3",
-        "distinct monomials.",
-        "",
-        "* If phi(q) is non-constant, the right side's support is supp(H)",
-        "  union a nonzero translate of it: at least 4 points, and no point",
-        "  cancels, because cancellation at an overlap needs the coefficient",
-        "  ratio to equal the positive rational square phi(q)^2 — the ratios",
-        "  of distinct coefficients of H are -1, -2, -1/2, 2, 1/2, and none",
-        "  is a positive rational square.  Contradiction.",
-        "* If phi(q) is constant, the left monomials are mu_a mu_t^-1,",
-        "  mu_a mu_t, mu_a^2 for monomials mu_a, mu_t; the conjugate pair",
-        "  sums to 2 mu_a, which must also be twice the square slot.  No",
-        "  assignment of the three support points of H satisfies both (the",
-        "  suite exhausts all three choices).  Contradiction.",
-        "",
-        "Coefficient mass makes the gap vivid (a +/-1-monomial substitution",
-        "never increases the sum of absolute coefficient values):",
-        "",
-    ]
-    for column, left, right in masses:
-        lines.append(
-            f"* T(2,{column}): numerator mass {left} < HOMFLY mass {right}."
-        )
-    lines += [
-        "",
-        "## The bridge that does work (non-monomial)",
-        "",
-        "Specializing the superpolynomial numerator at t = -1, a -> -a^2",
-        "equals the HOMFLY value at z = q - 1/q:",
-        "",
-        "    num P(2, (k,)) |_{t=-1, a->-a^2}  ==  H(T(2, 2k+1)) |_{z=q-1/q}",
-        "",
-        "exactly, as Laurent polynomials in (a, q).  The sign conventions",
-        "(which square, which minus signs) were calibrated once on T(2,3) and",
-        "T(2,5); the identity then *predicts* T(2,7) and T(2,9), and the",
-        "suite re-verifies all four columns on every run.  The substitution",
-        "z = q - 1/q is not a monomial, which is exactly why it evades the",
-        "obstruction above.",
-        "",
-    ]
-    return "\n".join(lines)
 
 
 # -- the suite -----------------------------------------------------------------

@@ -106,7 +106,7 @@ class LaurentPoly:
     across threads and to use as cache keys.
 
     Example:
-        >>> Q, T = LaurentPoly.variables_of(("Q", "T"))
+        >>> Q, T = (LaurentPoly.variable(("Q", "T"), name) for name in "QT")
         >>> str((1 - Q * T) * (1 + Q * T))
         '-Q^2*T^2 + 1'
         >>> str(Q ** -2)
@@ -184,11 +184,6 @@ class LaurentPoly:
         exponent[variables.index(name)] = 1
         return cls(variables, {tuple(exponent): 1})
 
-    @classmethod
-    def variables_of(cls, variables: Sequence[str]) -> tuple:
-        """Return the generator polynomials for each name, in order."""
-        return tuple(cls.variable(variables, name) for name in variables)
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -199,10 +194,6 @@ class LaurentPoly:
         return iter(
             sorted(self.terms.items(), key=lambda t: _glex_key(t[0]), reverse=True)
         )
-
-    def coefficient_mass(self) -> int:
-        """Sum of absolute values of all coefficients."""
-        return sum(abs(c) for c in self.terms.values())
 
     def exponents_of(self, name: str) -> set[int]:
         """The set of exponents the named variable takes across all terms."""

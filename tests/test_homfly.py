@@ -70,6 +70,22 @@ def test_parse_rejects_with_position(text, position):
     assert f"(at position {position})" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("strands=3 [1, -2", "unclosed '['", 10),
+        ("strands=3 s1 [2]", "bracketed form cannot be mixed with other tokens", 13),
+        ("strands=3 [0]", "generator 0 is not defined", 11),
+        ("strands=4 [1; 2]", "unexpected text ';' in bracketed list", 10),
+    ],
+)
+def test_parse_rejects_bad_bracketed_lists(text, message, position):
+    with pytest.raises(BraidSyntaxError) as excinfo:
+        parse_braid(text)
+    assert str(excinfo.value) == f"{message} (at position {position})"
+    assert excinfo.value.position == position
+
+
 def test_parse_allows_only_whitespace_before_the_header():
     assert parse_braid(" \t\nstrands=2 s1 s1 s1") == parse_braid("strands=2 s1 s1 s1")
     with pytest.raises(BraidSyntaxError, match="missing strands=<n> header"):
@@ -191,6 +207,16 @@ def test_coxeter_braid_examples():
     full = coxeter_braid(3, (), (1, 1))
     assert full.to_text() == "strands=3 s2 s1 s1 s2 s2 s1 s2 s2"
     assert full.writhe() == 8
+    assert coxeter_braid(2, (), (-1,)).to_text() == "strands=2 s1 s1^-1 s1^-1"
+
+
+@pytest.mark.parametrize(
+    "k", [(-1,), (-2,), (-1, 0), (0, -1), (-1, 1), (1, -1)], ids=str
+)
+def test_negative_twists_agree_with_the_resolver(k):
+    # The other coxeter_braid tests draw k >= 0; these emit inverse twists.
+    braid = coxeter_braid(len(k) + 1, (), k)
+    assert homfly(braid) == resolve_homfly(braid)
 
 
 def test_coxeter_braid_accepts_integral_values_only():

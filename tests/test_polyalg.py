@@ -129,9 +129,8 @@ def test_substitute_polynomial_image_needs_nonnegative_powers():
         )
 
 
-def test_coefficient_mass_and_exponents():
+def test_exponents_of():
     f = poly("-a^4 + a^2*q^2 + 2*a^2")
-    assert f.coefficient_mass() == 4
     assert f.exponents_of("a") == {4, 2}
 
 
@@ -318,6 +317,8 @@ def test_rational_normalization_cancels_common_factor():
         ({(0, 1, 0): 1}, r"\(0, 1, 0\) has 3 entries"),
         ({(0, 1.5): 1}, r"factor \(0, 1.5\) has entry 1.5, not an int"),
         ({(True, 2): 1}, r"factor \(True, 2\) has entry True, not an int"),
+        ({(0, 0): 1}, r"^denominator factor \(1 - 1\) is a zero divisor$"),
+        ({(0, 1): -1}, r"^negative denominator multiplicity$"),
     ],
     ids=[
         "float",
@@ -328,6 +329,8 @@ def test_rational_normalization_cancels_common_factor():
         "long-exponent",
         "float-entry",
         "bool-entry",
+        "zero-divisor",
+        "negative-multiplicity",
     ],
 )
 def test_rational_rejects_malformed_denominator(den, message):
