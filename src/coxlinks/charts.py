@@ -46,7 +46,6 @@ All values are immutable; every function is pure and thread-safe.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -285,6 +284,29 @@ def _upper_triangle(n: int) -> Tuple[IndexPair, ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
+def _degrees(chart: Chart) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The X- and Y-degrees ``(w_x, w_y)`` of the words ``m_n, …, m_1``, as
+    integers read off the pivots; index ``i - 1`` holds the degree of level ``i``.
+
+    This is the pivot recursion of :func:`monomial_vector` without its
+    words: ``w^n = (0, 0)``, and an x-pivot ``(i, j)`` gives
+    ``w_x^i = w_x^j + 1`` and ``w_y^i = w_y^j`` (mirrored for a y-pivot).
+    Since ``j > i``, filling the levels downward from ``n`` is well-founded.
+    """
+    n = chart.n
+    wx, wy = [0] * (n + 1), [0] * (n + 1)
+    x_pivots = dict(chart.px)
+    y_pivots = dict(chart.py)
+    for i in range(n - 1, 0, -1):
+        if i in x_pivots:
+            j = x_pivots[i]
+            wx[i], wy[i] = wx[j] + 1, wy[j]
+        else:
+            j = y_pivots[i]
+            wx[i], wy[i] = wx[j], wy[j] + 1
+    return tuple(wx[1:]), tuple(wy[1:])
+
+
 def monomial_vector(chart: Chart) -> Tuple[str, ...]:
     """The non-commutative monomial vector ``(m_1, …, m_n)`` of a chart.
 
@@ -305,6 +327,9 @@ def monomial_vector(chart: Chart) -> Tuple[str, ...]:
     one column on one side, which the nesting of the chains forbids.  Every
     level has exactly one pivot (``|S_x^i| + |S_y^i| = n - i``), so each
     word is one letter put in front of an earlier word.
+
+    Words are built only to be printed: the degrees that the tableau and the
+    weights read come from the same recursion on integers (``_degrees``).
     """
     n = chart.n
     words = [""] * (n + 1)
@@ -365,36 +390,31 @@ def to_gyt(chart: Chart) -> GYT:
     """Map a chart to its generalized Young tableau.
 
     Cell ``(i, j)`` collects every index ``k`` whose monomial ``m_k`` has
-    X-degree ``i`` and Y-degree ``j``.  The occupied cells are always
-    edge-connected: each word is one letter put in front of an earlier
-    word, so each cell is one unit step from an earlier cell.
+    X-degree ``i`` and Y-degree ``j``; the degrees are read off the pivots as
+    integers (``_degrees``), with no word built.  The occupied cells are
+    always edge-connected: each word is one letter put in front of an
+    earlier word, so each cell is one unit step from an earlier cell.
     """
-    words = monomial_vector(chart)
+    n = chart.n
     cells: Dict[IndexPair, set] = {}
-    for k, word in enumerate(words, start=1):
-        cell = (word.count("X"), word.count("Y"))
-        cells.setdefault(cell, set()).add(k)
+    for level, cell in enumerate(zip(*_degrees(chart)), start=1):
+        cells.setdefault(cell, set()).add(n + 1 - level)
     return GYT(tuple(sorted((cell, frozenset(labels)) for cell, labels in cells.items())))
-
-
-def _product_entries(pa: Pivots, pb: Pivots) -> Counter:
-    """Nonzero entries of the product of two base matrices, from their pivots.
-
-    A base matrix has a 1 exactly at its pivots, so entry ``(i, l)`` of the
-    product counts the pivots ``(i, j)`` of the first matrix that meet a
-    pivot ``(j, l)`` of the second.
-    """
-    return Counter((i, l) for i, j in pa for k, l in pb if j == k)
 
 
 def is_commutative(chart: Chart) -> bool:
     """True iff the base-point matrices commute.
 
-    Exact: both products are read off the pivot sets (see
-    ``_product_entries``), which costs ``O(|P_x| |P_y|)`` instead of two
-    dense ``n x n`` integer products.
+    Exact and ``O(n)``: a base matrix has at most one 1 per row, at its
+    pivot, so row ``i`` of ``XY`` is the unit row ``y(x(i))`` (or zero when
+    a pivot is missing) and row ``i`` of ``YX`` is ``x(y(i))``.  The two
+    products agree exactly when those pivot maps agree on every row.
     """
-    return _product_entries(chart.px, chart.py) == _product_entries(chart.py, chart.px)
+    x_pivots, y_pivots = dict(chart.px), dict(chart.py)
+    return all(
+        y_pivots.get(x_pivots.get(i)) == x_pivots.get(y_pivots.get(i))
+        for i in range(1, chart.n)
+    )
 
 
 def _descend(n, found, i, sx, sy, px, py):  # noqa: ANN001, ANN202

@@ -130,8 +130,23 @@ def _emit(
             print(line)
 
 
+def _levels(chain: Sequence[Sequence[int]]) -> str:
+    """A label chain as a plain line prints it.
+
+    Plain lines print every int-list field with ``str(list)``: for ints it
+    is byte-identical to ``json.dumps`` and much cheaper.  Tree output keeps
+    ``json``.
+    """
+    return str(list(map(list, chain)))
+
+
 def _label_fields(label: NestedSetPair) -> str:
-    return f"sx={json.dumps(label.sx)} sy={json.dumps(label.sy)}"
+    return f"sx={_levels(label.sx)} sy={_levels(label.sy)}"
+
+
+def _words(words: Iterable[str]) -> str:
+    """The JSON list of the printed words, which hold only ``X``, ``Y`` and ``1``."""
+    return '["' + '", "'.join(map(word_str, words)) + '"]'
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -142,7 +157,7 @@ def _cmd_charts(args: argparse.Namespace) -> int:
     lines = (
         "label {label} monomials={monomials} commutes={commutes}".format(
             label=_label_fields(chart.label),
-            monomials=json.dumps([word_str(word) for word in monomial_vector(chart)]),
+            monomials=_words(monomial_vector(chart)),
             commutes=is_commutative(chart),
         )
         for chart in charts
@@ -163,8 +178,8 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     lines = (
         "wx={wx} wy={wy} dimT0={t0} dimOb0={ob0} inequality={ineq}"
         " vanishing_factors={vf}".format(
-            wx=json.dumps(data.wx),
-            wy=json.dumps(data.wy),
+            wx=list(data.wx),
+            wy=list(data.wy),
             t0=fixed["dimT0"],
             ob0=fixed["dimOb0"],
             ineq=fixed["inequality"],
@@ -255,11 +270,9 @@ def _cmd_gyt(args: argparse.Namespace) -> int:
         f"gyt n={args.n}: {report['total']} charts, {len(groups)} collision groups"
     ]
     for group in groups:
-        lines.append(f"collision on cells {json.dumps(group['gyt'])}:")
+        lines.append(f"collision on cells {group['gyt']}:")
         for label in group["labels"]:
-            lines.append(
-                f"  sx={json.dumps(label['sx'])} sy={json.dumps(label['sy'])}"
-            )
+            lines.append(f"  sx={label['sx']} sy={label['sy']}")
     _emit(args, lambda: [report], lines)
     return EXIT_OK
 

@@ -143,7 +143,8 @@ class BraidWord:
 
 _HEADER = re.compile(r"strands=(\d+)")
 _GENERATOR = re.compile(r"s(\d+)(\^-1)?")
-_SIGNED_INT = re.compile(r"[+-]?\d+")
+_LIST_ITEM = re.compile(r"\s*([+-]?\d+)\s*")
+_SPACE = re.compile(r"\s*")
 
 
 def parse_braid(text: str) -> BraidWord:
@@ -152,8 +153,10 @@ def parse_braid(text: str) -> BraidWord:
     Only whitespace may precede the header.
 
     Generators come either as tokens ``s<i>`` / ``s<i>^-1`` or as one
-    bracketed list of signed integers (``[1, -2, 1]`` meaning
-    ``s1 s2^-1 s1``).  Errors carry the character position.
+    bracketed list of signed integers separated by single commas, with
+    optional whitespace (``[1, -2, 1]`` meaning ``s1 s2^-1 s1``; ``[]`` is
+    the empty word).  Errors carry the character position; a malformed
+    list reports its first offending character.
 
     Examples:
         >>> parse_braid("strands=3 s1 s2^-1").word
@@ -174,8 +177,6 @@ def parse_braid(text: str) -> BraidWord:
         raise BraidSyntaxError("strand count must be positive", header.start())
     rest_start = header.end()
     rest = text[rest_start:]
-    word: List[Tuple[int, int]] = []
-
     bracket = rest.find("[")
     if bracket != -1:
         closing = rest.find("]", bracket)
@@ -188,24 +189,9 @@ def parse_braid(text: str) -> BraidWord:
                 "bracketed form cannot be mixed with other tokens",
                 rest_start + bracket,
             )
-        for match in _SIGNED_INT.finditer(inside):
-            value = int(match.group(0))
-            if value == 0:
-                raise BraidSyntaxError(
-                    "generator 0 is not defined",
-                    rest_start + bracket + 1 + match.start(),
-                )
-            index, sign = abs(value), (1 if value > 0 else -1)
-            _check_index(index, strands, rest_start + bracket + 1 + match.start())
-            word.append((index, sign))
-        leftover = _SIGNED_INT.sub("", inside).replace(",", "").strip()
-        if leftover:
-            raise BraidSyntaxError(
-                f"unexpected text {leftover!r} in bracketed list",
-                rest_start + bracket,
-            )
-        return BraidWord(strands, tuple(word))
+        return BraidWord(strands, _bracketed_word(inside, rest_start + bracket + 1, strands))
 
+    word: List[Tuple[int, int]] = []
     position = rest_start
     for token in rest.split():
         position = text.index(token, position)
@@ -217,6 +203,40 @@ def parse_braid(text: str) -> BraidWord:
         word.append((index, -1 if match.group(2) else 1))
         position += len(token)
     return BraidWord(strands, tuple(word))
+
+
+def _bracketed_word(inside: str, offset: int, strands: int) -> Tuple[Tuple[int, int], ...]:
+    """The generators of the text ``inside`` a bracketed list, whose first
+    character sits at position ``offset`` of the braid text.
+
+    ``inside`` is blank, or signed integers separated by single commas with
+    optional whitespace; anything else raises at its first offending
+    character, the closing ``]`` when an integer is missing at the end.
+    """
+    if not inside.strip():
+        return ()
+    word: List[Tuple[int, int]] = []
+    position = 0
+    while True:
+        item = _LIST_ITEM.match(inside, position)
+        if item is None:
+            position = _SPACE.match(inside, position).end()
+            break
+        value = int(item.group(1))
+        if value == 0:
+            raise BraidSyntaxError("generator 0 is not defined", offset + item.start(1))
+        _check_index(abs(value), strands, offset + item.start(1))
+        word.append((abs(value), 1 if value > 0 else -1))
+        position = item.end()
+        if position == len(inside):
+            return tuple(word)
+        if inside[position] != ",":
+            break
+        position += 1
+    raise BraidSyntaxError(
+        f"unexpected text {(inside + ']')[position]!r} in bracketed list",
+        offset + position,
+    )
 
 
 def _check_index(index: int, strands: int, position: int) -> None:

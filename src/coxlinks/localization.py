@@ -48,8 +48,8 @@ from .polyalg import AQT, BinomialRational, LaurentPoly, _lift
 from .weights import (
     WeightData,
     _obstruction_exponents,
+    _tangent_counts,
     _tangent_exponents,
-    _unit_counts,
     calibrated_exponent,
     weight_data,
     weight_vectors,
@@ -194,8 +194,9 @@ def detect_degenerate(n: int) -> List[Chart]:
     """All charts (commuting or not) with a free coordinate at ``s = 0``.
 
     These are the charts whose verbatim bookkeeping has a vanishing
-    denominator factor (``fixed_dim()["vanishing_factors"] > 0``).  The
-    scan is exhaustive over all ``n!`` charts.
+    denominator factor (``fixed_dim()["vanishing_factors"] > 0``): a free
+    coordinate whose weight drop is ``D = -e``.  The scan is exhaustive over
+    all ``n!`` charts and counts those drops directly, building no row.
 
     Examples:
         >>> detect_degenerate(2)
@@ -207,5 +208,5 @@ def detect_degenerate(n: int) -> List[Chart]:
     return [
         chart
         for chart in all_charts(n)
-        if _unit_counts(_tangent_exponents(chart, *weight_vectors(chart)))[1]
+        if _tangent_counts(chart, *weight_vectors(chart))[1]
     ]

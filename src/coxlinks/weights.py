@@ -21,7 +21,8 @@ every kind:
 * its calibrated factor has the exponent ``2e - s = e - D``, which is zero
   exactly when the coordinate is torus-fixed.
 
-The counts in ``WeightData.fixed_dim`` use the fixed condition ``s = 2e``.
+The counts in ``WeightData.fixed_dim`` use the fixed condition ``s = 2e``,
+that is ``D = e``, and read it straight off the weight drops.
 Only under it does the fixed-dimension inequality dimOb0 >= dimT0 hold for
 every chart with n <= 7 (verified exhaustively).  Counting ``s = 0``
 instead already fails on the explicit degenerate n = 4 chart: its y_{12}
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .charts import Chart, _upper_triangle, monomial_vector
+from .charts import Chart, _degrees, _upper_triangle
 from .errors import _link_s
 
 IndexPair = Tuple[int, int]
@@ -54,17 +55,41 @@ def calibrated_exponent(kind: str, sx: int, sy: int) -> Tuple[int, int]:
     return 2 * ex - sx, 2 * ey - sy
 
 
-#: ``(kind, sx, sy)`` of a torus-fixed row: ``s = 2e``.
-_FIXED = frozenset((kind, 2 * ex, 2 * ey) for kind, (ex, ey) in UNITS.items())
-
-
-def _unit_counts(rows: List[Row]) -> Tuple[int, int]:
-    """``(fixed, vanishing)``: the rows with ``s = 2e`` and with ``s = 0``."""
+def _unit_counts(
+    kind: str,
+    pairs: Iterable[IndexPair],
+    taken: Sequence[Iterable[int]],
+    wx: Tuple[int, ...],
+    wy: Tuple[int, ...],
+) -> Tuple[int, int]:
+    """``(fixed, vanishing)`` over the pairs ``(i, j)`` with ``j`` not in
+    ``taken[i - 1]``, read straight off the weight drop ``D = w^i - w^j``:
+    a pair is torus-fixed at ``D = e`` (``s = 2e``) and its factor vanishes
+    at ``D = -e`` (``s = 0``).  No row is built."""
+    ex, ey = UNITS[kind]
     fixed = vanishing = 0
-    for kind, _, _, sx, sy in rows:
-        fixed += (kind, sx, sy) in _FIXED
-        vanishing += sx == sy == 0
+    for i, j in pairs:
+        if j in taken[i - 1]:
+            continue
+        dx = wx[i - 1] - wx[j - 1]
+        dy = wy[i - 1] - wy[j - 1]
+        if dx == ex and dy == ey:
+            fixed += 1
+        elif dx == -ex and dy == -ey:
+            vanishing += 1
     return fixed, vanishing
+
+
+def _tangent_counts(
+    chart: Chart, wx: Tuple[int, ...], wy: Tuple[int, ...]
+) -> Tuple[int, int]:
+    """``(fixed, vanishing)`` over the free coordinates of both sides, under
+    the free rule of :func:`_tangent_exponents`."""
+    label = chart.label
+    pairs = _upper_triangle(label.n)
+    fixed_x, vanishing_x = _unit_counts("x", pairs, label.sx, wx, wy)
+    fixed_y, vanishing_y = _unit_counts("y", pairs, label.sy, wx, wy)
+    return fixed_x + fixed_y, vanishing_x + vanishing_y
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,11 +140,15 @@ class WeightData:
           ``s = 0``, for the numerator product.
 
         The obstruction counts run over this data's pairs, so they include
-        the adjacent pairs of a nonempty ``link_s``.
+        the adjacent pairs of a nonempty ``link_s``.  Every count is read
+        straight off the weight drops ``D = e`` (fixed) and ``D = -e``
+        (vanishing); no exponent row is built.
         """
-        tangent = _tangent_exponents(self.chart, self.wx, self.wy)
-        dim_t0, vanishing = _unit_counts(tangent)
-        dim_ob0, vanishing_obstruction = _unit_counts(_obstruction_exponents(self))
+        dim_t0, vanishing = _tangent_counts(self.chart, self.wx, self.wy)
+        n = self.chart.n
+        dim_ob0, vanishing_obstruction = _unit_counts(
+            "obstruction", _obstruction_pairs(n, self.link), ((),) * n, self.wx, self.wy
+        )
         return {
             "dimT0": dim_t0,
             "dimOb0": dim_ob0,
@@ -132,12 +161,11 @@ class WeightData:
 def weight_vectors(chart: Chart) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """The weight vectors (w_x, w_y), indices 1..n: the X- and Y-degrees of
     the monomial words ``m_n, …, m_1`` of :func:`~coxlinks.charts.monomial_vector`.
+
+    They are computed on integers by the pivot recursion of the module
+    docstring (``charts._degrees``); no word is built.
     """
-    words = monomial_vector(chart)[::-1]
-    return (
-        tuple(word.count("X") for word in words),
-        tuple(word.count("Y") for word in words),
-    )
+    return _degrees(chart)
 
 
 def _stored(

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+from collections import Counter
 
 import pytest
 
@@ -320,6 +321,25 @@ def _dense_product(a, b):
     )
 
 
+def _product_entries(pa, pb):
+    """Nonzero entries of the product of two base matrices, from their pivots.
+
+    A base matrix has a 1 exactly at its pivots, so entry ``(i, l)`` of the
+    product counts the pivots ``(i, j)`` of the first matrix that meet a
+    pivot ``(j, l)`` of the second.
+    """
+    return Counter((i, l) for i, j in pa for k, l in pb if j == k)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_commutation_test_matches_the_pivot_products(n):
+    for chart in all_charts(n):
+        products_agree = _product_entries(chart.px, chart.py) == _product_entries(
+            chart.py, chart.px
+        )
+        assert is_commutative(chart) == products_agree
+
+
 def test_commutation_test_matches_dense_matrix_products():
     for n in range(1, 7):
         for chart in all_charts(n):
@@ -329,6 +349,15 @@ def test_commutation_test_matches_dense_matrix_products():
 
 
 # -- tableau map and its failure of injectivity -------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tableau_cells_are_the_letter_counts_of_the_words(n):
+    for chart in all_charts(n):
+        cells = {}
+        for k, word in enumerate(monomial_vector(chart), start=1):
+            cells.setdefault((word.count("X"), word.count("Y")), set()).add(k)
+        assert to_gyt(chart).as_dict() == {cell: frozenset(ks) for cell, ks in cells.items()}
 
 
 def test_gyt_of_family_chart():

@@ -180,6 +180,53 @@ def test_plain_weight_lines_match_tree_records(capsys):
         assert int(fields["vanishing_factors"]) == fixed["vanishing_factors"]
 
 
+def _plain_and_tree(capsys, command, n):
+    """The plain record lines (header dropped) and the tree records."""
+    _, plain, _ = run(capsys, command, str(n))
+    _, tree, _ = run(capsys, "--format", "tree", command, str(n))
+    return plain.splitlines()[1:], json.loads(tree)["records"]
+
+
+# The int-list (and word-list) fields of each command's plain lines, and
+# the matching fields of its tree records.
+_LIST_FIELDS = {
+    "charts": (
+        ("sx", "sy", "monomials"),
+        lambda record: (record["label"]["sx"], record["label"]["sy"], record["monomials"]),
+    ),
+    "weights": (("wx", "wy"), lambda record: (record["wx"], record["wy"])),
+    "degenerate": (
+        ("sx", "sy"),
+        lambda record: (record["label"]["sx"], record["label"]["sy"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("command", sorted(_LIST_FIELDS))
+def test_plain_list_fields_are_the_json_of_the_tree_fields(capsys, command, n):
+    # Byte for byte, so a change of spacing or quoting in the plain lines shows.
+    names, tree_fields = _LIST_FIELDS[command]
+    lines, records = _plain_and_tree(capsys, command, n)
+    assert len(lines) == len(records)
+    for line, record in zip(lines, records):
+        fields = _plain_fields(line)
+        assert [fields[name] for name in names] == list(map(json.dumps, tree_fields(record)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_plain_gyt_lines_are_the_json_of_the_tree_report(capsys, n):
+    lines, (report,) = _plain_and_tree(capsys, "gyt", n)
+    expected = []
+    for group in report["collisions"]:
+        expected.append(f"collision on cells {json.dumps(group['gyt'])}:")
+        expected += [
+            f"  sx={json.dumps(label['sx'])} sy={json.dumps(label['sy'])}"
+            for label in group["labels"]
+        ]
+    assert lines == expected
+
+
 def test_weights_prints_each_line_before_the_next_chart(monkeypatch):
     events = []
 

@@ -54,6 +54,21 @@ def test_parse_round_trip():
 
 
 @pytest.mark.parametrize(
+    "text, word",
+    [
+        ("strands=3 [1, -2, 1]", ((1, 1), (2, -1), (1, 1))),
+        ("strands=3 [ 1 , -2 ]", ((1, 1), (2, -1))),
+        ("strands=3 [+1]", ((1, 1),)),
+        ("strands=3 [1,\t2\n]", ((1, 1), (2, 1))),
+        ("strands=3 []", ()),
+        ("strands=3 [ ]", ()),
+    ],
+)
+def test_parse_accepts_bracketed_lists(text, word):
+    assert parse_braid(text) == BraidWord(3, word)
+
+
+@pytest.mark.parametrize(
     "text, position",
     [
         ("whatever", 0),
@@ -76,7 +91,12 @@ def test_parse_rejects_with_position(text, position):
         ("strands=3 [1, -2", "unclosed '['", 10),
         ("strands=3 s1 [2]", "bracketed form cannot be mixed with other tokens", 13),
         ("strands=3 [0]", "generator 0 is not defined", 11),
-        ("strands=4 [1; 2]", "unexpected text ';' in bracketed list", 10),
+        ("strands=4 [1; 2]", "unexpected text ';' in bracketed list", 12),
+        ("strands=3 [1-2]", "unexpected text '-' in bracketed list", 12),
+        ("strands=3 [1,,,2]", "unexpected text ',' in bracketed list", 13),
+        ("strands=3 [1 2]", "unexpected text '2' in bracketed list", 13),
+        ("strands=3 [1,]", "unexpected text ']' in bracketed list", 13),
+        ("strands=3 [,1]", "unexpected text ',' in bracketed list", 11),
     ],
 )
 def test_parse_rejects_bad_bracketed_lists(text, message, position):

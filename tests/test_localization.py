@@ -219,7 +219,7 @@ def test_degenerate_census(n, count):
     assert len(detect_degenerate(n)) == count
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_degenerate_scan_matches_the_record_filter(n):
     def has_zero_record(chart):
         tangent = weight_data(chart).to_record()["tangent"]
