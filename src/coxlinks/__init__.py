@@ -8,8 +8,9 @@ modules layer roughly bottom-up:
   functions with binomial denominators (the only scalar types used);
 * :mod:`coxlinks.charts` — nested-set chart labels, pivots, base
   matrices, generalized Young tableaux;
-* :mod:`coxlinks.weights` — recursive weight vectors and the one unit
-  rule for tangent and obstruction exponents per chart;
+* :mod:`coxlinks.weights` — recursive weight vectors, the one unit
+  rule for tangent and obstruction exponents per chart, and the
+  degeneracy scan;
 * :mod:`coxlinks.localization` — fixed-point sums: the calibrated
   superpolynomial;
 * :mod:`coxlinks.twostrand` — closed-form two-strand homology, the
@@ -28,7 +29,6 @@ from .charts import (
     all_charts,
     commuting_charts,
     count_standard_tableaux,
-    enumerate_nested_pairs,
     gyt_injectivity_report,
     is_commutative,
     monomial_vector,
@@ -47,14 +47,10 @@ from .errors import (
     SingularMatrixError,
 )
 from .homfly import BraidWord, coxeter_braid, homfly, markov_trace, parse_braid
-from .localization import (
-    CalibratedSuperpolynomial,
-    calibrated_superpolynomial,
-    detect_degenerate,
-)
+from .localization import CalibratedSuperpolynomial, calibrated_superpolynomial
 from .polyalg import BinomialRational, LaurentPoly, parse_poly
 from .twostrand import GradedDim, homology_T2_even, homology_T2_odd
-from .weights import fixed_dim_check, weight_data, weight_vectors
+from .weights import detect_degenerate, weight_data, weight_vectors
 
 __version__ = "0.1.0"
 
@@ -81,8 +77,6 @@ __all__ = [
     "count_standard_tableaux",
     "coxeter_braid",
     "detect_degenerate",
-    "enumerate_nested_pairs",
-    "fixed_dim_check",
     "gyt_injectivity_report",
     "homfly",
     "homology_T2_even",

@@ -38,17 +38,16 @@ from .charts import (
     NestedSetPair,
     all_charts,
     count_standard_tableaux,
-    enumerate_nested_pairs,
     gyt_injectivity_report,
     standard_tableau_images,
 )
 from .errors import PositivityRegimeWarning
 from .homfly import AZ, BraidWord, homfly
-from .localization import calibrated_superpolynomial, detect_degenerate
+from .localization import calibrated_superpolynomial
 from .mfcheck import containment_suite, symbolic_gid_check
 from .polyalg import LaurentPoly
 from .twostrand import AQT, homology_T2_even, homology_T2_odd
-from .weights import fixed_dim_check
+from .weights import detect_degenerate, weight_data
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ Check = Callable[[int], Tuple[bool, str]]
 
 def chart_count(seed: int) -> Tuple[bool, str]:
     """1: the chart census is exactly n! for n = 1..7."""
-    counts = [len(enumerate_nested_pairs(n)) for n in range(1, 8)]
+    counts = [len(all_charts(n)) for n in range(1, 8)]
     ok = counts == [math.factorial(n) for n in range(1, 8)]
     return ok, f"counts n=1..7: {counts}"
 
@@ -118,7 +117,7 @@ def fixed_dim_inequality(seed: int) -> Tuple[bool, str]:
     for n in range(1, 7):
         for chart in all_charts(n):
             charts += 1
-            if not fixed_dim_check(chart)["inequality"]:
+            if not weight_data(chart).fixed_dim()["inequality"]:
                 violations += 1
     return violations == 0, f"{charts} charts scanned, {violations} violations"
 

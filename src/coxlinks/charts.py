@@ -34,12 +34,12 @@ coordinates partition the upper triangle, the pivots cover every level
 once, and the monomial words are distinct and build an edge-connected
 tableau.  These are theorems about valid labels, and the tests assert them
 for every chart with ``n <= 7``.
-``all_charts`` and ``enumerate_nested_pairs`` share one recursion, which
-builds each label with its pivots, correct by construction; its labels and
-charts skip re-validation and the pivot reading (``NestedSetPair._trusted``,
-``Chart._trusted``), and the tests compare its charts with ``Chart`` on the
-publicly rebuilt labels.  ``commuting_charts`` builds its labels with the
-public constructor and its charts with ``Chart``.
+``all_charts`` builds each label with its pivots in one recursion,
+correct by construction; its labels and charts skip re-validation and the
+pivot reading (``NestedSetPair._trusted``, ``Chart._trusted``), and the
+tests compare its charts with ``Chart`` on the publicly rebuilt labels.
+``commuting_charts`` builds its labels with the public constructor and its
+charts with ``Chart``.
 
 All values are immutable; every function is pure and thread-safe.
 """
@@ -59,7 +59,8 @@ Pivots = Tuple[IndexPair, ...]  # one side's pivots, sorted by row
 Matrix = Tuple[Tuple[int, ...], ...]
 
 MAX_ENUMERATION_N = 9
-MAX_INJECTIVITY_N = 7
+#: Both n! scans, the injectivity report here and ``weights.detect_degenerate``.
+MAX_SCAN_N = 7
 #: The shape cache of the tableau count is never freed: n = 20 leaves 2,714
 #: shapes in it, n = 50 about 1.3 M.
 MAX_TABLEAU_N = 20
@@ -158,19 +159,6 @@ def _levels(chain: Sequence[Iterable[int]]) -> tuple:
         tuple(sorted(level)) if all(map(_is_int, level)) else tuple(level)
         for level in map(set, chain)
     )
-
-
-def enumerate_nested_pairs(n: int) -> List[NestedSetPair]:
-    """All nested set pairs for matrix size ``n``, in flat-key order.
-
-    These are the labels of :func:`all_charts`, read off the recursion that
-    builds them together with their charts.
-
-    Raises:
-        ValueError: if ``n < 1``.
-        CapacityError: if ``n > 9`` (factorial growth).
-    """
-    return [chart.label for chart in all_charts(n)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -536,7 +524,7 @@ def gyt_injectivity_report(n: int) -> dict:
     empty collision list is the expected outcome; the report is the
     deliverable either way.
     """
-    _size("n", n, MAX_INJECTIVITY_N, "the injectivity scan")
+    _size("n", n, MAX_SCAN_N, "the injectivity scan")
     charts = all_charts(n)
     groups: Dict[tuple, List[Chart]] = {}
     for chart in charts:

@@ -27,7 +27,7 @@ import argparse
 import json
 import sys
 from itertools import chain
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__, acceptance
 from .charts import (
@@ -48,10 +48,10 @@ from .errors import (
     SingularMatrixError,
 )
 from .homfly import coxeter_braid, homfly, parse_braid
-from .localization import calibrated_superpolynomial, detect_degenerate
+from .localization import calibrated_superpolynomial
 from .mfcheck import containment_suite
 from .twostrand import homology_T2_even, homology_T2_odd
-from .weights import weight_data
+from .weights import detect_degenerate, weight_data
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -256,24 +256,24 @@ def _cmd_coxbraid(args: argparse.Namespace) -> int:
 
 def _cmd_degenerate(args: argparse.Namespace) -> int:
     flagged = detect_degenerate(args.n)
-    lines = [f"degenerate charts at n={args.n}: {len(flagged)}"] + [
-        f"label {_label_fields(chart.label)}" for chart in flagged
-    ]
-    _emit(args, lambda: [chart.to_record() for chart in flagged], lines)
+    header = f"degenerate charts at n={args.n}: {len(flagged)}"
+    lines = (f"label {_label_fields(chart.label)}" for chart in flagged)
+    _emit(args, lambda: [chart.to_record() for chart in flagged], chain([header], lines))
     return EXIT_OK
+
+
+def _collision_lines(group: dict) -> Iterator[str]:
+    yield f"collision on cells {group['gyt']}:"
+    for label in group["labels"]:
+        yield f"  sx={label['sx']} sy={label['sy']}"
 
 
 def _cmd_gyt(args: argparse.Namespace) -> int:
     report = gyt_injectivity_report(args.n)
     groups = report["collisions"]
-    lines = [
-        f"gyt n={args.n}: {report['total']} charts, {len(groups)} collision groups"
-    ]
-    for group in groups:
-        lines.append(f"collision on cells {group['gyt']}:")
-        for label in group["labels"]:
-            lines.append(f"  sx={label['sx']} sy={label['sy']}")
-    _emit(args, lambda: [report], lines)
+    header = f"gyt n={args.n}: {report['total']} charts, {len(groups)} collision groups"
+    lines = chain.from_iterable(map(_collision_lines, groups))
+    _emit(args, lambda: [report], chain([header], lines))
     return EXIT_OK
 
 

@@ -10,7 +10,9 @@ family agree *exactly* with the two-strand homology oracle
 Calibrated weights, in the series variables ``u = q^2`` and ``v = t^2/q^2``
 (the degrees of a free x- and y-coordinate).  A pair of unit ``e`` and
 weight drop ``D = w^i - w^j`` stores ``s = D + e`` and has the calibrated
-exponent ``c = 2e - s = e - D`` (:mod:`coxlinks.weights`):
+exponent ``c = 2e - s = e - D``, which the sum reads through
+:meth:`~coxlinks.weights.WeightData.calibrated_exponents`, its one call
+into :mod:`coxlinks.weights`:
 
 * a free coordinate contributes ``1 / (1 - u^{cx} v^{cy})``;
 * an obstruction pair contributes ``(1 - u^{cx} v^{cy})``;
@@ -35,9 +37,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from .charts import Chart, all_charts, commuting_charts
+from .charts import commuting_charts
 from .errors import (
     ExperimentalFeatureWarning,
     PositivityRegimeWarning,
@@ -45,17 +47,9 @@ from .errors import (
     _size,
 )
 from .polyalg import AQT, BinomialRational, LaurentPoly, _lift
-from .weights import (
-    WeightData,
-    _obstruction_exponents,
-    _tangent_counts,
-    _tangent_exponents,
-    calibrated_exponent,
-    weight_data,
-    weight_vectors,
-)
+from .weights import WeightData, weight_data
 
-#: The sum visits 2^(n-1) hook charts, the degeneracy scan all n!; past 7 is a typo.
+#: Bounds the sum alone, which visits the 2^(n-1) hook charts; past 7 is a typo.
 MAX_LOCALIZATION_N = 7
 
 
@@ -110,11 +104,12 @@ def _calibrated_term(data: WeightData, k: Tuple[int, ...]) -> BinomialRational:
     n = data.chart.n
     for wx_i, wy_i in zip(data.wx[: n - 1], data.wy[: n - 1]):
         terms = _lift(terms, _uv_exponent(1, -wx_i, -wy_i), 1, sign=1)
-    for kind, _, _, sx, sy in _obstruction_exponents(data):
-        terms = _lift(terms, _uv_exponent(0, *calibrated_exponent(kind, sx, sy)), 1)
+    numerator, denominator = data.calibrated_exponents()
+    for cx, cy in numerator:
+        terms = _lift(terms, _uv_exponent(0, cx, cy), 1)
     den: Dict[tuple, int] = {}
-    for kind, _, _, sx, sy in _tangent_exponents(data.chart, data.wx, data.wy):
-        exponent = _uv_exponent(0, *calibrated_exponent(kind, sx, sy))
+    for cx, cy in denominator:
+        exponent = _uv_exponent(0, cx, cy)
         den[exponent] = den.get(exponent, 0) + 1
     return BinomialRational(LaurentPoly._trusted(AQT, terms), den)
 
@@ -185,28 +180,3 @@ def calibrated_superpolynomial(
         shift_exponent=shift_exponent,
         in_conjecture_regime=regime,
     )
-
-
-# -- degeneracy scan ----------------------------------------------------------
-
-
-def detect_degenerate(n: int) -> List[Chart]:
-    """All charts (commuting or not) with a free coordinate at ``s = 0``.
-
-    These are the charts whose verbatim bookkeeping has a vanishing
-    denominator factor (``fixed_dim()["vanishing_factors"] > 0``): a free
-    coordinate whose weight drop is ``D = -e``.  The scan is exhaustive over
-    all ``n!`` charts and counts those drops directly, building no row.
-
-    Examples:
-        >>> detect_degenerate(2)
-        []
-        >>> len(detect_degenerate(4))
-        2
-    """
-    _size("n", n, MAX_LOCALIZATION_N, "the degeneracy scan")
-    return [
-        chart
-        for chart in all_charts(n)
-        if _tangent_counts(chart, *weight_vectors(chart))[1]
-    ]

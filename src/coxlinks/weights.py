@@ -21,6 +21,9 @@ every kind:
 * its calibrated factor has the exponent ``2e - s = e - D``, which is zero
   exactly when the coordinate is torus-fixed.
 
+``WeightData.calibrated_exponents`` returns the calibrated exponents, the
+one view of the weights that :mod:`coxlinks.localization` reads.
+
 The counts in ``WeightData.fixed_dim`` use the fixed condition ``s = 2e``,
 that is ``D = e``, and read it straight off the weight drops.
 Only under it does the fixed-dimension inequality dimOb0 >= dimT0 hold for
@@ -28,8 +31,8 @@ every chart with n <= 7 (verified exhaustively).  Counting ``s = 0``
 instead already fails on the explicit degenerate n = 4 chart: its y_{12}
 has ``s = 0``, a vanishing *denominator factor*, not a fixed tangent
 direction (the chart's family is a torus orbit, not fixed points).  The
-vanishing-factor count is reported separately and drives degenerate-chart
-detection.
+vanishing-factor count is reported separately, and :func:`detect_degenerate`
+scans all ``n!`` charts for it.
 """
 
 from __future__ import annotations
@@ -38,21 +41,24 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .charts import Chart, _degrees, _upper_triangle
-from .errors import _link_s
+from .charts import MAX_SCAN_N, Chart, _degrees, _upper_triangle, all_charts
+from .errors import _link_s, _size
 
 IndexPair = Tuple[int, int]
 #: ``(kind, i, j, sx, sy)``: a coordinate kind, its pair and its stored exponent.
 Row = Tuple[str, int, int, int, int]
+#: A calibrated ``(u, v)`` exponent ``e - D``.
+Exponent = Tuple[int, int]
 
 #: The unit ``e`` of each coordinate kind (see the module docstring).
 UNITS: Dict[str, Tuple[int, int]] = {"x": (1, 0), "y": (0, 1), "obstruction": (1, 1)}
 
 
-def calibrated_exponent(kind: str, sx: int, sy: int) -> Tuple[int, int]:
-    """The calibrated factor exponent ``2e - s``: ``(0, 0)`` iff fixed."""
-    ex, ey = UNITS[kind]
-    return 2 * ex - sx, 2 * ey - sy
+def _calibrated(rows: Iterable[Row]) -> List[Exponent]:
+    """The calibrated factor exponent ``2e - s`` of each row: ``(0, 0)`` iff fixed."""
+    return [
+        (2 * UNITS[kind][0] - sx, 2 * UNITS[kind][1] - sy) for kind, _, _, sx, sy in rows
+    ]
 
 
 def _unit_counts(
@@ -120,6 +126,19 @@ class WeightData:
                 for _, i, j, sx, sy in _obstruction_exponents(self)
             ],
         }
+
+    def calibrated_exponents(self) -> Tuple[List[Exponent], List[Exponent]]:
+        """The calibrated ``(u, v)`` exponents ``e - D`` of the localization term.
+
+        Returns ``(numerator, denominator)``: one exponent per obstruction
+        pair, in sorted pair order, and one per free coordinate, the x side
+        first.  An exponent is ``(0, 0)`` exactly when its coordinate (or
+        equation) is torus-fixed.
+        """
+        return (
+            _calibrated(_obstruction_exponents(self)),
+            _calibrated(_tangent_exponents(self.chart, self.wx, self.wy)),
+        )
 
     def fixed_dim(self) -> dict:
         """Fixed-locus dimension counts and the degenerate-factor count.
@@ -233,6 +252,26 @@ def weight_data(chart: Chart, link_s: Sequence[int] = ()) -> WeightData:
     return WeightData(chart=chart, wx=wx, wy=wy, link=_link_s(chart.n, link_s))
 
 
-def fixed_dim_check(chart: Chart) -> dict:
-    """Fixed-locus dimension counts of a chart: ``weight_data(chart).fixed_dim()``."""
-    return weight_data(chart).fixed_dim()
+# -- degeneracy scan ----------------------------------------------------------
+
+
+def detect_degenerate(n: int) -> List[Chart]:
+    """All charts (commuting or not) with a free coordinate at ``s = 0``.
+
+    These are the charts whose verbatim bookkeeping has a vanishing
+    denominator factor (``fixed_dim()["vanishing_factors"] > 0``): a free
+    coordinate whose weight drop is ``D = -e``.  The scan is exhaustive over
+    all ``n!`` charts and counts those drops directly, building no row.
+
+    Examples:
+        >>> detect_degenerate(2)
+        []
+        >>> len(detect_degenerate(4))
+        2
+    """
+    _size("n", n, MAX_SCAN_N, "the degeneracy scan")
+    return [
+        chart
+        for chart in all_charts(n)
+        if _tangent_counts(chart, *weight_vectors(chart))[1]
+    ]

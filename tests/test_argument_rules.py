@@ -15,28 +15,24 @@ import coxlinks
 from coxlinks._planar_skein import MAX_RESOLVER_CROSSINGS, resolve_homfly
 from coxlinks.charts import (
     MAX_ENUMERATION_N,
-    MAX_INJECTIVITY_N,
+    MAX_SCAN_N,
     MAX_TABLEAU_N,
     NestedSetPair,
     all_charts,
     commuting_charts,
     count_standard_tableaux,
-    enumerate_nested_pairs,
     gyt_injectivity_report,
 )
 from coxlinks.errors import CapacityError, _size
 from coxlinks.homfly import MAX_HOMFLY_STRANDS, BraidWord, coxeter_braid, homfly
-from coxlinks.localization import (
-    MAX_LOCALIZATION_N,
-    calibrated_superpolynomial,
-    detect_degenerate,
-)
+from coxlinks.localization import MAX_LOCALIZATION_N, calibrated_superpolynomial
 from coxlinks.mfcheck import (
     MAX_SUITE_N,
     containment_suite,
     negative_control,
     symbolic_gid_check,
 )
+from coxlinks.weights import detect_degenerate
 
 SOURCE = Path(coxlinks.__file__).parent
 
@@ -54,9 +50,8 @@ def _sum(n):
 STRICT = [
     ("all_charts", all_charts, "n", 1, MAX_ENUMERATION_N),
     ("commuting_charts", commuting_charts, "n", 1, MAX_ENUMERATION_N),
-    ("enumerate_nested_pairs", enumerate_nested_pairs, "n", 1, MAX_ENUMERATION_N),
-    ("gyt_injectivity_report", gyt_injectivity_report, "n", 1, MAX_INJECTIVITY_N),
-    ("detect_degenerate", detect_degenerate, "n", 1, MAX_LOCALIZATION_N),
+    ("gyt_injectivity_report", gyt_injectivity_report, "n", 1, MAX_SCAN_N),
+    ("detect_degenerate", detect_degenerate, "n", 1, MAX_SCAN_N),
     ("count_standard_tableaux", count_standard_tableaux, "n", 0, MAX_TABLEAU_N),
     ("NestedSetPair", _label, "n", 1, None),
     ("BraidWord", lambda n: BraidWord(n, ()), "strands", 1, None),

@@ -15,7 +15,6 @@ from coxlinks.charts import (
     all_charts,
     commuting_charts,
     count_standard_tableaux,
-    enumerate_nested_pairs,
     gyt_injectivity_report,
     is_commutative,
     monomial_vector,
@@ -23,7 +22,7 @@ from coxlinks.charts import (
     to_gyt,
 )
 from coxlinks.errors import CapacityError
-from coxlinks.localization import detect_degenerate
+from coxlinks.weights import detect_degenerate
 
 
 def label(n, sx, sy) -> NestedSetPair:
@@ -38,21 +37,20 @@ FAMILY_LABEL = label(4, [{3, 4}, {3}, (), ()], [{4}, {4}, {4}, ()])
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_enumeration_counts_factorial(n):
-    assert len(enumerate_nested_pairs(n)) == math.factorial(n)
+    assert len(all_charts(n)) == math.factorial(n)
 
 
 def test_enumeration_is_duplicate_free_and_sorted():
-    labels = enumerate_nested_pairs(5)
-    keys = [lab.flat_key() for lab in labels]
+    keys = [chart.label.flat_key() for chart in all_charts(5)]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
 
 def test_enumeration_rejects_bad_sizes():
     with pytest.raises(ValueError):
-        enumerate_nested_pairs(0)
+        all_charts(0)
     with pytest.raises(CapacityError):
-        enumerate_nested_pairs(10)
+        all_charts(10)
 
 
 @pytest.mark.parametrize(
@@ -80,7 +78,7 @@ def test_chains_need_not_be_disjoint():
     # The two chains may share elements, e.g. sx = ((3,), (3,), ()) with
     # sy = ((2, 3), (3,), ()): only the per-level size sum is constrained.
     overlapping = [
-        lab for lab in enumerate_nested_pairs(3) if set(lab.sx[0]) & set(lab.sy[0])
+        chart for chart in all_charts(3) if set(chart.label.sx[0]) & set(chart.label.sy[0])
     ]
     assert overlapping
 
@@ -236,7 +234,6 @@ def test_monomial_words_may_skip_lengths():
 def test_chart_recursion_matches_the_public_constructor(n):
     charts = all_charts(n)
     labels = [chart.label for chart in charts]
-    assert enumerate_nested_pairs(n) == labels
     keys = [lab.flat_key() for lab in labels]
     assert keys == sorted(set(keys)) and len(keys) == math.factorial(n)
     names = [field.name for field in dataclasses.fields(Chart)]

@@ -240,6 +240,51 @@ def test_weights_prints_each_line_before_the_next_chart(monkeypatch):
     assert events == ["line"] + ["data", "line"] * 24
 
 
+class _Counted(list):
+    """A list that counts how often an f-string formats it; ``json`` never does."""
+
+    formats = 0
+
+    def __format__(self, spec):
+        _Counted.formats += 1
+        return super().__format__(spec)
+
+
+def _counted_report(report):
+    """``report`` with the fields its plain lines print wrapped in counters."""
+    groups = [
+        {
+            "gyt": _Counted(group["gyt"]),
+            "labels": [
+                {**label, "sx": _Counted(label["sx"]), "sy": _Counted(label["sy"])}
+                for label in group["labels"]
+            ],
+        }
+        for group in report["collisions"]
+    ]
+    return {**report, "collisions": groups}
+
+
+@pytest.mark.parametrize("fmt, formatted", [("plain", (2, 100)), ("tree", (0, 0))])
+def test_gyt_and_degenerate_format_only_the_lines_they_print(
+    capsys, monkeypatch, fmt, formatted
+):
+    # Plain output formats the 2 labels of 'degenerate 4' and, for 'gyt 5',
+    # the cells of 20 collision groups and the sx and sy of their 40 labels.
+    labels = []
+    label_fields = cli._label_fields
+    report = cli.gyt_injectivity_report
+    monkeypatch.setattr(
+        cli, "_label_fields", lambda label: labels.append(label) or label_fields(label)
+    )
+    monkeypatch.setattr(cli, "gyt_injectivity_report", lambda n: _counted_report(report(n)))
+    monkeypatch.setattr(_Counted, "formats", 0)
+    assert main(["--format", fmt, "degenerate", "4"]) == 0
+    assert main(["--format", fmt, "gyt", "5"]) == 0
+    capsys.readouterr()
+    assert (len(labels), _Counted.formats) == formatted
+
+
 # -- exit codes and error reporting ----------------------------------------------------------
 
 
@@ -281,7 +326,7 @@ def test_capacity_error_exit(capsys):
         (["charts", "12"], "charts"),
         (["weights", "10"], "charts"),
         (["gyt", "8"], "charts"),
-        (["degenerate", "8"], "localization"),
+        (["degenerate", "8"], "weights"),
         (["homfly", "strands=7 s1"], "homfly"),
         (["mfcheck", "--n", "40", "--samples", "1"], "mfcheck"),
     ],

@@ -25,13 +25,12 @@ from coxlinks.homfly import coxeter_braid
 from coxlinks.localization import (
     _calibrated_term,
     calibrated_superpolynomial,
-    detect_degenerate,
     in_positivity_regime,
 )
 from coxlinks.mfcheck import commutator_entries, matrix_from_rows
 from coxlinks.polyalg import BinomialRational, LaurentPoly
 from coxlinks.twostrand import AQT, homology_T2_odd
-from coxlinks.weights import weight_data
+from coxlinks.weights import detect_degenerate, weight_data
 
 FAMILY_CHART = Chart(
     NestedSetPair.from_lists(4, [{3, 4}, {3}, (), ()], [{4}, {4}, {4}, ()])

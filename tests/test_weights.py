@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from coxlinks import weights as weights_module
 from coxlinks.charts import Chart, NestedSetPair, all_charts, monomial_vector
-from coxlinks.weights import fixed_dim_check, weight_data, weight_vectors
+from coxlinks.weights import weight_data, weight_vectors
 
 FAMILY_CHART = Chart(
     NestedSetPair.from_lists(4, [{3, 4}, {3}, (), ()], [{4}, {4}, {4}, ()])
@@ -88,7 +88,7 @@ def test_family_chart_has_one_vanishing_factor():
     # factor (the chart sits in a positive-dimensional torus orbit).
     zero_records = [rec for rec in _tangent(FAMILY_CHART) if rec["dx"] == rec["dy"] == 0]
     assert [(rec["side"], rec["index"]) for rec in zero_records] == [("y", [1, 2])]
-    assert fixed_dim_check(FAMILY_CHART)["vanishing_factors"] == 1
+    assert weight_data(FAMILY_CHART).fixed_dim()["vanishing_factors"] == 1
 
 
 def test_obstruction_records_default_index_set():
@@ -167,7 +167,7 @@ def test_records_follow_the_documented_formulas(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_fixed_dim_inequality_holds(n):
     for chart in all_charts(n):
-        counts = fixed_dim_check(chart)
+        counts = weight_data(chart).fixed_dim()
         assert counts["inequality"]
         assert counts["dimOb0"] >= counts["dimT0"]
 
@@ -177,13 +177,13 @@ def test_vanishing_factor_census():
     # at n = 4 (the family chart and its mirror).
     for n in (1, 2, 3):
         assert all(
-            fixed_dim_check(chart)["vanishing_factors"] == 0
+            weight_data(chart).fixed_dim()["vanishing_factors"] == 0
             for chart in all_charts(n)
         )
     flagged = [
         chart
         for chart in all_charts(4)
-        if fixed_dim_check(chart)["vanishing_factors"]
+        if weight_data(chart).fixed_dim()["vanishing_factors"]
     ]
     assert len(flagged) == 2
     labels = {chart.label.flat_key() for chart in flagged}
@@ -212,7 +212,7 @@ def test_fixed_dim_counts_agree_with_weight_data():
         for chart in all_charts(n):
             data = weight_data(chart)
             expected = _counts_from_records(data.to_record())
-            assert fixed_dim_check(chart) == data.fixed_dim() == expected
+            assert data.fixed_dim() == expected
             for link_s in _link_sets(n)[1:]:
                 data = weight_data(chart, link_s)
                 assert data.fixed_dim() == _counts_from_records(data.to_record())
