@@ -1,10 +1,11 @@
 """Exact randomized checks of the determinant identities behind cox_S.
 
-The objects are small matrices over exact scalars (``int`` for the seeded
-samples, :class:`~fractions.Fraction` wherever a caller passes one,
-:class:`~coxlinks.polyalg.LaurentPoly` for the symbolic identities).
-Inverses and the containment test go through one fraction-free integer
-elimination, so no ``Fraction`` arithmetic runs on the sampling path.
+The objects are small matrices over exact scalars: ``int`` for the seeded
+samples, :class:`~coxlinks.polyalg.LaurentPoly` for the symbolic identity.
+The containment test goes through one fraction-free integer elimination,
+the only routine built to take :class:`~fractions.Fraction` entries: it
+clears each row's denominators, so :func:`hessenberg_check` is exact on
+them, and no ``Fraction`` arithmetic runs on the sampling path.
 Roles, which the samplers build (the suites check only that ``X`` is upper):
 
 * ``X`` — upper-triangular (``X`` in the Borel), with ``xhat(X) = X -
@@ -29,10 +30,9 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .errors import ConsistencyError, SingularMatrixError, _link_s, _size
+from .errors import ConsistencyError, SingularMatrixError, _size
 from .polyalg import LaurentPoly
 
 Matrix = Tuple[tuple, ...]
@@ -44,25 +44,7 @@ Matrix = Tuple[tuple, ...]
 MAX_SUITE_N = 12
 
 
-# -- construction and validation ----------------------------------------------
-
-
-def matrix_from_rows(rows: Sequence[Sequence]) -> Matrix:
-    """Freeze rows into a square matrix, coercing ints to Fractions."""
-    frozen = tuple(
-        tuple(Fraction(v) if isinstance(v, int) else v for v in row)
-        for row in rows
-    )
-    n = len(frozen)
-    if any(len(row) != n for row in frozen):
-        raise ValueError("matrix must be square")
-    return frozen
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+# -- matrix helpers ------------------------------------------------------------
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -71,16 +53,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def mat_scale(a: Matrix, scalar) -> Matrix:  # noqa: ANN001
-    return tuple(tuple(scalar * v for v in row) for row in a)
 
 
 def is_upper(a: Matrix) -> bool:
@@ -149,13 +121,13 @@ def _is_invertible(a: Matrix) -> bool:
 def det(a: Matrix):  # noqa: ANN201
     """Determinant by first-column cofactor expansion.
 
-    Generic over the scalar ring (Fractions and LaurentPoly both work).
+    Generic over the scalar ring (ints and LaurentPoly both work).
     The suites call it on Hessenberg columns, where the cost grows about
     2^n; ``MAX_SUITE_N`` bounds the size.
     """
     n = len(a)
     if n == 0:
-        return Fraction(1)
+        return 1
     if n == 1:
         return a[0][0]
     total = None
@@ -181,9 +153,10 @@ def F(i: int, x: Matrix, g: Matrix):  # noqa: ANN201
     """The ``i``-th determinant function, ``1 <= i <= n-1``.
 
     Examples:
-        >>> x = matrix_from_rows([[1, 5, 7], [0, 2, 6], [0, 0, 3]])
-        >>> [F(i, x, identity_matrix(3)) for i in (1, 2)]
-        [Fraction(1, 1), Fraction(2, 1)]
+        >>> x = ((1, 5, 7), (0, 2, 6), (0, 0, 3))
+        >>> g = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        >>> [F(i, x, g) for i in (1, 2)]
+        [1, 2]
     """
     n = len(x)
     if not 1 <= i <= n - 1:
@@ -220,43 +193,6 @@ def hessenberg_check(g: Matrix, x: Matrix) -> bool:
     """
     rows, _ = _bareiss_jordan(g, mat_mul(x, g))
     return all(not rows[i][j] for i in range(len(rows)) for j in range(i))
-
-
-def commutator(x: Matrix, y: Matrix) -> Matrix:
-    return mat_add(mat_mul(x, y), mat_scale(mat_mul(y, x), Fraction(-1)))
-
-
-def commutator_entries(
-    x: Matrix, y: Matrix, link_s: Sequence[int] = ()
-) -> List[Tuple[Tuple[int, int], object]]:
-    """Commutator entries over the Koszul index set, 1-based pairs.
-
-    The index set is all ``(i, j)`` with ``j - i > 1`` plus ``(i, i+1)``
-    for each ``i`` in ``link_s`` — the same extension rule the weights
-    module uses for its obstruction list.  For strictly upper-triangular
-    arguments every entry outside this set (with empty ``link_s``)
-    vanishes identically, so all-zero entries here is equivalent to the
-    matrices commuting.
-
-    Raises:
-        ValueError: if ``link_s`` is not a sequence of ``int`` in ``1..n-1``.
-
-    Examples:
-        >>> e12 = matrix_from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-        >>> e23 = matrix_from_rows([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-        >>> commutator_entries(e12, e23)
-        [((1, 3), Fraction(1, 1))]
-    """
-    n = len(x)
-    bracket = commutator(x, y)
-    link_set = set(_link_s(n, link_s))
-    pairs = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if j - i > 1 or i in link_set
-    ]
-    return [((i, j), bracket[i - 1][j - 1]) for (i, j) in pairs]
 
 
 # -- seeded sampling suites ----------------------------------------------------

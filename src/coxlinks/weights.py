@@ -13,8 +13,10 @@ A direct gauge computation (rescale (X, Y), then conjugate back to pivot
 form by a diagonal matrix) shows that the coordinate value, or for an
 obstruction pair the commutator entry [X,Y]_{ij} that cuts the commuting
 locus, scales with torus weight ``D - e`` (the rescaling test in
-``tests/test_weights.py`` verifies this for the coordinates).  So, for
-every kind:
+``tests/test_weights.py`` verifies this for the coordinates, and
+``test_base_point_entries_decide_commutativity`` there checks, for every
+chart with n <= 6, that the base matrices commute exactly when [X,Y]
+vanishes on the obstruction pairs).  So, for every kind:
 
 * the coordinate (or equation) is torus-fixed iff ``s = 2e``;
 * its verbatim factor ``(1 - Q^sx T^sy)`` vanishes iff ``s = 0``;

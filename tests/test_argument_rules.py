@@ -24,7 +24,13 @@ from coxlinks.charts import (
     gyt_injectivity_report,
 )
 from coxlinks.errors import CapacityError, _size
-from coxlinks.homfly import MAX_HOMFLY_STRANDS, BraidWord, coxeter_braid, homfly
+from coxlinks.homfly import (
+    MAX_COXETER_LETTERS,
+    MAX_HOMFLY_STRANDS,
+    BraidWord,
+    coxeter_braid,
+    homfly,
+)
 from coxlinks.localization import MAX_LOCALIZATION_N, calibrated_superpolynomial
 from coxlinks.mfcheck import (
     MAX_SUITE_N,
@@ -32,6 +38,7 @@ from coxlinks.mfcheck import (
     negative_control,
     symbolic_gid_check,
 )
+from coxlinks.twostrand import MAX_TWO_STRAND_INDEX, homology_T2_even, homology_T2_odd
 from coxlinks.weights import detect_degenerate
 
 SOURCE = Path(coxlinks.__file__).parent
@@ -44,6 +51,24 @@ def _label(n):
 def _sum(n):
     k = (0,) * (n - 1) if isinstance(n, int) and n >= 1 else ()
     return calibrated_superpolynomial(n, k)
+
+
+def _coxeter_word(letters, sign=1):
+    """A two-strand Coxeter braid of exactly ``letters`` letters: ``cox_S``
+    is ``s1`` or empty, and each power of ``delta_1`` adds two."""
+    return coxeter_braid(2, () if letters % 2 else (1,), (sign * (letters // 2),))
+
+
+# (id, call, argument name, cap): routines linear in one argument, capped at
+# either sign.
+LINEAR = [
+    ("homology_T2_odd", homology_T2_odd, "|n|", MAX_TWO_STRAND_INDEX),
+    ("homology_T2_odd-negative", lambda n: homology_T2_odd(-n), "|n|", MAX_TWO_STRAND_INDEX),
+    ("homology_T2_even", homology_T2_even, "|n|", MAX_TWO_STRAND_INDEX),
+    ("homology_T2_even-negative", lambda n: homology_T2_even(-n), "|n|", MAX_TWO_STRAND_INDEX),
+    ("coxeter_braid", _coxeter_word, "letters", MAX_COXETER_LETTERS),
+    ("coxeter_braid-negative", lambda c: _coxeter_word(c, -1), "letters", MAX_COXETER_LETTERS),
+]
 
 
 # (id, call, argument name, least, cap); a cap of None means no cap.
@@ -97,6 +122,10 @@ CASES = [
     pytest.param(lambda c: resolve_homfly(BraidWord(2, ((1, 1),) * c)),
                  MAX_RESOLVER_CROSSINGS + 1, CapacityError, "crossings",
                  id="resolve_homfly-cap"),
+    *(
+        pytest.param(call, cap + 1, CapacityError, name, id=f"{label}-cap")
+        for label, call, name, cap in LINEAR
+    ),
     # The sample count is checked first, so a bad count is named even when
     # n is over the cap too.
     pytest.param(lambda s: containment_suite(MAX_SUITE_N + 1, s, 0), 0, ValueError,
@@ -118,6 +147,15 @@ def test_each_entry_point_names_a_bad_size(call, value, error, name):
         assert message == f"{name} {value!r} is not an integer"
     else:
         assert message.startswith(f"{name} must be ")
+
+
+@pytest.mark.parametrize(
+    "call, cap", [pytest.param(call, cap, id=label) for label, call, _, cap in LINEAR]
+)
+def test_linear_caps_admit_the_cap_itself(call, cap):
+    result = call(cap)
+    if isinstance(result, BraidWord):
+        assert len(result.word) == cap
 
 
 def test_size_rule_returns_the_value_and_orders_its_checks():

@@ -27,7 +27,6 @@ from coxlinks.localization import (
     calibrated_superpolynomial,
     in_positivity_regime,
 )
-from coxlinks.mfcheck import commutator_entries, matrix_from_rows
 from coxlinks.polyalg import BinomialRational, LaurentPoly
 from coxlinks.twostrand import AQT, homology_T2_odd
 from coxlinks.weights import detect_degenerate, weight_data
@@ -282,10 +281,8 @@ def test_integral_arguments_are_accepted():
 
 
 def test_one_shot_link_s_reads_like_its_tuple():
-    matrix = matrix_from_rows(FAMILY_CHART.mx)
     readers = [
         lambda link_s: weight_data(FAMILY_CHART, link_s).to_record(),
-        lambda link_s: commutator_entries(matrix, matrix, link_s),
         lambda link_s: str(calibrated_superpolynomial(4, (1, 0, 0), link_s).value),
         lambda link_s: coxeter_braid(4, link_s, (1, 0, 0)),
     ]

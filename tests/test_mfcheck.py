@@ -1,30 +1,22 @@
-"""Hessenberg determinant identities and the commutator locus check."""
+"""Hessenberg determinant identities, the containment check and its elimination kernel."""
 
 import hashlib
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from coxlinks import mfcheck
-from coxlinks.charts import Chart, NestedSetPair, all_charts, is_commutative
 from coxlinks.errors import CapacityError, ConsistencyError, SingularMatrixError
 from coxlinks.mfcheck import (
     MAX_SUITE_N,
     F,
     all_F,
-    commutator,
-    commutator_entries,
     containment_suite,
     det,
     hessenberg_check,
-    identity_matrix,
     is_upper,
-    mat_add,
     mat_mul,
-    mat_scale,
-    matrix_from_rows,
     negative_control,
     sample_hessenberg,
     sample_strictly_upper,
@@ -34,28 +26,21 @@ from coxlinks.mfcheck import (
 from coxlinks.polyalg import LaurentPoly
 
 
-def _elementary(n, i, j):
-    rows = [[0] * n for _ in range(n)]
-    rows[i - 1][j - 1] = 1
-    return matrix_from_rows(rows)
+def _identity(n, scalar=1):
+    return tuple(tuple(scalar if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 # -- plumbing -------------------------------------------------------------------------
 
 
-def test_matrix_from_rows_validates():
-    with pytest.raises(ValueError):
-        matrix_from_rows([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        matrix_from_rows([[1, 2, 3], [4, 5, 6]])
-    matrix = matrix_from_rows([[1, 2], [3, 4]])
-    assert matrix[0][1] == Fraction(2)
-
-
 def test_shape_predicates():
-    upper = matrix_from_rows([[1, 2], [0, 3]])
-    strict = matrix_from_rows([[0, 2], [0, 0]])
-    hess = matrix_from_rows([[1, 2, 3], [4, 5, 6], [0, 7, 8]])
+    upper = ((1, 2), (0, 3))
+    strict = ((0, 2), (0, 0))
+    hess = ((1, 2, 3), (4, 5, 6), (0, 7, 8))
     assert is_upper(upper) and is_upper(strict)
     assert not is_upper(hess)
 
@@ -116,7 +101,7 @@ def test_elimination_agrees_with_fraction_gauss_jordan():
                 hessenberg_check(g, x)
             continue
         # Solving g U = Id leaves d U on the right, with d the last pivot.
-        rows, d = mfcheck._bareiss_jordan(g, identity_matrix(n))
+        rows, d = mfcheck._bareiss_jordan(g, _identity(n))
         assert tuple(tuple(Fraction(v, d) for v in row) for row in rows) == reference
         if rng.randrange(2):
             # X = g U g^-1 with U upper, so g^-1 X g = U is contained.
@@ -144,16 +129,16 @@ def test_det_works_symbolically():
 
 
 def test_F_at_identity_reads_diagonal_gaps():
-    x = matrix_from_rows([[1, 5, 7], [0, 2, 6], [0, 0, 3]])
-    assert [F(i, x, identity_matrix(3)) for i in (1, 2)] == [Fraction(1), Fraction(2)]
+    x = ((1, 5, 7), (0, 2, 6), (0, 0, 3))
+    assert [F(i, x, _identity(3)) for i in (1, 2)] == [1, 2]
 
 
 def test_scalar_matrix_kills_all_F():
     rng = random.Random(5)
     for n in (2, 3, 4):
         g = sample_hessenberg(rng, n)
-        x = mat_scale(identity_matrix(n), Fraction(7))
-        assert xhat(x) == mat_scale(identity_matrix(n), Fraction(0))
+        x = _identity(n, 7)
+        assert xhat(x) == _identity(n, 0)
         assert all(value == 0 for value in all_F(x, g))
 
 
@@ -163,7 +148,7 @@ def test_by_construction_samples_satisfy_everything():
         n = rng.randint(2, 5)
         g = sample_hessenberg(rng, n)
         k = sample_strictly_upper(rng, n)
-        x = mat_add(mat_mul(g, k), mat_scale(identity_matrix(n), Fraction(-3)))
+        x = _add(mat_mul(g, k), _identity(n, -3))
         assert is_upper(x)
         assert all(value == 0 for value in all_F(x, g))
         assert hessenberg_check(g, x)
@@ -261,54 +246,3 @@ def test_symbolic_identity_check_is_capped():
 def test_symbolic_identity_check_rejects_a_bad_n_by_name(n):
     with pytest.raises(ValueError, match="n must be an integer >= 1"):
         symbolic_gid_check(n)
-
-
-# -- commutator bookkeeping -------------------------------------------------------------
-
-
-def test_elementary_commutator_golden():
-    e12 = _elementary(3, 1, 2)
-    e23 = _elementary(3, 2, 3)
-    assert commutator(e12, e23) == _elementary(3, 1, 3)
-    assert commutator_entries(e12, e23) == [((1, 3), Fraction(1))]
-
-
-def test_link_s_adds_superdiagonal_entries():
-    e12 = _elementary(3, 1, 2)
-    e23 = _elementary(3, 2, 3)
-    entries = dict(commutator_entries(e12, e23, link_s=(1, 2)))
-    assert set(entries) == {(1, 3), (1, 2), (2, 3)}
-    with pytest.raises(ValueError):
-        commutator_entries(e12, e23, link_s=(3,))
-
-
-@pytest.mark.parametrize("link_s", [(True,), (1.0,), ("1",), 1, (1, True), None])
-def test_malformed_link_s_is_rejected_by_name(link_s):
-    e12 = _elementary(3, 1, 2)
-    with pytest.raises(ValueError, match="link_s"):
-        commutator_entries(e12, e12, link_s)
-
-
-def test_family_base_point_fails_exactly_at_24():
-    chart = Chart(
-        NestedSetPair.from_lists(4, [{3, 4}, {3}, (), ()], [{4}, {4}, {4}, ()])
-    )
-    x = matrix_from_rows(chart.mx)
-    y = matrix_from_rows(chart.my)
-    assert dict(commutator_entries(x, y)) == {
-        (1, 3): Fraction(0),
-        (1, 4): Fraction(0),
-        (2, 4): Fraction(1),
-    }
-    assert not is_commutative(chart)
-
-
-@pytest.mark.parametrize("n", range(2, 6))
-def test_base_point_entries_decide_commutativity(n):
-    # For strictly upper pairs the first superdiagonal of the commutator
-    # always vanishes, so the tracked entries decide full commutativity.
-    for chart in all_charts(n):
-        x = matrix_from_rows(chart.mx)
-        y = matrix_from_rows(chart.my)
-        tracked_zero = all(v == 0 for _, v in commutator_entries(x, y))
-        assert tracked_zero == is_commutative(chart)

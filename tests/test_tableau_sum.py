@@ -19,13 +19,17 @@ SYT a hook) the sum reproduces the library's strings.  At n = 4 it passes
 the checks today's chart sum fails: the denominator (1 - q^2) and the
 HOMFLY bridge.  The shuffle theorem (Haglund-Haiman-Loehr-Remmel-Ulyanov,
 Duke Math. J. 2005; proved by Carlsson-Mellit, arXiv 1508.06239) then
-checks every a-degree of it at k = (1, ..., 1).
+checks every a-degree of it at k = (1, ..., 1).  For other monotone k two
+path identities check it: P1 counts the k-paths by their non-maximal steps
+in every a-degree at q = t = 1, and P2 counts them by area in the lowest
+a-degree.
 """
 
 import operator
 import warnings
 from collections import Counter
 from itertools import permutations, product
+from math import comb
 
 import pytest
 
@@ -195,12 +199,13 @@ def test_four_strand_sum_has_one_denominator_factor_and_the_bridge(k):
 # -- the shuffle theorem, every a-degree ---------------------------------------------
 
 
-def _area_vectors(n):
-    """The Dyck area vectors of size n: a_1 = 0 and 0 <= a_(i+1) <= a_i + 1."""
-    vectors = [(0,)]
-    for _ in range(n - 1):
-        vectors = [a + (step,) for a in vectors for step in range(a[-1] + 2)]
-    return vectors
+def _k_paths(k):
+    """The k-paths: area vectors with a_1 = 0 and 0 <= a_(i+1) <= a_i + k_i.
+    At k = (1, ..., 1) they are the Dyck area vectors."""
+    paths = [(0,)]
+    for ki in k:
+        paths = [a + (step,) for a in paths for step in range(a[-1] + ki + 1)]
+    return paths
 
 
 def _hook_coefficients(n):
@@ -214,7 +219,7 @@ def _hook_coefficients(n):
     """
     coefficients = Counter()
     descent_sets = {frozenset(range(1, n - j)): j for j in range(n)}
-    for a in _area_vectors(n):
+    for a in _k_paths((1,) * (n - 1)):
         area = sum(a)
         order = sorted(range(n), key=lambda i: (-a[i], -i))
         for cars in permutations(range(1, n + 1)):
@@ -252,3 +257,65 @@ def test_numerator_is_the_shuffle_theorem_sum(n, size):
     assert value.den == {(0, 2, 0): 1}
     assert value.num.terms == _shuffle_numerator(n)
     assert len(value.num.terms) == size
+
+
+# -- the path identities P1 and P2, every monotone k ---------------------------------
+
+
+def _monotone(n, top):
+    """The non-increasing k of length n - 1 with entries in 0..top."""
+    ks = product(range(top + 1), repeat=n - 1)
+    return [k for k in ks if list(k) == sorted(k, reverse=True)]
+
+
+PATH_CASES = (
+    [(n, k) for n in (2, 3) for k in _monotone(n, 3)]
+    + [(4, k) for k in _monotone(4, 2)]
+    + [(5, (1, 1, 1, 1)), (5, (2, 1, 1, 0))]
+)
+
+
+def _graded_numerator(n, k):
+    """``{(j, x, y): coefficient}``: the numerator N of the value, whose
+    denominator is exactly (1 - q^2), read as a^j u^x v^y with c the shift
+    exponent: j = A - c, y = (T + c)/2 and x = (Q + T + c)/2.  The library
+    sum is read below n = 4, the sum over every SYT from n = 4 on."""
+    if n < 4:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PositivityRegimeWarning)
+            cal = calibrated_superpolynomial(n, k)
+        value, c = cal.value, cal.shift_exponent
+    else:
+        value, c = _tableau_sum(n, k), sum(ki * (n - i) for i, ki in enumerate(k, start=1))
+    assert value.den == {(0, 2, 0): 1}
+    graded = {}
+    for (a_power, q_power, t_power), coefficient in value.num.terms.items():
+        assert (t_power + c) % 2 == 0 and (q_power + t_power + c) % 2 == 0
+        graded[(a_power - c, (q_power + t_power + c) // 2, (t_power + c) // 2)] = coefficient
+    return graded
+
+
+@pytest.mark.parametrize("n, k", PATH_CASES, ids=str)
+def test_lowest_a_degree_counts_the_k_paths_by_area(n, k):
+    # P2: the a^0 part of N at u = 1 is the sum over k-paths of v^(sum a_i).
+    lowest = Counter()
+    for (j, _, y), coefficient in _graded_numerator(n, k).items():
+        if j == 0:
+            lowest[y] += coefficient
+    areas = Counter(sum(a) for a in _k_paths(k))
+    assert lowest == areas
+
+
+@pytest.mark.parametrize("n, k", PATH_CASES, ids=str)
+def test_a_degrees_at_one_count_the_non_maximal_steps(n, k):
+    # P1: sum_j a^j N_j(1, 1) is the sum over k-paths of (1 + a)^m, with m
+    # the number of steps where a_(i+1) < a_i + k_i.
+    at_one = Counter()
+    for (j, _, _), coefficient in _graded_numerator(n, k).items():
+        at_one[j] += coefficient
+    expected = Counter()
+    for a in _k_paths(k):
+        m = sum(a[i + 1] < a[i] + ki for i, ki in enumerate(k))
+        for j in range(m + 1):
+            expected[j] += comb(m, j)
+    assert at_one == expected

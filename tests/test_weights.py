@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxlinks import weights as weights_module
-from coxlinks.charts import Chart, NestedSetPair, all_charts, monomial_vector
+from coxlinks.charts import Chart, NestedSetPair, all_charts, is_commutative, monomial_vector
 from coxlinks.weights import weight_data, weight_vectors
 
 FAMILY_CHART = Chart(
@@ -105,10 +105,44 @@ def test_obstruction_records_grow_with_link_s():
         weight_data(FAMILY_CHART, link_s=(4,))
 
 
-@pytest.mark.parametrize("link_s", [("1",), (True,), (2.0,), 1, 0, None])
+# A bool after a valid entry is still named, not merged into the 1 by a set.
+@pytest.mark.parametrize("link_s", [("1",), (True,), (2.0,), 1, 0, None, (1, True)])
 def test_non_int_link_s_is_rejected_by_name(link_s):
     with pytest.raises(ValueError, match="link_s"):
         weight_data(FAMILY_CHART, link_s)
+
+
+# -- the obstruction pairs are the commutator equations ------------------------------
+
+
+def _commutator(x, y):
+    """The dense commutator ``XY - YX`` of two square matrices."""
+    n = len(x)
+    return [
+        [sum(x[i][m] * y[m][j] - y[i][m] * x[m][j] for m in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _obstruction_entries(chart):
+    """``{(i, j): [X, Y]_ij}`` at the base point over the pairs the sum uses."""
+    bracket = _commutator(chart.mx, chart.my)
+    pairs = weights_module._obstruction_pairs(chart.n, ())
+    return {(i, j): bracket[i - 1][j - 1] for i, j in pairs}
+
+
+def test_family_base_point_fails_exactly_at_24():
+    assert _obstruction_entries(FAMILY_CHART) == {(1, 3): 0, (1, 4): 0, (2, 4): 1}
+    assert not is_commutative(FAMILY_CHART)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_base_point_entries_decide_commutativity(n):
+    # For strictly upper pairs the first superdiagonal of the commutator
+    # always vanishes, so the obstruction entries decide full commutativity.
+    for chart in all_charts(n):
+        tracked_zero = not any(_obstruction_entries(chart).values())
+        assert tracked_zero == is_commutative(chart)
 
 
 def _drop(wx, wy, i, j):
