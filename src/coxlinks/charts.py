@@ -23,8 +23,8 @@ From a label the chart data is derived:
   tableau image.
 
 A ``Chart`` is built from its label alone and stores the label and the
-pivots read off it once (per side a tuple sorted by row); the rest is
-derived on access.
+pivots read off it once, one ``(side, column)`` pivot per level; the
+per-side pivot lists and the rest are derived on access.
 
 Which paths validate: the public ``NestedSetPair(...)`` and
 ``NestedSetPair.from_lists`` check every defining condition, and
@@ -56,6 +56,7 @@ from .errors import _is_int, _size
 IndexPair = Tuple[int, int]
 Chain = Tuple[Tuple[int, ...], ...]  # one strictly increasing tuple per level
 Pivots = Tuple[IndexPair, ...]  # one side's pivots, sorted by row
+LevelPivots = Tuple[Tuple[str, int], ...]  # (side, column) of each level's pivot
 Matrix = Tuple[Tuple[int, ...], ...]
 
 MAX_ENUMERATION_N = 9
@@ -163,18 +164,18 @@ def _levels(chain: Sequence[Iterable[int]]) -> tuple:
 
 @dataclass(frozen=True, slots=True)
 class Chart:
-    """One chart: its label and the pivot index pairs ``px``/``py`` read off
-    it, each a tuple sorted by row (a side has at most one pivot per row).
+    """One chart: its label and one pivot per level, ``pivots[i - 1] =
+    (side, j)`` for the pivot ``(i, j)`` on side ``"x"`` or ``"y"``.
 
-    Everything else is derived on each access: ``zx``/``zy`` are the
-    constrained zeros read off the label, ``nx``/``ny`` the free coordinates.
-    On each side the pivots and zeros of row ``i`` are the columns in the
-    level-``i`` set, so ``(i, j)`` is free iff ``j`` is not in that set,
-    and pivots, zeros and free coordinates partition the strictly upper
-    triangle.  ``mx``/``my`` are the base-point matrices (pivots 1,
-    everything else 0).
+    Everything else is derived on each access: ``px``/``py`` are each
+    side's pivot pairs sorted by row, ``zx``/``zy`` the constrained zeros
+    and ``nx``/``ny`` the free coordinates.  On each side the pivots and
+    zeros of row ``i`` are the columns in the level-``i`` set, so ``(i, j)``
+    is free iff ``j`` is not in that set, and pivots, zeros and free
+    coordinates partition the strictly upper triangle.  ``mx``/``my`` are
+    the base-point matrices (pivots 1, everything else 0).
 
-    The constructor takes the label alone and reads ``px``/``py`` off it
+    The constructor takes the label alone and reads ``pivots`` off it
     once.  Only the chart recursion behind ``all_charts``, which already
     holds the pivots, skips that reading, through ``_trusted``.
 
@@ -183,31 +184,36 @@ class Chart:
     """
 
     label: NestedSetPair
-    px: Pivots = field(init=False)
-    py: Pivots = field(init=False)
+    pivots: LevelPivots = field(init=False)
 
     def __post_init__(self):
         label = self.label
         if not isinstance(label, NestedSetPair):
             raise ValueError(f"label must be a NestedSetPair, got {type(label).__name__}")
-        object.__setattr__(self, "px", _pivots(label.sx, label.n))
-        object.__setattr__(self, "py", _pivots(label.sy, label.n))
+        object.__setattr__(self, "pivots", _pivots(label))
 
     @classmethod
-    def _trusted(cls, label: NestedSetPair, px: Pivots, py: Pivots) -> "Chart":
+    def _trusted(cls, label: NestedSetPair, pivots: LevelPivots) -> "Chart":
         """Wrap pivots read off ``label``; nothing is checked.
 
-        The caller guarantees ``px``/``py`` equal the label's pivots.
+        The caller guarantees ``pivots`` equal the label's pivots.
         """
         chart = object.__new__(cls)
         object.__setattr__(chart, "label", label)
-        object.__setattr__(chart, "px", px)
-        object.__setattr__(chart, "py", py)
+        object.__setattr__(chart, "pivots", pivots)
         return chart
 
     @property
     def n(self) -> int:
         return self.label.n
+
+    @property
+    def px(self) -> Pivots:
+        return _side_pivots(self.pivots, "x")
+
+    @property
+    def py(self) -> Pivots:
+        return _side_pivots(self.pivots, "y")
 
     @property
     def zx(self) -> FrozenSet[IndexPair]:
@@ -246,8 +252,15 @@ class Chart:
         }
 
 
-def _pivots(chain: Chain, n: int) -> Pivots:
-    return tuple((i, j) for i in range(1, n) for j in chain[i - 1] if j not in chain[i])
+def _pivots(label: NestedSetPair) -> LevelPivots:
+    """The one element that joins a chain at each level, with its side."""
+    sides = (("x", label.sx), ("y", label.sy))
+    return tuple((side, j) for i in range(1, label.n) for side, chain in sides
+                 for j in chain[i - 1] if j not in chain[i])
+
+
+def _side_pivots(pivots: LevelPivots, side: str) -> Pivots:
+    return tuple((i, j) for i, (on, j) in enumerate(pivots, start=1) if on == side)
 
 
 def _zeros(chain: Chain, n: int) -> FrozenSet[IndexPair]:
@@ -283,14 +296,11 @@ def _degrees(chart: Chart) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """
     n = chart.n
     wx, wy = [0] * (n + 1), [0] * (n + 1)
-    x_pivots = dict(chart.px)
-    y_pivots = dict(chart.py)
     for i in range(n - 1, 0, -1):
-        if i in x_pivots:
-            j = x_pivots[i]
+        side, j = chart.pivots[i - 1]
+        if side == "x":
             wx[i], wy[i] = wx[j] + 1, wy[j]
         else:
-            j = y_pivots[i]
             wx[i], wy[i] = wx[j], wy[j] + 1
     return tuple(wx[1:]), tuple(wy[1:])
 
@@ -321,11 +331,9 @@ def monomial_vector(chart: Chart) -> Tuple[str, ...]:
     """
     n = chart.n
     words = [""] * (n + 1)
-    pivot_of_level = {i: ("X", j) for i, j in chart.px}
-    pivot_of_level.update({i: ("Y", j) for i, j in chart.py})
     for level in range(n - 1, 0, -1):
-        letter, j = pivot_of_level[level]
-        words[n + 1 - level] = letter + words[n + 1 - j]
+        side, j = chart.pivots[level - 1]
+        words[n + 1 - level] = side.upper() + words[n + 1 - j]
     return tuple(words[1:])
 
 
@@ -395,36 +403,36 @@ def is_commutative(chart: Chart) -> bool:
 
     Exact and ``O(n)``: a base matrix has at most one 1 per row, at its
     pivot, so row ``i`` of ``XY`` is the unit row ``y(x(i))`` (or zero when
-    a pivot is missing) and row ``i`` of ``YX`` is ``x(y(i))``.  The two
-    products agree exactly when those pivot maps agree on every row.
+    a pivot is missing) and row ``i`` of ``YX`` is ``x(y(i))``.  Level
+    ``i < n`` has one pivot ``(side, j)``, so one of the two rows is zero,
+    and the other is zero too exactly when ``j = n`` or the pivot of level
+    ``j`` is on ``side`` as well.  That is the hook rule of
+    :func:`commuting_charts`: every word is a pure power of one letter.
     """
-    x_pivots, y_pivots = dict(chart.px), dict(chart.py)
-    return all(
-        y_pivots.get(x_pivots.get(i)) == x_pivots.get(y_pivots.get(i))
-        for i in range(1, chart.n)
-    )
+    pivots, n = chart.pivots, chart.n
+    return all(j == n or pivots[j - 1][0] == side for side, j in pivots)
 
 
-def _descend(n, found, i, sx, sy, px, py):  # noqa: ANN001, ANN202
+def _descend(n, found, i, sx, sy, pivots):  # noqa: ANN001, ANN202
     """One level of the :func:`all_charts` recursion, appending to ``found``.
 
-    ``sx[0]``, ``sy[0]`` are the level-``(i+1)`` sets; ``px``, ``py`` hold
-    the pivots of rows ``i+1..n-1``, so prepending keeps them sorted by row.
+    ``sx[0]``, ``sy[0]`` are the level-``(i+1)`` sets; ``pivots`` holds the
+    pivots of levels ``i+1..n-1``, so prepending keeps them in level order.
     This is a module-level function, not a closure: a closure that calls
     itself is a reference cycle, and it would keep ``found`` with all ``n!``
     charts alive until the next full garbage collection.
     """
     if i == 0:
-        found.append(Chart._trusted(NestedSetPair._trusted(n, sx, sy), px, py))
+        found.append(Chart._trusted(NestedSetPair._trusted(n, sx, sy), pivots))
         return
     top_x, top_y = sx[0], sy[0]
     for j in range(i + 1, n + 1):
         if j not in top_x:
             grown = tuple(sorted(top_x + (j,)))
-            _descend(n, found, i - 1, (grown,) + sx, (top_y,) + sy, ((i, j),) + px, py)
+            _descend(n, found, i - 1, (grown,) + sx, (top_y,) + sy, (("x", j),) + pivots)
         if j not in top_y:
             grown = tuple(sorted(top_y + (j,)))
-            _descend(n, found, i - 1, (top_x,) + sx, (grown,) + sy, px, ((i, j),) + py)
+            _descend(n, found, i - 1, (top_x,) + sx, (grown,) + sy, (("y", j),) + pivots)
 
 
 def all_charts(n: int) -> List[Chart]:
@@ -433,8 +441,8 @@ def all_charts(n: int) -> List[Chart]:
     One recursion builds each label together with its pivots.  It grows the
     chains from level ``n`` (both empty) down to level 1: at level ``i`` an
     element ``j`` of ``{i+1..n}`` that the chain of side ``L`` lacks joins
-    that chain, so each of the ``n!`` labels arises once, and ``(i, j)`` is
-    the pivot of side ``L``.  The zeros and free coordinates are derived
+    that chain, so each of the ``n!`` labels arises once, and ``(L, j)`` is
+    the pivot of level ``i``.  The zeros and free coordinates are derived
     from the label by the ``Chart`` properties.  The labels are correct by
     construction and skip re-validation (``NestedSetPair._trusted``,
     ``Chart._trusted``); ``Chart`` on the publicly rebuilt label is the test
@@ -446,7 +454,7 @@ def all_charts(n: int) -> List[Chart]:
     """
     _size("n", n, MAX_ENUMERATION_N, "chart enumeration")
     found: List[Chart] = []
-    _descend(n, found, n - 1, ((),), ((),), (), ())
+    _descend(n, found, n - 1, ((),), ((),), ())
     found.sort(key=lambda chart: chart.label.flat_key())
     return found
 

@@ -39,7 +39,8 @@ from .polyalg import AQT, BinomialRational, LaurentPoly
 
 #: The closed forms build about ``2|n|`` terms: ``|n| = 10^4`` takes 0.06-0.11 s
 #: and ``10^5`` about 1 s (2-CPU host, Python 3.11), so a mistyped index stops
-#: here instead of filling memory.
+#: here instead of filling memory.  The forms call :func:`dim_H0_P1` and
+#: :func:`dim_H1_P1` at ``n - 1`` too, so those cap ``|m|`` one higher.
 MAX_TWO_STRAND_INDEX = 10_000
 
 #: Exponent vector of ``q^2`` over :data:`AQT`; the unique denominator
@@ -56,6 +57,10 @@ def dim_H0_P1(m: int) -> LaurentPoly:
     empty sum (zero) for ``m < 0``.  Evaluating at ``q = t = 1`` recovers
     the ordinary dimension ``m + 1``.
 
+    Raises:
+        ValueError: if ``m`` is not an ``int``.
+        CapacityError: if ``|m| > MAX_TWO_STRAND_INDEX + 1``.
+
     Examples:
         >>> print(dim_H0_P1(0))
         1
@@ -64,6 +69,9 @@ def dim_H0_P1(m: int) -> LaurentPoly:
         >>> dim_H0_P1(-1).is_zero()
         True
     """
+    if not _is_int(m):
+        raise ValueError(f"m must be an int, got {m!r}")
+    _size("|m|", abs(m), MAX_TWO_STRAND_INDEX + 1, "a line-bundle dimension", least=0)
     terms = {}
     for i in range(m + 1):
         terms[(0, 4 * i - 2 * m, 2 * m - 2 * i)] = 1
@@ -77,12 +85,19 @@ def dim_H1_P1(m: int) -> LaurentPoly:
     zero for ``m >= -1`` (degrees at least ``-1`` have no higher cohomology
     on the projective line).
 
+    Raises:
+        ValueError: if ``m`` is not an ``int``.
+        CapacityError: if ``|m| > MAX_TWO_STRAND_INDEX + 1``.
+
     Examples:
         >>> dim_H1_P1(0).is_zero()
         True
         >>> print(dim_H1_P1(-2))
         1
     """
+    if not _is_int(m):
+        raise ValueError(f"m must be an int, got {m!r}")
+    _size("|m|", abs(m), MAX_TWO_STRAND_INDEX + 1, "a line-bundle dimension", least=0)
     terms = {}
     for i in range(-m - 1):
         terms[(0, 4 * i + 2 * m + 4, -2 * m - 2 * i - 4)] = 1

@@ -8,7 +8,8 @@ gives ``w_x^i = w_x^j + 1`` and ``w_y^i = w_y^j``, mirrored for y-pivots.
 The unit rule.  Each coordinate kind has a unit ``e``: a free x-coordinate
 has ``(1, 0)``, a free y-coordinate ``(0, 1)`` and an obstruction pair
 (``j - i > 1``, or ``j = i + 1`` with ``i`` in ``link_s``) ``(1, 1)``.  A
-pair with weight drop ``D = w^i - w^j`` stores the exponent ``s = D + e``.
+pair with weight drop ``D = w^i - w^j`` is recorded with the exponent
+``s = D + e``.
 A direct gauge computation (rescale (X, Y), then conjugate back to pivot
 form by a diagonal matrix) shows that the coordinate value, or for an
 obstruction pair the commutator entry [X,Y]_{ij} that cuts the commuting
@@ -23,81 +24,79 @@ vanishes on the obstruction pairs).  So, for every kind:
 * its calibrated factor has the exponent ``2e - s = e - D``, which is zero
   exactly when the coordinate is torus-fixed.
 
-``WeightData.calibrated_exponents`` returns the calibrated exponents, the
-one view of the weights that :mod:`coxlinks.localization` reads.
+One coordinate table (``_coordinates``) gives the pairs of each kind, as
+``(kind, pairs, excluded levels)`` for the free x and free y coordinates
+and the obstruction pairs.  One walk over it yields each row's weight drop
+``D``: ``WeightData.to_record`` adds ``e`` to it, and
+``WeightData.calibrated_exponents`` returns ``e - D``, the one view of the
+weights that :mod:`coxlinks.localization` reads.
 
 The counts in ``WeightData.fixed_dim`` use the fixed condition ``s = 2e``,
-that is ``D = e``, and read it straight off the weight drops.
-Only under it does the fixed-dimension inequality dimOb0 >= dimT0 hold for
-every chart with n <= 7 (verified exhaustively).  Counting ``s = 0``
-instead already fails on the explicit degenerate n = 4 chart: its y_{12}
-has ``s = 0``, a vanishing *denominator factor*, not a fixed tangent
-direction (the chart's family is a torus orbit, not fixed points).  The
-vanishing-factor count is reported separately, and :func:`detect_degenerate`
-scans all ``n!`` charts for it.
+that is ``D = e``, and read it straight off the weight drops, in one
+counting loop over the table (:func:`detect_degenerate` runs it too).
+Only under this condition does the fixed-dimension inequality
+dimOb0 >= dimT0 hold for every chart with n <= 7 (verified exhaustively).
+Counting ``s = 0`` instead already fails on the explicit degenerate n = 4
+chart: its y_{12} has ``s = 0``, a vanishing *denominator factor*, not a
+fixed tangent direction (the chart's family is a torus orbit, not fixed
+points).  The vanishing-factor count is reported separately, and
+:func:`detect_degenerate` scans all ``n!`` charts for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .charts import MAX_SCAN_N, Chart, _degrees, _upper_triangle, all_charts
+from .charts import MAX_SCAN_N, Chart, IndexPair, _degrees, _upper_triangle, all_charts
 from .errors import _link_s, _size
 
-IndexPair = Tuple[int, int]
-#: ``(kind, i, j, sx, sy)``: a coordinate kind, its pair and its stored exponent.
-Row = Tuple[str, int, int, int, int]
 #: A calibrated ``(u, v)`` exponent ``e - D``.
 Exponent = Tuple[int, int]
+#: ``(kind, pairs, excluded)``: a kind's pairs ``(i, j)``, less ``j`` in ``excluded[i - 1]``.
+Coordinates = Tuple[str, Tuple[IndexPair, ...], Sequence[Sequence[int]]]
 
 #: The unit ``e`` of each coordinate kind (see the module docstring).
 UNITS: Dict[str, Tuple[int, int]] = {"x": (1, 0), "y": (0, 1), "obstruction": (1, 1)}
 
 
-def _calibrated(rows: Iterable[Row]) -> List[Exponent]:
-    """The calibrated factor exponent ``2e - s`` of each row: ``(0, 0)`` iff fixed."""
-    return [
-        (2 * UNITS[kind][0] - sx, 2 * UNITS[kind][1] - sy) for kind, _, _, sx, sy in rows
-    ]
-
-
-def _unit_counts(
-    kind: str,
-    pairs: Iterable[IndexPair],
-    taken: Sequence[Iterable[int]],
-    wx: Tuple[int, ...],
-    wy: Tuple[int, ...],
-) -> Tuple[int, int]:
-    """``(fixed, vanishing)`` over the pairs ``(i, j)`` with ``j`` not in
-    ``taken[i - 1]``, read straight off the weight drop ``D = w^i - w^j``:
-    a pair is torus-fixed at ``D = e`` (``s = 2e``) and its factor vanishes
-    at ``D = -e`` (``s = 0``).  No row is built."""
-    ex, ey = UNITS[kind]
-    fixed = vanishing = 0
-    for i, j in pairs:
-        if j in taken[i - 1]:
-            continue
-        dx = wx[i - 1] - wx[j - 1]
-        dy = wy[i - 1] - wy[j - 1]
-        if dx == ex and dy == ey:
-            fixed += 1
-        elif dx == -ex and dy == -ey:
-            vanishing += 1
-    return fixed, vanishing
-
-
-def _tangent_counts(
-    chart: Chart, wx: Tuple[int, ...], wy: Tuple[int, ...]
-) -> Tuple[int, int]:
-    """``(fixed, vanishing)`` over the free coordinates of both sides, under
-    the free rule of :func:`_tangent_exponents`."""
+def _coordinates(chart: Chart, link: Tuple[int, ...]) -> Tuple[Coordinates, ...]:
+    """The coordinate table of a chart: free x, free y, then the obstruction
+    pairs, each in sorted pair order.  ``(i, j)`` is free on a side when
+    ``j`` is not in that chain's level-``i`` set, the rule of
+    ``Chart.nx``/``ny``; no obstruction pair is excluded."""
     label = chart.label
-    pairs = _upper_triangle(label.n)
-    fixed_x, vanishing_x = _unit_counts("x", pairs, label.sx, wx, wy)
-    fixed_y, vanishing_y = _unit_counts("y", pairs, label.sy, wx, wy)
-    return fixed_x + fixed_y, vanishing_x + vanishing_y
+    triangle = _upper_triangle(label.n)
+    return (
+        ("x", triangle, label.sx),
+        ("y", triangle, label.sy),
+        ("obstruction", _obstruction_pairs(label.n, link), ((),) * label.n),
+    )
+
+
+def _counts(
+    table: Sequence[Coordinates], wx: Tuple[int, ...], wy: Tuple[int, ...]
+) -> List[Tuple[int, int]]:
+    """``(fixed, vanishing)`` for each kind of ``table``, read straight off
+    the weight drop ``D = w^i - w^j``: a coordinate is torus-fixed at
+    ``D = e`` (``s = 2e``) and its factor vanishes at ``D = -e``
+    (``s = 0``).  No row is built."""
+    counts = []
+    for kind, pairs, excluded in table:
+        ex, ey = UNITS[kind]
+        fixed = vanishing = 0
+        for i, j in pairs:
+            if j in excluded[i - 1]:
+                continue
+            dx = wx[i - 1] - wx[j - 1]
+            dy = wy[i - 1] - wy[j - 1]
+            if dx == ex and dy == ey:
+                fixed += 1
+            elif dx == -ex and dy == -ey:
+                vanishing += 1
+        counts.append((fixed, vanishing))
+    return counts
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,20 +113,26 @@ class WeightData:
     wy: Tuple[int, ...]
     link: Tuple[int, ...]
 
+    def _drops(self) -> Iterator[Tuple[str, int, int, int, int]]:
+        """``(kind, i, j, Dx, Dy)`` for each row of the coordinate table, with
+        its weight drop ``D = w^i - w^j``, in table order."""
+        wx, wy = self.wx, self.wy
+        for kind, pairs, excluded in _coordinates(self.chart, self.link):
+            for i, j in pairs:
+                if j not in excluded[i - 1]:
+                    yield kind, i, j, wx[i - 1] - wx[j - 1], wy[i - 1] - wy[j - 1]
+
     def to_record(self) -> dict:
-        """The weight vectors and the stored exponents of every row."""
-        return {
-            "wx": list(self.wx),
-            "wy": list(self.wy),
-            "tangent": [
-                {"side": side, "index": [i, j], "dx": sx, "dy": sy}
-                for side, i, j, sx, sy in _tangent_exponents(self.chart, self.wx, self.wy)
-            ],
-            "obstruction": [
-                {"index": [i, j], "ox": sx, "oy": sy}
-                for _, i, j, sx, sy in _obstruction_exponents(self)
-            ],
-        }
+        """The weight vectors and the stored exponents ``s = D + e`` of every row."""
+        tangent, obstruction = [], []
+        for kind, i, j, dx, dy in self._drops():
+            ex, ey = UNITS[kind]
+            if kind == "obstruction":
+                obstruction.append({"index": [i, j], "ox": dx + ex, "oy": dy + ey})
+            else:
+                tangent.append({"side": kind, "index": [i, j], "dx": dx + ex, "dy": dy + ey})
+        return {"wx": list(self.wx), "wy": list(self.wy),
+                "tangent": tangent, "obstruction": obstruction}
 
     def calibrated_exponents(self) -> Tuple[List[Exponent], List[Exponent]]:
         """The calibrated ``(u, v)`` exponents ``e - D`` of the localization term.
@@ -137,10 +142,11 @@ class WeightData:
         first.  An exponent is ``(0, 0)`` exactly when its coordinate (or
         equation) is torus-fixed.
         """
-        return (
-            _calibrated(_obstruction_exponents(self)),
-            _calibrated(_tangent_exponents(self.chart, self.wx, self.wy)),
-        )
+        numerator, denominator = [], []
+        for kind, _, _, dx, dy in self._drops():
+            ex, ey = UNITS[kind]
+            (numerator if kind == "obstruction" else denominator).append((ex - dx, ey - dy))
+        return numerator, denominator
 
     def fixed_dim(self) -> dict:
         """Fixed-locus dimension counts and the degenerate-factor count.
@@ -165,17 +171,16 @@ class WeightData:
         straight off the weight drops ``D = e`` (fixed) and ``D = -e``
         (vanishing); no exponent row is built.
         """
-        dim_t0, vanishing = _tangent_counts(self.chart, self.wx, self.wy)
-        n = self.chart.n
-        dim_ob0, vanishing_obstruction = _unit_counts(
-            "obstruction", _obstruction_pairs(n, self.link), ((),) * n, self.wx, self.wy
+        (fixed_x, vanishing_x), (fixed_y, vanishing_y), (dim_ob0, vanishing_ob) = _counts(
+            _coordinates(self.chart, self.link), self.wx, self.wy
         )
+        dim_t0 = fixed_x + fixed_y
         return {
             "dimT0": dim_t0,
             "dimOb0": dim_ob0,
             "inequality": dim_ob0 >= dim_t0,
-            "vanishing_factors": vanishing,
-            "vanishing_obstruction_factors": vanishing_obstruction,
+            "vanishing_factors": vanishing_x + vanishing_y,
+            "vanishing_obstruction_factors": vanishing_ob,
         }
 
 
@@ -187,45 +192,6 @@ def weight_vectors(chart: Chart) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     docstring (``charts._degrees``); no word is built.
     """
     return _degrees(chart)
-
-
-def _stored(
-    kind: str,
-    pairs: Iterable[IndexPair],
-    taken: Sequence[Iterable[int]],
-    wx: Tuple[int, ...],
-    wy: Tuple[int, ...],
-) -> List[Row]:
-    """One row per pair ``(i, j)`` with ``j`` not in ``taken[i - 1]`` (a
-    chain's level sets, or empty sets), with the stored exponent ``s = D + e``."""
-    ex, ey = UNITS[kind]
-    return [
-        (kind, i, j, wx[i - 1] - wx[j - 1] + ex, wy[i - 1] - wy[j - 1] + ey)
-        for i, j in pairs
-        if j not in taken[i - 1]
-    ]
-
-
-def _tangent_exponents(
-    chart: Chart, wx: Tuple[int, ...], wy: Tuple[int, ...]
-) -> List[Row]:
-    """One row per free coordinate: the x side first, then the y side, each
-    in sorted pair order.
-
-    ``(i, j)`` is free on a side when ``j`` is not in that chain's
-    level-``i`` set, the rule of ``Chart.nx``/``ny``.  The two sides give
-    n(n-1)/2 rows together, since the two level-``i`` sets hold ``n - i``
-    elements between them.
-    """
-    label = chart.label
-    pairs = _upper_triangle(label.n)
-    return _stored("x", pairs, label.sx, wx, wy) + _stored("y", pairs, label.sy, wx, wy)
-
-
-def _obstruction_exponents(data: WeightData) -> List[Row]:
-    """One row per obstruction pair of ``data``, in sorted pair order."""
-    pairs = _obstruction_pairs(data.chart.n, data.link)
-    return _stored("obstruction", pairs, ((),) * data.chart.n, data.wx, data.wy)
 
 
 @lru_cache(maxsize=64)
@@ -272,8 +238,9 @@ def detect_degenerate(n: int) -> List[Chart]:
         2
     """
     _size("n", n, MAX_SCAN_N, "the degeneracy scan")
-    return [
-        chart
-        for chart in all_charts(n)
-        if _tangent_counts(chart, *weight_vectors(chart))[1]
-    ]
+    found = []
+    for chart in all_charts(n):
+        free = _coordinates(chart, ())[:2]  # the x and y kinds of the table
+        if any(vanishing for _, vanishing in _counts(free, *weight_vectors(chart))):
+            found.append(chart)
+    return found

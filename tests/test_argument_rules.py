@@ -26,6 +26,7 @@ from coxlinks.charts import (
 from coxlinks.errors import CapacityError, _size
 from coxlinks.homfly import (
     MAX_COXETER_LETTERS,
+    MAX_HOMFLY_LETTERS,
     MAX_HOMFLY_STRANDS,
     BraidWord,
     coxeter_braid,
@@ -38,7 +39,13 @@ from coxlinks.mfcheck import (
     negative_control,
     symbolic_gid_check,
 )
-from coxlinks.twostrand import MAX_TWO_STRAND_INDEX, homology_T2_even, homology_T2_odd
+from coxlinks.twostrand import (
+    MAX_TWO_STRAND_INDEX,
+    dim_H0_P1,
+    dim_H1_P1,
+    homology_T2_even,
+    homology_T2_odd,
+)
 from coxlinks.weights import detect_degenerate
 
 SOURCE = Path(coxlinks.__file__).parent
@@ -68,6 +75,14 @@ LINEAR = [
     ("homology_T2_even-negative", lambda n: homology_T2_even(-n), "|n|", MAX_TWO_STRAND_INDEX),
     ("coxeter_braid", _coxeter_word, "letters", MAX_COXETER_LETTERS),
     ("coxeter_braid-negative", lambda c: _coxeter_word(c, -1), "letters", MAX_COXETER_LETTERS),
+    # The closed forms call these at n - 1, so their cap is one higher.
+    ("dim_H0_P1", dim_H0_P1, "|m|", MAX_TWO_STRAND_INDEX + 1),
+    ("dim_H0_P1-negative", lambda m: dim_H0_P1(-m), "|m|", MAX_TWO_STRAND_INDEX + 1),
+    ("dim_H1_P1", dim_H1_P1, "|m|", MAX_TWO_STRAND_INDEX + 1),
+    ("dim_H1_P1-negative", lambda m: dim_H1_P1(-m), "|m|", MAX_TWO_STRAND_INDEX + 1),
+    # A two-strand word is cheap at the cap; six strands take seconds there.
+    ("homfly-letters", lambda c: homfly(BraidWord(2, ((1, 1),) * c)), "letters",
+     MAX_HOMFLY_LETTERS),
 ]
 
 

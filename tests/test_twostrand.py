@@ -116,6 +116,14 @@ def test_non_int_n_is_rejected_by_name(homology, n):
         homology(n)
 
 
+# The type is checked before the cap, so a huge float is named, not capped.
+@pytest.mark.parametrize("dimension", [dim_H0_P1, dim_H1_P1])
+@pytest.mark.parametrize("m", ["1", 2.0, True, None, 1e300])
+def test_non_int_m_is_rejected_by_name(dimension, m):
+    with pytest.raises(ValueError, match="m must be an int"):
+        dimension(m)
+
+
 # -- the wrapper type -----------------------------------------------------------------
 
 

@@ -252,6 +252,37 @@ def test_fixed_dim_counts_agree_with_weight_data():
                 assert data.fixed_dim() == _counts_from_records(data.to_record())
 
 
+# The literal unit e of each record, for the calibrated exponent 2e - s.
+_RECORD_UNITS = {"x": (1, 0), "y": (0, 1), "obstruction": (1, 1)}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_calibrated_exponents_are_the_records_read_back(n):
+    # The one view the sum reads: 2e - s of every record, in record order,
+    # with (0, 0) at a fixed row and 2e at a vanishing factor.
+    for chart in all_charts(n):
+        for link_s in _link_sets(n):
+            data = weight_data(chart, link_s)
+            record = data.to_record()
+            units = [_RECORD_UNITS[rec["side"]] for rec in record["tangent"]]
+            expected_denominator = [
+                (2 * ex - rec["dx"], 2 * ey - rec["dy"])
+                for (ex, ey), rec in zip(units, record["tangent"])
+            ]
+            expected_numerator = [(2 - rec["ox"], 2 - rec["oy"]) for rec in record["obstruction"]]
+            numerator, denominator = data.calibrated_exponents()
+            assert numerator == expected_numerator
+            assert denominator == expected_denominator
+            counts = data.fixed_dim()
+            assert numerator.count((0, 0)) == counts["dimOb0"]
+            assert denominator.count((0, 0)) == counts["dimT0"]
+            assert numerator.count((2, 2)) == counts["vanishing_obstruction_factors"]
+            vanishing = [
+                exponent == (2 * ex, 2 * ey) for exponent, (ex, ey) in zip(denominator, units)
+            ]
+            assert sum(vanishing) == counts["vanishing_factors"]
+
+
 def test_weight_data_computes_the_weight_vectors_once(monkeypatch):
     calls = []
     original = weights_module.weight_vectors
