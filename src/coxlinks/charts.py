@@ -22,9 +22,9 @@ From a label the chart data is derived:
 * a vector of non-commutative monomials in X, Y and its generalized-Young-
   tableau image.
 
-A ``Chart`` is built from its label alone and stores the label and the
-pivots read off it once, one ``(side, column)`` pivot per level; the
-per-side pivot lists and the rest are derived on access.
+A ``Chart`` is built from its label alone and exposes what it stores: the
+label and the pivots read off it once, one ``(side, column)`` pivot per
+level.  Its record (``Chart.to_record``) lists the rest, derived from those.
 
 Which paths validate: the public ``NestedSetPair(...)`` and
 ``NestedSetPair.from_lists`` check every defining condition, and
@@ -55,9 +55,7 @@ from .errors import _is_int, _size
 
 IndexPair = Tuple[int, int]
 Chain = Tuple[Tuple[int, ...], ...]  # one strictly increasing tuple per level
-Pivots = Tuple[IndexPair, ...]  # one side's pivots, sorted by row
 LevelPivots = Tuple[Tuple[str, int], ...]  # (side, column) of each level's pivot
-Matrix = Tuple[Tuple[int, ...], ...]
 
 MAX_ENUMERATION_N = 9
 #: Both n! scans, the injectivity report here and ``weights.detect_degenerate``.
@@ -167,13 +165,13 @@ class Chart:
     """One chart: its label and one pivot per level, ``pivots[i - 1] =
     (side, j)`` for the pivot ``(i, j)`` on side ``"x"`` or ``"y"``.
 
-    Everything else is derived on each access: ``px``/``py`` are each
-    side's pivot pairs sorted by row, ``zx``/``zy`` the constrained zeros
-    and ``nx``/``ny`` the free coordinates.  On each side the pivots and
-    zeros of row ``i`` are the columns in the level-``i`` set, so ``(i, j)``
-    is free iff ``j`` is not in that set, and pivots, zeros and free
-    coordinates partition the strictly upper triangle.  ``mx``/``my`` are
-    the base-point matrices (pivots 1, everything else 0).
+    A chart exposes only these two (and ``n``); ``to_record`` lists the
+    rest, per side: the pivot pairs sorted by row, the constrained zeros,
+    the free coordinates and the base-point matrix (pivots 1, everything
+    else 0).  On each side the pivots and zeros of row ``i`` are the
+    columns in the level-``i`` set, so ``(i, j)`` is free iff ``j`` is not
+    in that set, and pivots, zeros and free coordinates partition the
+    strictly upper triangle.
 
     The constructor takes the label alone and reads ``pivots`` off it
     once.  Only the chart recursion behind ``all_charts``, which already
@@ -207,46 +205,16 @@ class Chart:
     def n(self) -> int:
         return self.label.n
 
-    @property
-    def px(self) -> Pivots:
-        return _side_pivots(self.pivots, "x")
-
-    @property
-    def py(self) -> Pivots:
-        return _side_pivots(self.pivots, "y")
-
-    @property
-    def zx(self) -> FrozenSet[IndexPair]:
-        return _zeros(self.label.sx, self.label.n)
-
-    @property
-    def zy(self) -> FrozenSet[IndexPair]:
-        return _zeros(self.label.sy, self.label.n)
-
-    @property
-    def nx(self) -> FrozenSet[IndexPair]:
-        return _free(self.label.sx, self.label.n)
-
-    @property
-    def ny(self) -> FrozenSet[IndexPair]:
-        return _free(self.label.sy, self.label.n)
-
-    @property
-    def mx(self) -> Matrix:
-        return _base_matrix(self.n, self.px)
-
-    @property
-    def my(self) -> Matrix:
-        return _base_matrix(self.n, self.py)
-
     def to_record(self) -> dict:
+        label, n = self.label, self.n
+        px, py = _side_pivots(self.pivots, "x"), _side_pivots(self.pivots, "y")
         return {
-            "label": self.label.to_record(),
-            "pivots": {"x": list(self.px), "y": list(self.py)},
-            "free": {"x": sorted(self.nx), "y": sorted(self.ny)},
-            "zeros": {"x": sorted(self.zx), "y": sorted(self.zy)},
-            "base_mx": [list(row) for row in self.mx],
-            "base_my": [list(row) for row in self.my],
+            "label": label.to_record(),
+            "pivots": {"x": px, "y": py},
+            "free": {"x": _free(label.sx, n), "y": _free(label.sy, n)},
+            "zeros": {"x": _zeros(label.sx, n), "y": _zeros(label.sy, n)},
+            "base_mx": _base_matrix(n, px),
+            "base_my": _base_matrix(n, py),
             "monomials": [word_str(word) for word in monomial_vector(self)],
             "commutes": is_commutative(self),
         }
@@ -259,23 +227,26 @@ def _pivots(label: NestedSetPair) -> LevelPivots:
                  for j in chain[i - 1] if j not in chain[i])
 
 
-def _side_pivots(pivots: LevelPivots, side: str) -> Pivots:
-    return tuple((i, j) for i, (on, j) in enumerate(pivots, start=1) if on == side)
+def _side_pivots(pivots: LevelPivots, side: str) -> List[IndexPair]:
+    """One side's pivots ``(i, j)``, sorted by row."""
+    return [(i, j) for i, (on, j) in enumerate(pivots, start=1) if on == side]
 
 
-def _zeros(chain: Chain, n: int) -> FrozenSet[IndexPair]:
-    return frozenset((i, j) for i in range(1, n) for j in chain[i])
+def _zeros(chain: Chain, n: int) -> List[IndexPair]:
+    """One side's constrained zeros ``(i, j)``, ``j`` in the level-``(i+1)`` set, sorted."""
+    return [(i, j) for i in range(1, n) for j in chain[i]]
 
 
-def _free(chain: Chain, n: int) -> FrozenSet[IndexPair]:
-    return frozenset((i, j) for i, j in _upper_triangle(n) if j not in chain[i - 1])
+def _free(chain: Chain, n: int) -> List[IndexPair]:
+    """One side's free coordinates ``(i, j)``, ``j`` not in the level-``i`` set, sorted."""
+    return [(i, j) for i, j in _upper_triangle(n) if j not in chain[i - 1]]
 
 
-def _base_matrix(n: int, pivots: Pivots) -> Matrix:
+def _base_matrix(n: int, pivots: Sequence[IndexPair]) -> List[List[int]]:
     rows = [[0] * n for _ in range(n)]
     for i, j in pivots:
         rows[i - 1][j - 1] = 1
-    return tuple(tuple(row) for row in rows)
+    return rows
 
 
 @lru_cache(maxsize=16)
@@ -353,9 +324,6 @@ class GYT:
 
     cells: Tuple[Tuple[IndexPair, FrozenSet[int]], ...]
 
-    def as_dict(self) -> Dict[IndexPair, FrozenSet[int]]:
-        return dict(self.cells)
-
     def is_standard(self) -> bool:
         """True when the tableau is a genuine standard Young tableau.
 
@@ -363,7 +331,7 @@ class GYT:
         form a Young diagram (closed under stepping toward either axis), and
         labels strictly increase along both directions away from the origin.
         """
-        cells = self.as_dict()
+        cells = dict(self.cells)
         if any(len(labels) != 1 for labels in cells.values()):
             return False
         for i, j in cells:
@@ -442,8 +410,8 @@ def all_charts(n: int) -> List[Chart]:
     chains from level ``n`` (both empty) down to level 1: at level ``i`` an
     element ``j`` of ``{i+1..n}`` that the chain of side ``L`` lacks joins
     that chain, so each of the ``n!`` labels arises once, and ``(L, j)`` is
-    the pivot of level ``i``.  The zeros and free coordinates are derived
-    from the label by the ``Chart`` properties.  The labels are correct by
+    the pivot of level ``i``.  ``Chart.to_record`` derives the zeros and
+    free coordinates from the label.  The labels are correct by
     construction and skip re-validation (``NestedSetPair._trusted``,
     ``Chart._trusted``); ``Chart`` on the publicly rebuilt label is the test
     oracle.

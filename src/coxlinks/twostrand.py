@@ -72,10 +72,12 @@ def dim_H0_P1(m: int) -> LaurentPoly:
     if not _is_int(m):
         raise ValueError(f"m must be an int, got {m!r}")
     _size("|m|", abs(m), MAX_TWO_STRAND_INDEX + 1, "a line-bundle dimension", least=0)
-    terms = {}
-    for i in range(m + 1):
-        terms[(0, 4 * i - 2 * m, 2 * m - 2 * i)] = 1
-    return LaurentPoly(AQT, terms)
+    return _h0(m)
+
+
+def _h0(m: int) -> LaurentPoly:
+    """The sum of :func:`dim_H0_P1`, with no check of ``m``."""
+    return LaurentPoly(AQT, {(0, 4 * i - 2 * m, 2 * m - 2 * i): 1 for i in range(m + 1)})
 
 
 def dim_H1_P1(m: int) -> LaurentPoly:
@@ -98,10 +100,8 @@ def dim_H1_P1(m: int) -> LaurentPoly:
     if not _is_int(m):
         raise ValueError(f"m must be an int, got {m!r}")
     _size("|m|", abs(m), MAX_TWO_STRAND_INDEX + 1, "a line-bundle dimension", least=0)
-    terms = {}
-    for i in range(-m - 1):
-        terms[(0, 4 * i + 2 * m + 4, -2 * m - 2 * i - 4)] = 1
-    return LaurentPoly(AQT, terms)
+    # Serre duality on the projective line: the H^0 sum at -m - 2, term for term.
+    return _h0(-m - 2)
 
 
 @dataclass(frozen=True, slots=True)

@@ -64,8 +64,8 @@ UNITS: Dict[str, Tuple[int, int]] = {"x": (1, 0), "y": (0, 1), "obstruction": (1
 def _coordinates(chart: Chart, link: Tuple[int, ...]) -> Tuple[Coordinates, ...]:
     """The coordinate table of a chart: free x, free y, then the obstruction
     pairs, each in sorted pair order.  ``(i, j)`` is free on a side when
-    ``j`` is not in that chain's level-``i`` set, the rule of
-    ``Chart.nx``/``ny``; no obstruction pair is excluded."""
+    ``j`` is not in that chain's level-``i`` set, the rule behind the
+    ``free`` lists of ``Chart.to_record``; no obstruction pair is excluded."""
     label = chart.label
     triangle = _upper_triangle(label.n)
     return (

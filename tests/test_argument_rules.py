@@ -39,6 +39,7 @@ from coxlinks.mfcheck import (
     negative_control,
     symbolic_gid_check,
 )
+from coxlinks.polyalg import MAX_SERIES_DEGREE
 from coxlinks.twostrand import (
     MAX_TWO_STRAND_INDEX,
     dim_H0_P1,
@@ -58,6 +59,11 @@ def _label(n):
 def _sum(n):
     k = (0,) * (n - 1) if isinstance(n, int) and n >= 1 else ()
     return calibrated_superpolynomial(n, k)
+
+
+def _series(bound):
+    """A cheap series to ``bound``: the two-strand unknot over ``(1 - q^2)``."""
+    return homology_T2_odd(0).value.truncate_series({"a": 1, "q": 1, "t": 1}, bound)
 
 
 def _coxeter_word(letters, sign=1):
@@ -80,6 +86,8 @@ LINEAR = [
     ("dim_H0_P1-negative", lambda m: dim_H0_P1(-m), "|m|", MAX_TWO_STRAND_INDEX + 1),
     ("dim_H1_P1", dim_H1_P1, "|m|", MAX_TWO_STRAND_INDEX + 1),
     ("dim_H1_P1-negative", lambda m: dim_H1_P1(-m), "|m|", MAX_TWO_STRAND_INDEX + 1),
+    ("truncate_series", _series, "|bound|", MAX_SERIES_DEGREE),
+    ("truncate_series-negative", lambda d: _series(-d), "|bound|", MAX_SERIES_DEGREE),
     # A two-strand word is cheap at the cap; six strands take seconds there.
     ("homfly-letters", lambda c: homfly(BraidWord(2, ((1, 1),) * c)), "letters",
      MAX_HOMFLY_LETTERS),
@@ -129,6 +137,8 @@ CASES = [
     pytest.param(lambda v: coxeter_braid(3, (v,), (0, 0)), True, ValueError,
                  "link_s entry", id="coxeter_braid-link_s-bool"),
     pytest.param(_sum, 0, ValueError, "n", id="calibrated_superpolynomial-below"),
+    pytest.param(_series, True, ValueError, "bound", id="truncate_series-bool"),
+    pytest.param(_series, 40.0, ValueError, "bound", id="truncate_series-float"),
     pytest.param(_sum, MAX_LOCALIZATION_N + 1, CapacityError, "n",
                  id="calibrated_superpolynomial-cap"),
     # Validated braids reach these caps only through their lengths.

@@ -138,10 +138,11 @@ def test_from_lists_sorts_levels_and_merges_repeats():
 
 def test_family_chart_structure():
     chart = Chart(FAMILY_LABEL)
-    assert sorted(chart.px) == [(1, 4), (2, 3)]
-    assert sorted(chart.py) == [(3, 4)]
-    assert sorted(chart.zx) == [(1, 3)]
-    assert sorted(chart.zy) == [(1, 4), (2, 4)]
+    record = chart.to_record()
+    assert sorted(record["pivots"]["x"]) == [(1, 4), (2, 3)]
+    assert sorted(record["pivots"]["y"]) == [(3, 4)]
+    assert sorted(record["zeros"]["x"]) == [(1, 3)]
+    assert sorted(record["zeros"]["y"]) == [(1, 4), (2, 4)]
     assert monomial_vector(chart) == ("", "Y", "XY", "X")
     assert not is_commutative(chart)
 
@@ -150,9 +151,9 @@ X_CHAIN_LABEL = NestedSetPair(3, ((2, 3), (3,), ()), ((), (), ()))
 
 
 def test_chart_constructor_takes_the_label_alone():
-    chart = Chart(X_CHAIN_LABEL)
-    assert (chart.px, chart.py) == (((1, 2), (2, 3)), ())
-    assert chart.to_record()["monomials"] == ["1", "X", "XX"]
+    record = Chart(X_CHAIN_LABEL).to_record()
+    assert record["pivots"] == {"x": [(1, 2), (2, 3)], "y": []}
+    assert record["monomials"] == ["1", "X", "XX"]
     with pytest.raises(TypeError):
         Chart(X_CHAIN_LABEL, ((1, 2), (2, 3)), ())
 
@@ -166,7 +167,7 @@ def test_replacing_the_label_rereads_the_pivots():
     other = NestedSetPair(3, X_CHAIN_LABEL.sy, X_CHAIN_LABEL.sx)
     chart = dataclasses.replace(Chart(X_CHAIN_LABEL), label=other)
     assert chart.label == other
-    assert (chart.px, chart.py) == ((), ((1, 2), (2, 3)))
+    assert chart.to_record()["pivots"] == {"x": [], "y": [(1, 2), (2, 3)]}
     assert chart == Chart(other)
 
 
@@ -174,21 +175,24 @@ def test_free_coordinate_count_is_triangular():
     for n in range(1, 8):
         upper = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
         for chart in all_charts(n):
-            assert len(chart.nx) + len(chart.ny) == n * (n - 1) // 2
+            record = chart.to_record()
+            pivots, zeros, free = record["pivots"], record["zeros"], record["free"]
+            assert len(free["x"]) + len(free["y"]) == n * (n - 1) // 2
             # Pivots, zeros and free coordinates partition each side's triangle.
-            for parts in ((chart.px, chart.zx, chart.nx), (chart.py, chart.zy, chart.ny)):
+            for parts in ((pivots[side], zeros[side], free[side]) for side in "xy"):
                 assert sum(map(len, parts)) == len(upper)
                 assert set().union(*parts) == upper
             # One pivot per row 1..n-1, over both sides.
-            assert sorted(i for i, _ in chart.px + chart.py) == list(range(1, n))
+            assert sorted(i for i, _ in pivots["x"] + pivots["y"]) == list(range(1, n))
 
 
 def test_base_matrices_have_pivot_ones():
-    chart = Chart(FAMILY_LABEL)
-    assert chart.mx[0][3] == 1 and chart.mx[1][2] == 1
-    assert sum(map(sum, chart.mx)) == 2
-    assert chart.my[2][3] == 1
-    assert sum(map(sum, chart.my)) == 1
+    record = Chart(FAMILY_LABEL).to_record()
+    mx, my = record["base_mx"], record["base_my"]
+    assert mx[0][3] == 1 and mx[1][2] == 1
+    assert sum(map(sum, mx)) == 2
+    assert my[2][3] == 1
+    assert sum(map(sum, my)) == 1
 
 
 def _edge_connected(cells):
@@ -209,8 +213,9 @@ def test_monomial_vectors_are_distinct_words():
     for n in range(1, 8):
         for chart in all_charts(n):
             words = monomial_vector(chart)
-            pivot_of_level = {i: ("X", j) for i, j in chart.px}
-            pivot_of_level.update({i: ("Y", j) for i, j in chart.py})
+            pivots = chart.to_record()["pivots"]
+            pivot_of_level = {i: ("X", j) for i, j in pivots["x"]}
+            pivot_of_level.update({i: ("Y", j) for i, j in pivots["y"]})
             assert words[0] == ""
             for k in range(2, n + 1):
                 letter, j = pivot_of_level[n + 1 - k]
@@ -285,7 +290,7 @@ def test_commuting_chart_tableaux_are_standard_hooks():
     for chart in commuting_charts(5):
         tableau = to_gyt(chart)
         assert tableau.is_standard()
-        cells = set(tableau.as_dict())
+        cells = set(dict(tableau.cells))
         # Hook shape: every cell sits in row 0 or column 0.
         assert all(r == 0 or c == 0 for r, c in cells)
 
@@ -300,7 +305,7 @@ def test_commuting_generator_equals_filter_and_yields_hooks(n):
         tableau = to_gyt(chart)
         assert tableau.is_standard()
         # Hook shape: every cell sits in row 0 or column 0.
-        assert all(r == 0 or c == 0 for r, c in tableau.as_dict())
+        assert all(r == 0 or c == 0 for r, c in dict(tableau.cells))
 
 
 def test_commuting_generator_rejects_bad_sizes():
@@ -331,8 +336,9 @@ def _product_entries(pa, pb):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_commutation_test_matches_the_pivot_products(n):
     for chart in all_charts(n):
-        products_agree = _product_entries(chart.px, chart.py) == _product_entries(
-            chart.py, chart.px
+        pivots = chart.to_record()["pivots"]
+        products_agree = _product_entries(pivots["x"], pivots["y"]) == _product_entries(
+            pivots["y"], pivots["x"]
         )
         assert is_commutative(chart) == products_agree
 
@@ -340,7 +346,9 @@ def test_commutation_test_matches_the_pivot_products(n):
 def test_commutation_test_matches_dense_matrix_products():
     for n in range(1, 7):
         for chart in all_charts(n):
-            dense = _dense_product(chart.mx, chart.my) == _dense_product(chart.my, chart.mx)
+            record = chart.to_record()
+            mx, my = record["base_mx"], record["base_my"]
+            dense = _dense_product(mx, my) == _dense_product(my, mx)
             assert is_commutative(chart) == dense
     assert not is_commutative(Chart(FAMILY_LABEL))
 
@@ -354,12 +362,12 @@ def test_tableau_cells_are_the_letter_counts_of_the_words(n):
         cells = {}
         for k, word in enumerate(monomial_vector(chart), start=1):
             cells.setdefault((word.count("X"), word.count("Y")), set()).add(k)
-        assert to_gyt(chart).as_dict() == {cell: frozenset(ks) for cell, ks in cells.items()}
+        assert dict(to_gyt(chart).cells) == {cell: frozenset(ks) for cell, ks in cells.items()}
 
 
 def test_gyt_of_family_chart():
     tableau = to_gyt(Chart(FAMILY_LABEL))
-    assert tableau.as_dict() == {
+    assert dict(tableau.cells) == {
         (0, 0): frozenset({1}),
         (0, 1): frozenset({2}),
         (1, 1): frozenset({3}),
@@ -375,7 +383,7 @@ def test_gyt_multi_cell_example():
         (0, 1): frozenset({4}),
         (1, 1): frozenset({3, 5}),
     }
-    images = [to_gyt(chart).as_dict() for chart in all_charts(5)]
+    images = [dict(to_gyt(chart).cells) for chart in all_charts(5)]
     assert target in images
     transposed = {(c, r): v for (r, c), v in target.items()}
     assert transposed in images
@@ -403,8 +411,8 @@ def test_first_collision_pair_is_the_word_order_swap():
 def test_mirror_transposes_the_tableau():
     for chart in all_charts(4):
         mirrored = Chart(NestedSetPair(4, chart.label.sy, chart.label.sx))
-        direct = to_gyt(chart).as_dict()
-        swapped = {(c, r): v for (r, c), v in to_gyt(mirrored).as_dict().items()}
+        direct = dict(to_gyt(chart).cells)
+        swapped = {(c, r): v for (r, c), v in to_gyt(mirrored).cells}
         assert direct == swapped
 
 

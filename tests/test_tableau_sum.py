@@ -22,13 +22,16 @@ Duke Math. J. 2005; proved by Carlsson-Mellit, arXiv 1508.06239) then
 checks every a-degree of it at k = (1, ..., 1).  For other monotone k two
 path identities check it: P1 counts the k-paths by their non-maximal steps
 in every a-degree at q = t = 1, and P2 counts them by area in the lowest
-a-degree.
+a-degree.  A third statement is pinned as a conjecture with evidence, not
+as a theorem: the numerator has a negative coefficient exactly when k is
+not a line (ROADMAP item 4).
 """
 
 import operator
 import warnings
 from collections import Counter
 from itertools import permutations, product
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -319,3 +322,40 @@ def test_a_degrees_at_one_count_the_non_maximal_steps(n, k):
         for j in range(m + 1):
             expected[j] += comb(m, j)
     assert at_one == expected
+
+
+# -- the line predicate, a conjecture with evidence ----------------------------------
+
+
+def _is_line(k):
+    """Whether k is a line: one real s >= 0 with b_i = ceil(s (i - 1)) for
+    every i, where b_i = k_1 + ... + k_(i-1).  That puts s in every
+    ((b_(i+1) - 1) / i, b_(i+1) / i] with i >= 1, so one exists iff the
+    largest lower end is below the smallest upper end (or k is empty)."""
+    ends = [(sum(k[:i]), i) for i in range(1, len(k) + 1)]
+    return not ends or max(Fraction(b - 1, i) for b, i in ends) < min(
+        Fraction(b, i) for b, i in ends
+    )
+
+
+LINE_CASES = (
+    [(3, k) for k in _monotone(3, 6)]
+    + [(4, k) for k in _monotone(4, 3)]
+    + [(5, k) for k in _monotone(5, 2)]
+)
+
+
+@pytest.mark.parametrize("n, k", LINE_CASES, ids=str)
+def test_numerator_is_negative_exactly_off_the_lines(n, k):
+    # Conjecture (ROADMAP item 4), not a theorem: the numerator N over
+    # (1 - q^2) has a negative coefficient exactly when k is not a line.
+    # The evidence is these cases: the library sum at n = 3, the sum over
+    # every SYT at n = 4 and 5.
+    if n < 4:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PositivityRegimeWarning)
+            value = calibrated_superpolynomial(n, k).value
+    else:
+        value = _tableau_sum(n, k)
+    assert value.den == {(0, 2, 0): 1}
+    assert (min(value.num.terms.values()) < 0) == (not _is_line(k))

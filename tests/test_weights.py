@@ -50,7 +50,8 @@ def test_weights_match_the_pivot_recursion(n):
     for chart in all_charts(n):
         wx, wy = weight_vectors(chart)
         assert (wx[n - 1], wy[n - 1]) == (0, 0)
-        for pivots, step in ((chart.px, (1, 0)), (chart.py, (0, 1))):
+        pivots_of = chart.to_record()["pivots"]
+        for pivots, step in ((pivots_of["x"], (1, 0)), (pivots_of["y"], (0, 1))):
             for i, j in pivots:
                 assert (wx[i - 1] - wx[j - 1], wy[i - 1] - wy[j - 1]) == step
 
@@ -78,7 +79,7 @@ def test_tangent_record_counts_and_sides():
 def test_tangent_records_index_the_free_coordinates(n):
     for chart in all_charts(n):
         records = _tangent(chart)
-        for side, free in (("x", chart.nx), ("y", chart.ny)):
+        for side, free in chart.to_record()["free"].items():
             indices = [tuple(rec["index"]) for rec in records if rec["side"] == side]
             assert indices == sorted(free)
 
@@ -126,7 +127,8 @@ def _commutator(x, y):
 
 def _obstruction_entries(chart):
     """``{(i, j): [X, Y]_ij}`` at the base point over the pairs the sum uses."""
-    bracket = _commutator(chart.mx, chart.my)
+    record = chart.to_record()
+    bracket = _commutator(record["base_mx"], record["base_my"])
     pairs = weights_module._obstruction_pairs(chart.n, ())
     return {(i, j): bracket[i - 1][j - 1] for i, j in pairs}
 
@@ -175,7 +177,8 @@ def _documented_record(chart, link_s):
     stores ``(Dx + 1, Dy)``, a y-coordinate ``(Dx, Dy + 1)``."""
     wx, wy = weight_vectors(chart)
     tangent = []
-    for side, free, ex, ey in (("x", chart.nx, 1, 0), ("y", chart.ny, 0, 1)):
+    free_of = chart.to_record()["free"]
+    for side, free, ex, ey in (("x", free_of["x"], 1, 0), ("y", free_of["y"], 0, 1)):
         for i, j in sorted(free):
             dx, dy = _drop(wx, wy, i, j)
             tangent.append({"side": side, "index": [i, j], "dx": dx + ex, "dy": dy + ey})
@@ -334,9 +337,11 @@ def _torus_rescaling_check(chart, t, s):
             m[i - 1][j - 1] = Fraction(counter, counter + 1)
         return m
 
-    nx, ny = chart.nx, chart.ny
-    mx = sample(nx, chart.px)
-    my = sample(ny, chart.py)
+    record = chart.to_record()
+    pivots, zeros, free = record["pivots"], record["zeros"], record["free"]
+    nx, ny = free["x"], free["y"]
+    mx = sample(nx, pivots["x"])
+    my = sample(ny, pivots["y"])
     d = [t ** wx[i] * s ** wy[i] for i in range(n)]
 
     def rescaled(m, overall):
@@ -348,8 +353,8 @@ def _torus_rescaling_check(chart, t, s):
     new_x = rescaled(mx, 1 / t)
     new_y = rescaled(my, 1 / s)
     for matrix, pivots, zeros, free, source, (ex, ey) in (
-        (new_x, chart.px, chart.zx, nx, mx, (1, 0)),
-        (new_y, chart.py, chart.zy, ny, my, (0, 1)),
+        (new_x, pivots["x"], zeros["x"], nx, mx, (1, 0)),
+        (new_y, pivots["y"], zeros["y"], ny, my, (0, 1)),
     ):
         for i, j in pivots:
             if matrix[i - 1][j - 1] != 1:
