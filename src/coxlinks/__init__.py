@@ -7,10 +7,9 @@ modules layer roughly bottom-up:
 * :mod:`coxlinks.polyalg` — exact Laurent polynomials and rational
   functions with binomial denominators (the only scalar types used);
 * :mod:`coxlinks.charts` — nested-set chart labels, pivots, base
-  matrices, generalized Young tableaux;
-* :mod:`coxlinks.weights` — recursive weight vectors, the one unit
-  rule for tangent and obstruction exponents per chart, and the
-  degeneracy scan;
+  matrices, weight vectors, generalized Young tableaux;
+* :mod:`coxlinks.weights` — the one unit rule for tangent and
+  obstruction exponents per chart, and the degeneracy scan;
 * :mod:`coxlinks.localization` — fixed-point sums: the calibrated
   superpolynomial;
 * :mod:`coxlinks.twostrand` — closed-form two-strand homology, the

@@ -25,12 +25,12 @@ Two criteria deserve a note up front:
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from ._planar_skein import resolve_homfly
@@ -208,13 +208,6 @@ def homfly_oracle(seed: int) -> Tuple[bool, str]:
     )
 
 
-def _is_rational_square(value: Fraction) -> bool:
-    if value <= 0:
-        return value == 0
-    num, den = value.numerator, value.denominator
-    return math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
-
-
 def _verify_no_monomial_bridge() -> Tuple[bool, str]:
     """Machine-check that no monomial substitution maps the n = 2, k = 1
     calibrated superpolynomial to the trefoil HOMFLY polynomial.
@@ -243,15 +236,15 @@ def _verify_no_monomial_bridge() -> Tuple[bool, str]:
         return False, "numerator no longer has three unit terms"
     trefoil = homfly(BraidWord(2, ((1, 1),) * 3))
     support = sorted(trefoil.terms)
-    coeffs = [Fraction(trefoil.terms[m]) for m in support]
+    coeffs = [trefoil.terms[m] for m in support]
     if len(support) != 3 or len(set(coeffs)) != 3:
         return False, "trefoil support changed"
     # Non-constant case: any cancellation needs a coefficient ratio that is
-    # a positive rational square; verify none is.
-    for i, ci in enumerate(coeffs):
-        for j, cj in enumerate(coeffs):
-            if i != j and _is_rational_square(ci / cj):
-                return False, f"ratio {ci}/{cj} is a rational square"
+    # a positive rational square; verify none is.  For nonzero ints, ci/cj
+    # is one exactly when ci*cj is a positive perfect square, and so is cj/ci.
+    for ci, cj in itertools.combinations(coeffs, 2):
+        if ci * cj > 0 and math.isqrt(ci * cj) ** 2 == ci * cj:
+            return False, f"ratio {ci}/{cj} is a rational square"
     # Constant case: try every assignment of the three support points to
     # the slot patterns (mu_a^2, mu_a*mu_t, mu_a*mu_t^-1).
     points = [tuple(m) for m in support]

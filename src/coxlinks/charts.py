@@ -256,9 +256,10 @@ def _upper_triangle(n: int) -> Tuple[IndexPair, ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
-def _degrees(chart: Chart) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The X- and Y-degrees ``(w_x, w_y)`` of the words ``m_n, …, m_1``, as
-    integers read off the pivots; index ``i - 1`` holds the degree of level ``i``.
+def weight_vectors(chart: Chart) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The weight vectors ``(w_x, w_y)``: the X- and Y-degrees of the words
+    ``m_n, …, m_1`` of :func:`monomial_vector`, as integers read off the
+    pivots, with no word built; index ``i - 1`` holds the degree of level ``i``.
 
     This is the pivot recursion of :func:`monomial_vector` without its
     words: ``w^n = (0, 0)``, and an x-pivot ``(i, j)`` gives
@@ -298,7 +299,7 @@ def monomial_vector(chart: Chart) -> Tuple[str, ...]:
     word is one letter put in front of an earlier word.
 
     Words are built only to be printed: the degrees that the tableau and the
-    weights read come from the same recursion on integers (``_degrees``).
+    weights read come from the same recursion on integers (:func:`weight_vectors`).
     """
     n = chart.n
     words = [""] * (n + 1)
@@ -355,13 +356,13 @@ def to_gyt(chart: Chart) -> GYT:
 
     Cell ``(i, j)`` collects every index ``k`` whose monomial ``m_k`` has
     X-degree ``i`` and Y-degree ``j``; the degrees are read off the pivots as
-    integers (``_degrees``), with no word built.  The occupied cells are
+    integers (:func:`weight_vectors`).  The occupied cells are
     always edge-connected: each word is one letter put in front of an
     earlier word, so each cell is one unit step from an earlier cell.
     """
     n = chart.n
     cells: Dict[IndexPair, set] = {}
-    for level, cell in enumerate(zip(*_degrees(chart)), start=1):
+    for level, cell in enumerate(zip(*weight_vectors(chart)), start=1):
         cells.setdefault(cell, set()).add(n + 1 - level)
     return GYT(tuple(sorted((cell, frozenset(labels)) for cell, labels in cells.items())))
 

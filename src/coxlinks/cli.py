@@ -50,6 +50,7 @@ from .errors import (
 from .homfly import coxeter_braid, homfly, parse_braid
 from .localization import calibrated_superpolynomial
 from .mfcheck import containment_suite
+from .polyalg import _check_series_bound
 from .twostrand import homology_T2_even, homology_T2_odd
 from .weights import detect_degenerate, weight_data
 
@@ -199,6 +200,7 @@ def _cmd_weights(args: argparse.Namespace) -> int:
 
 
 def _cmd_superpoly(args: argparse.Namespace) -> int:
+    _check_series_bound(args.degree)
     result = calibrated_superpolynomial(args.n, args.k, args.link_s)
     record = result.to_record()
     record["truncated"] = str(result.truncated(args.degree))
@@ -214,6 +216,7 @@ def _cmd_superpoly(args: argparse.Namespace) -> int:
 
 
 def _cmd_twostrand(args: argparse.Namespace) -> int:
+    _check_series_bound(args.degree)
     compute = homology_T2_odd if args.column == "odd" else homology_T2_even
     result = compute(args.index)
     record = result.to_record()

@@ -13,16 +13,22 @@ Skein normalization (fixed by the right-handed trefoil value
 so the two-component unlink has value ``(a^-1 - a) / z`` and positive
 braids land in positive powers of ``a``.
 
-The trace is computed in its scaled form ``tau_n(x) = zeta^-(n-1) tr(x)``
-with ``zeta = z / (1 - a^2)``, so that ``delta = 1 / (a zeta)`` and ``P =
-a^(writhe - n + 1) tau_n``.  The Markov property reads ``tau_n(x) =
-zeta^-1 tau_{n-1}(x)`` for ``x`` in ``H_{n-1}`` and ``tau_n(x T_{n-1} y) =
-tau_{n-1}(x y)`` for ``x, y`` in ``H_{n-1}``; ``zeta^-1 = (1 - a^2) / z``
-is a Laurent polynomial, so every value lies in the Laurent ring and no
-denominator ever appears.  The recursion peels the highest strand: for a
-basis element ``T_w`` with largest moved point ``m`` and ``w(j) = m`` one
-has ``T_w = T_u T_{m-1} T_{m-2} ... T_j`` with ``u`` in ``S_{m-1}``, and
-cyclicity gives ``tau_m(T_w) = tau_{m-1}(T_u T_{m-2} ... T_j)``.
+A Hecke element is the dict of its nonzero coefficients, keyed by the
+one-line permutations ``w`` of its basis elements ``T_w``.  The trace is
+computed in its scaled form ``tau_n(x) = zeta^-(n-1) tr(x)`` with ``zeta =
+z / (1 - a^2)``, so that ``delta = 1 / (a zeta)`` and ``P = a^(writhe - n +
+1) tau_n``.  ``_trace`` evaluates ``tau_m(T_w)`` for a permutation ``w`` of
+``1..m`` by two Markov rules, peeling the last strand:
+
+* free strand: if ``w(m) = m`` then ``T_w`` lies in ``H_{m-1}`` and
+  ``tau_m(T_w) = zeta^-1 tau_{m-1}(T_w)``;
+* cyclicity: otherwise, with ``w(j) = m``, ``T_w = T_u T_{m-1} T_{m-2} ...
+  T_j`` with ``u`` in ``S_{m-1}``, and ``tau_m(x T_{m-1} y) = tau_{m-1}(x
+  y)`` for ``x, y`` in ``H_{m-1}`` gives ``tau_m(T_w) = tau_{m-1}(T_u
+  T_{m-2} ... T_j)``.
+
+``zeta^-1 = (1 - a^2) / z`` is a Laurent polynomial, so every value lies in
+the Laurent ring and no denominator ever appears.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import BraidSyntaxError, _coxeter_arguments, _is_int, _size
 from .polyalg import LaurentPoly
@@ -301,105 +307,66 @@ def coxeter_braid(
 # -- Hecke algebra and Markov trace -------------------------------------------
 
 
-def _identity_perm(n: int) -> Perm:
-    return tuple(range(1, n + 1))
+def _times_generator(
+    element: Dict[Perm, LaurentPoly], index: int, sign: int
+) -> Dict[Perm, LaurentPoly]:
+    """``element T_index`` (sign +1) or ``element T_index^-1`` (sign -1),
+    without zero coefficients."""
+    out: Dict[Perm, LaurentPoly] = {}
+    i = index - 1
+    for perm, coeff in element.items():
+        swapped = perm[:i] + (perm[i + 1], perm[i]) + perm[i + 2 :]
+        terms = [(swapped, coeff)]
+        if perm[i] < perm[i + 1]:
+            # ascent: T_w T_i = T_{w s_i}; the inverse subtracts z T_w
+            if sign < 0:
+                terms.append((perm, -(_Z * coeff)))
+        elif sign > 0:
+            # descent: T_w T_i = z T_w + T_{w s_i}; the z terms cancel
+            # for the inverse, leaving T_w T_i^-1 = T_{w s_i}
+            terms.append((perm, _Z * coeff))
+        for key, term in terms:
+            out[key] = out[key] + term if key in out else term
+    return {perm: coeff for perm, coeff in out.items() if not coeff.is_zero()}
 
 
-def _accumulate(out: Dict[Perm, LaurentPoly], perm: Perm, coeff: LaurentPoly) -> None:
-    """Add ``coeff`` to the coefficient of ``T_perm`` in ``out``."""
-    if perm in out:
-        out[perm] = out[perm] + coeff
-    else:
-        out[perm] = coeff
-
-
-class HeckeElement:
-    """A sparse Hecke-algebra element: permutation -> coefficient in z.
-
-    Supports only what the trace needs: right action of the generators
-    ``T_i`` (and their inverses ``T_i - z``).
-    """
-
-    __slots__ = ("n", "coefficients")
-
-    def __init__(self, n: int, coefficients: Dict[Perm, LaurentPoly]):
-        self.n = n
-        self.coefficients = {
-            perm: coeff for perm, coeff in coefficients.items() if not coeff.is_zero()
-        }
-
-    @classmethod
-    def identity(cls, n: int) -> "HeckeElement":
-        return cls(n, {_identity_perm(n): LaurentPoly.one(AZ)})
-
-    def items(self) -> Iterator[Tuple[Perm, LaurentPoly]]:
-        return iter(self.coefficients.items())
-
-    def right_generator(self, index: int, sign: int) -> "HeckeElement":
-        """Multiply on the right by ``T_index`` (sign +1) or its inverse."""
-        out: Dict[Perm, LaurentPoly] = {}
-        i = index - 1
-        for perm, coeff in self.coefficients.items():
-            swapped = list(perm)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            swapped = tuple(swapped)
-            _accumulate(out, swapped, coeff)
-            if perm[i] < perm[i + 1]:
-                # ascent: T_w T_i = T_{w s_i}; the inverse subtracts z T_w
-                if sign < 0:
-                    _accumulate(out, perm, -(_Z * coeff))
-            elif sign > 0:
-                # descent: T_w T_i = z T_w + T_{w s_i}; the z terms cancel
-                # for the inverse, leaving T_w T_i^-1 = T_{w s_i}
-                _accumulate(out, perm, _Z * coeff)
-        return HeckeElement(self.n, out)
-
-
-def braid_to_hecke(braid: BraidWord) -> HeckeElement:
+def braid_to_hecke(braid: BraidWord) -> Dict[Perm, LaurentPoly]:
     """Image of the braid under ``s_i -> T_i``, computed letter by letter."""
-    element = HeckeElement.identity(braid.strands)
+    element = {tuple(range(1, braid.strands + 1)): LaurentPoly.one(AZ)}
     for index, sign in braid.word:
-        element = element.right_generator(index, sign)
+        element = _times_generator(element, index, sign)
     return element
 
 
-def _trim(perm: Perm) -> Perm:
-    """``perm`` without its fixed tail, keeping at least one point."""
-    end = len(perm)
-    while end > 1 and perm[end - 1] == end:
-        end -= 1
-    return perm[:end]
-
-
 @functools.cache
-def _trimmed_trace(key: Perm) -> LaurentPoly:
-    """``tau_m(T_key)`` on ``m = len(key)`` strands, ``key`` trimmed.
+def _trace(perm: Perm) -> LaurentPoly:
+    """``tau_m(T_perm)`` on ``m = len(perm)`` strands, by the two Markov rules.
 
-    Braids are capped at six strands, so the cache holds fewer than 1000
-    keys; ``_trimmed_trace.cache_info()`` reports its hits.
+    Braids are capped at six strands, so the cache holds at most
+    ``1! + ... + 6! = 873`` keys; ``_trace.cache_info()`` reports its hits.
     """
-    m = len(key)  # largest moved point, or 1 for the identity
+    m = len(perm)
     if m == 1:
         return LaurentPoly.one(AZ)
-    j = key.index(m) + 1  # w(j) = m, 1-based
-    u = tuple(v for v in key if v != m)
-    element = HeckeElement(m - 1, {u: LaurentPoly.one(AZ)})
+    if perm[-1] == m:  # a free last strand
+        return _ZETA_INVERSE * _trace(perm[:-1])
+    j = perm.index(m) + 1  # w(j) = m, 1-based
+    element = {tuple(v for v in perm if v != m): LaurentPoly.one(AZ)}
     for generator in range(m - 2, j - 1, -1):  # T_u T_{m-2} .. T_j
-        element = element.right_generator(generator, 1)
+        element = _times_generator(element, generator, 1)
     return markov_trace(element)
 
 
-def markov_trace(element: HeckeElement) -> LaurentPoly:
+def markov_trace(element: Dict[Perm, LaurentPoly]) -> LaurentPoly:
     """Scaled Markov trace ``tau_n = zeta^-(n-1) tr`` of an element of ``H_n``.
 
+    ``element`` maps permutations of ``1..n`` to their coefficients.
     ``tau_n(1) = ((1 - a^2) / z)^(n-1)``; the value is always a Laurent
     polynomial in ``(a, z)``.
     """
     total = LaurentPoly.zero(AZ)
     for perm, coeff in element.items():
-        key = _trim(perm)
-        free_strands = _ZETA_INVERSE ** (element.n - len(key))
-        total = total + coeff * free_strands * _trimmed_trace(key)
+        total = total + coeff * _trace(perm)
     return total
 
 

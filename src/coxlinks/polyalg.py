@@ -104,6 +104,18 @@ def _check_entries(exponent: tuple, what: str) -> None:
             raise ValueError(f"{what} {exponent} has entry {entry!r}, not an int")
 
 
+def _check_series_bound(bound: int) -> None:
+    """Reject a series degree ``bound`` that is not an ``int``, then one
+    beyond ``MAX_SERIES_DEGREE`` at either sign.
+
+    :meth:`BinomialRational.truncate_series` applies it, and the CLI applies
+    it before it computes the value to expand.
+    """
+    if not _is_int(bound):
+        raise ValueError(f"bound must be an int, got {bound!r}")
+    _size("|bound|", abs(bound), MAX_SERIES_DEGREE, "a series expansion", least=0)
+
+
 class LaurentPoly:
     """A sparse Laurent polynomial with integer coefficients.
 
@@ -650,9 +662,7 @@ class BinomialRational:
                 entry for a variable.
             CapacityError: if ``|bound| > MAX_SERIES_DEGREE``.
         """
-        if not _is_int(bound):
-            raise ValueError(f"bound must be an int, got {bound!r}")
-        _size("|bound|", abs(bound), MAX_SERIES_DEGREE, "a series expansion", least=0)
+        _check_series_bound(bound)
         weight_vector = _weight_vector(self.variables, weights)
         if self.num.is_zero():
             return self.num

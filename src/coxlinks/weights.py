@@ -3,7 +3,8 @@
 The weight ``w_x^i`` (``w_y^i``) is the X-degree (Y-degree) of the monomial
 word ``m_{n+1-i}`` that :func:`~coxlinks.charts.monomial_vector` attaches to
 flag step ``n + 1 - i``.  So ``w_x^n = w_y^n = 0``, and an x-pivot ``(i, j)``
-gives ``w_x^i = w_x^j + 1`` and ``w_y^i = w_y^j``, mirrored for y-pivots.
+gives ``w_x^i = w_x^j + 1`` and ``w_y^i = w_y^j``, mirrored for y-pivots;
+:func:`~coxlinks.charts.weight_vectors` computes them.
 
 The unit rule.  Each coordinate kind has a unit ``e``: a free x-coordinate
 has ``(1, 0)``, a free y-coordinate ``(0, 1)`` and an obstruction pair
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .charts import MAX_SCAN_N, Chart, IndexPair, _degrees, _upper_triangle, all_charts
+from .charts import MAX_SCAN_N, Chart, IndexPair, _upper_triangle, all_charts, weight_vectors
 from .errors import _link_s, _size
 
 #: A calibrated ``(u, v)`` exponent ``e - D``.
@@ -182,16 +183,6 @@ class WeightData:
             "vanishing_factors": vanishing_x + vanishing_y,
             "vanishing_obstruction_factors": vanishing_ob,
         }
-
-
-def weight_vectors(chart: Chart) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The weight vectors (w_x, w_y), indices 1..n: the X- and Y-degrees of
-    the monomial words ``m_n, …, m_1`` of :func:`~coxlinks.charts.monomial_vector`.
-
-    They are computed on integers by the pivot recursion of the module
-    docstring (``charts._degrees``); no word is built.
-    """
-    return _degrees(chart)
 
 
 @lru_cache(maxsize=64)

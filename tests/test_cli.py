@@ -96,6 +96,29 @@ def test_degree_flag_controls_truncation(capsys):
     assert len(wide_series) > len(narrow_series)
 
 
+def _no_sum(*args):
+    raise AssertionError("the value was computed before the degree was checked")
+
+
+@pytest.mark.parametrize(
+    "argv, compute",
+    [
+        (("superpoly", "5", "--k", "1,1,1,1"), "calibrated_superpolynomial"),
+        (("twostrand", "odd", "1"), "homology_T2_odd"),
+    ],
+)
+def test_out_of_range_degree_exits_before_the_value_is_computed(
+    capsys, monkeypatch, argv, compute
+):
+    monkeypatch.setattr(cli, compute, _no_sum)
+    code, out, err = run(capsys, "--degree", "401", *argv)
+    assert code == 2 and out == ""
+    assert err == (
+        "error [polyalg]: a series expansion is limited to |bound| <= 400; got |bound| = 401\n"
+        "remedy: stay inside the documented size caps (the error names its cap; README lists all)\n"
+    )
+
+
 # -- tree format --------------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -13,7 +14,8 @@ from coxlinks._planar_skein import resolve_homfly
 from coxlinks.errors import BraidSyntaxError, CapacityError
 from coxlinks.homfly import (
     BraidWord,
-    HeckeElement,
+    _times_generator,
+    _trace,
     braid_to_hecke,
     coxeter_braid,
     homfly,
@@ -319,14 +321,47 @@ def test_homfly_is_the_framed_scaled_trace():
 @pytest.mark.parametrize("n", range(1, 5))
 def test_scaled_trace_of_identity(n):
     free_strand = _poly("z^-1 - a^2*z^-1")  # (1 - a^2) / z
-    assert markov_trace(HeckeElement.identity(n)) == free_strand ** (n - 1)
+    identity = {tuple(range(1, n + 1)): LaurentPoly.one(AZ)}
+    assert markov_trace(identity) == free_strand ** (n - 1)
+
+
+def _random_element(rng, n):
+    """A seeded Hecke element on ``n`` strands with small random coefficients."""
+    element = {}
+    for _ in range(rng.randint(1, 6)):
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        terms = {(rng.randint(-2, 2), rng.randint(-2, 2)): rng.choice((-2, -1, 1, 3))
+                 for _ in range(rng.randint(1, 3))}
+        element[tuple(perm)] = LaurentPoly(AZ, terms)
+    return element
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_generator_and_its_inverse_cancel(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        element = _random_element(rng, n)
+        index = rng.randint(1, n - 1)
+        for first, second in ((1, -1), (-1, 1)):
+            product = _times_generator(_times_generator(element, index, first), index, second)
+            assert product == element
+
+
+def _digest_braids():
+    for n, top in ((2, 3), (3, 3), (4, 3), (5, 2), (6, 2)):
+        for k in itertools.product(range(top), repeat=n - 1):
+            yield n, k, coxeter_braid(n, (), k)
 
 
 def test_coxeter_homfly_digest():
     # Pinned from the rational (a, z) trace: the Laurent-ring trace must match it.
-    lines = []
-    for n, top in ((2, 3), (3, 3), (4, 3), (5, 2), (6, 2)):
-        for k in itertools.product(range(top), repeat=n - 1):
-            lines.append(f"{n} {k} {homfly(coxeter_braid(n, (), k))}")
+    lines = [f"{n} {k} {homfly(braid)}" for n, k, braid in _digest_braids()]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "a113e6ac77659b74d3fcea2c3e0dd50b0095a48680448845a2222beb7719f2a7"
+
+
+def test_trace_cache_holds_at_most_one_key_per_permutation():
+    for _, _, braid in _digest_braids():
+        homfly(braid)
+    assert _trace.cache_info().currsize <= sum(math.factorial(m) for m in range(1, 7))

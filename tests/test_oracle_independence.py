@@ -12,7 +12,7 @@ import pytest
 
 import coxlinks
 from coxlinks import polyalg
-from coxlinks.homfly import _trimmed_trace, coxeter_braid, homfly, parse_braid
+from coxlinks.homfly import _trace, coxeter_braid, homfly, parse_braid
 from coxlinks.polyalg import BinomialRational
 from coxlinks.twostrand import homology_T2_even, homology_T2_odd
 
@@ -101,7 +101,7 @@ def test_oracles_run_without_rational_sum_kernels(monkeypatch):
         monkeypatch.setattr(BinomialRational, name, _forbidden)
     monkeypatch.setattr(polyalg, "_lift", _forbidden)
     monkeypatch.setattr(polyalg, "divide_by_binomial", _forbidden)
-    _trimmed_trace.cache_clear()
+    _trace.cache_clear()
     assert [str(homfly(braid)) for braid in braids] == expected_homfly
     assert [
         (str(homology(n)), homology(n).to_record())

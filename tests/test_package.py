@@ -1,6 +1,8 @@
 """The package namespace and what the package imports."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,3 +29,13 @@ def _absolute_imports(path):
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.stem)
 def test_the_package_imports_only_the_standard_library(path):
     assert sorted(set(_absolute_imports(path)) - sys.stdlib_module_names) == []
+
+
+def test_the_cli_import_loads_no_rational_arithmetic():
+    # The library only accepts Fraction inputs; it never builds one itself.
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    script = "import sys, coxlinks.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
