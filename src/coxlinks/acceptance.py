@@ -45,8 +45,8 @@ from .errors import PositivityRegimeWarning
 from .homfly import AZ, BraidWord, homfly
 from .localization import calibrated_superpolynomial
 from .mfcheck import containment_suite, symbolic_gid_check
-from .polyalg import LaurentPoly
-from .twostrand import AQT, homology_T2_even, homology_T2_odd
+from .polyalg import AQT, Q2, TOTAL_DEGREE, LaurentPoly
+from .twostrand import homology_T2_even, homology_T2_odd
 from .weights import detect_degenerate, weight_data
 
 
@@ -140,9 +140,7 @@ def two_strand_equivalence(seed: int) -> Tuple[bool, str]:
         computed = calibrated_superpolynomial(2, (k,))
         oracle = homology_T2_odd(k)
         exact = computed.value == oracle.value
-        truncated = computed.truncated(40) == oracle.value.truncate_series(
-            {"a": 1, "q": 1, "t": 1}, 40
-        )
+        truncated = computed.truncated(40) == oracle.value.truncate_series(TOTAL_DEGREE, 40)
         if not (exact and truncated):
             failures.append(k)
     detail = "calibration fixed at (n=2, k=1); k=2..5 equal exactly and to grading 40"
@@ -229,7 +227,7 @@ def _verify_no_monomial_bridge() -> Tuple[bool, str]:
       supp(H) satisfies that.  Contradiction.
     """
     superpoly = calibrated_superpolynomial(2, (1,))
-    if set(superpoly.value.den.items()) != {((0, 2, 0), 1)}:
+    if set(superpoly.value.den.items()) != {(Q2, 1)}:
         return False, "unexpected denominator shape"
     n_terms = superpoly.value.num.terms
     if len(n_terms) != 3 or any(abs(c) != 1 for c in n_terms.values()):
@@ -273,7 +271,7 @@ def _bridge_identity_holds(k: int) -> bool:
     """The non-monomial bridge at column k: numerator at (t = -1, a -> -a^2)
     equals the (2, 2k+1) torus-knot HOMFLY value at z = q - 1/q."""
     superpoly = calibrated_superpolynomial(2, (k,))
-    if set(superpoly.value.den.items()) != {((0, 2, 0), 1)}:
+    if set(superpoly.value.den.items()) != {(Q2, 1)}:
         return False
     left = superpoly.value.num.substitute(_BRIDGE_SPECIALIZATION)
     right = homfly(BraidWord(2, ((1, 1),) * (2 * k + 1))).substitute(_Z_IMAGE)

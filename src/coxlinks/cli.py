@@ -17,8 +17,8 @@ Exit codes: 0 success; 2 argument or validation error (every library
 error is reported with the module it came from and a one-line remedy);
 3 a consistency check ran and failed (``check``, ``mfcheck``).
 
-Both formats are bit-stable for a fixed configuration: the only
-randomness is seeded (``--seed``, default 0).
+Both formats are bit-stable for a fixed configuration except ``check``'s
+per-criterion elapsed times: the only randomness is seeded (``--seed``, default 0).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .errors import (
 from .homfly import coxeter_braid, homfly, parse_braid
 from .localization import calibrated_superpolynomial
 from .mfcheck import containment_suite
-from .polyalg import _check_series_bound
+from .polyalg import TOTAL_DEGREE, _check_series_bound
 from .twostrand import homology_T2_even, homology_T2_odd
 from .weights import detect_degenerate, weight_data
 
@@ -220,9 +220,7 @@ def _cmd_twostrand(args: argparse.Namespace) -> int:
     compute = homology_T2_odd if args.column == "odd" else homology_T2_even
     result = compute(args.index)
     record = result.to_record()
-    record["truncated"] = str(
-        result.value.truncate_series({"a": 1, "q": 1, "t": 1}, args.degree)
-    )
+    record["truncated"] = str(result.value.truncate_series(TOTAL_DEGREE, args.degree))
     lines = [
         f"H_2strand_{args.column}({args.index}) = {result.value}",
         f"t-parities = {sorted(result.t_parities())}",

@@ -7,9 +7,10 @@ validation; the classes here mark conditions with a domain meaning.
 
 Every module, the oracles included, imports this one, so the argument rules
 that several layers share are written here once: :func:`_is_int`,
-:func:`_integral`, :func:`_size`, :func:`_link_s` and
+:func:`_integral`, :func:`_size`, :func:`_signed_size`, :func:`_link_s` and
 :func:`_coxeter_arguments`.  :func:`_size` checks every count argument and
-every size cap, so this is the one module that raises
+every size cap, and the magnitude of a signed index through
+:func:`_signed_size`, so this is the one module that raises
 :class:`CapacityError`.  Each caller keeps its own policy on top of them.
 """
 
@@ -108,6 +109,15 @@ def _size(
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     if cap is not None and value > cap:
         raise CapacityError(f"{what} is limited to {name} <= {cap}; got {name} = {value}")
+    return value
+
+
+def _signed_size(name: str, value: int, cap: int, what: str) -> int:
+    """``value`` if it is an ``int`` (not a ``bool``) with ``|value| <= cap``; a
+    ``ValueError`` names ``name``, and :func:`_size` checks ``|name|``."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    _size(f"|{name}|", abs(value), cap, what, least=0)
     return value
 
 

@@ -46,10 +46,13 @@ from .errors import (
     _coxeter_arguments,
     _size,
 )
-from .polyalg import AQT, BinomialRational, LaurentPoly, _lift
+from .polyalg import AQT, Q2, TOTAL_DEGREE, BinomialRational, LaurentPoly, _lift
 from .weights import WeightData, weight_data
 
 #: Bounds the sum alone, which visits the 2^(n-1) hook charts; past 7 is a typo.
+#: At n = 7, k = (0,)*6 took 72.9 s and 70 MB peak RSS for 3,047 numerator
+#: terms over 11 denominator factors, and n = 6 took 6.9 s in the same process
+#: (one run, shared 2-CPU host, ±30 %).
 MAX_LOCALIZATION_N = 7
 
 
@@ -132,7 +135,7 @@ class CalibratedSuperpolynomial:
 
     def truncated(self, bound: int) -> LaurentPoly:
         """Series expansion truncated to total ``(a, q, t)``-degree ``bound``."""
-        return self.value.truncate_series({"a": 1, "q": 1, "t": 1}, bound)
+        return self.value.truncate_series(TOTAL_DEGREE, bound)
 
     def to_record(self) -> dict:
         return {
@@ -169,9 +172,7 @@ def calibrated_superpolynomial(
         total = total + _calibrated_term(weight_data(chart, link_s), k)
     shift_exponent = sum(ki * (n - i) for i, ki in enumerate(k, start=1))
     shift = LaurentPoly.monomial(AQT, (shift_exponent, 0, -shift_exponent))
-    tensor = BinomialRational(
-        LaurentPoly.one(AQT), {(0, 2, 0): 1 + len(link_s)}
-    )
+    tensor = BinomialRational(LaurentPoly.one(AQT), {Q2: 1 + len(link_s)})
     return CalibratedSuperpolynomial(
         n=n,
         k=k,

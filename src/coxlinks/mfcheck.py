@@ -42,6 +42,9 @@ Matrix = Tuple[tuple, ...]
 #: n = 14 (2-CPU host, Python 3.11), so the CLI's default 500 samples stay
 #: within about 7 s at the cap.
 MAX_SUITE_N = 12
+#: A sample at n = 12 took 10 ms (containment) and 16 ms (negative control)
+#: on that host, so a suite of MAX_SUITE_SAMPLES at n = 12 takes 52-78 s.
+MAX_SUITE_SAMPLES = 5_000
 
 
 # -- matrix helpers ------------------------------------------------------------
@@ -228,9 +231,9 @@ def containment_suite(n: int, samples: int, seed: int) -> dict:
 
     Raises:
         ValueError: if ``n`` or ``samples`` is not a positive ``int``.
-        CapacityError: if ``n > MAX_SUITE_N``.
+        CapacityError: if ``n > MAX_SUITE_N`` or ``samples > MAX_SUITE_SAMPLES``.
     """
-    _size("samples", samples)
+    _size("samples", samples, MAX_SUITE_SAMPLES, "an mfcheck suite")
     _size("n", n, MAX_SUITE_N, "an mfcheck suite")
     rng = random.Random(seed)
     failures = []
@@ -271,9 +274,9 @@ def negative_control(n: int, samples: int, seed: int) -> dict:
     Raises:
         ValueError: if ``n`` is not an ``int`` or ``n < 3``, or ``samples``
             is not a positive ``int``.
-        CapacityError: if ``n > MAX_SUITE_N``.
+        CapacityError: if ``n > MAX_SUITE_N`` or ``samples > MAX_SUITE_SAMPLES``.
     """
-    _size("samples", samples)
+    _size("samples", samples, MAX_SUITE_SAMPLES, "an mfcheck suite")
     _size("n", n, MAX_SUITE_N, "an mfcheck suite", least=3)  # room for a (3,1) entry
     rng = random.Random(seed)
     broken = 0

@@ -52,6 +52,9 @@ Denominator factors are kept canonical: a factor ``(1 - m)`` with ``m``
 graded-lex *smaller* than 1 is flipped to ``(1 - 1/m)`` using the identity
 ``1/(1 - m) = -m^-1 / (1 - m^-1)``; after construction ``1/(1 - Q^-1)`` is
 stored as ``-Q / (1 - Q)``, so equivalent orientations compare equal.
+Construction also stores the factors in ascending graded-lex order, the
+order in which ``normalize``, ``truncate_series``, ``str()`` and
+``to_record`` read them.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ import re
 from operator import add, mul, sub
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
-from .errors import ExpansionError, NotDivisibleError, _integral, _is_int, _size
+from .errors import ExpansionError, NotDivisibleError, _integral, _is_int, _signed_size
 
 Exponent = Tuple[int, ...]
 
@@ -68,6 +71,12 @@ Exponent = Tuple[int, ...]
 #: localization sums and the two-strand oracle both build their values over
 #: this tuple, so their results compare equal only if it is shared.
 AQT = ("a", "q", "t")
+
+#: The exponent of ``q^2`` over :data:`AQT`: every superpolynomial carries
+#: the polynomial tensor factor ``1 / (1 - q^2)``.
+Q2 = (0, 2, 0)
+#: The total ``(a, q, t)``-degree grading of every displayed series.
+TOTAL_DEGREE = {"a": 1, "q": 1, "t": 1}
 
 #: A series grows quadratically in its degree bound from n = 4 on: with unit
 #: weights at bound 400, k = (1, ..., 1) took 0.5 s (160k terms) at n = 4,
@@ -97,6 +106,12 @@ def _weight_vector(variables: Sequence[str], weights: Mapping[str, int]) -> tupl
     return tuple(weights[name] for name in variables)
 
 
+def _check_compatible(left, right) -> None:  # noqa: ANN001
+    """Reject arithmetic between two values over different variable tuples."""
+    if left.variables != right.variables:
+        raise ValueError(f"variable mismatch: {left.variables} vs {right.variables}")
+
+
 def _check_entries(exponent: tuple, what: str) -> None:
     """Reject an exponent entry that is not an ``int`` (or is a ``bool``)."""
     for entry in exponent:
@@ -111,9 +126,7 @@ def _check_series_bound(bound: int) -> None:
     :meth:`BinomialRational.truncate_series` applies it, and the CLI applies
     it before it computes the value to expand.
     """
-    if not _is_int(bound):
-        raise ValueError(f"bound must be an int, got {bound!r}")
-    _size("|bound|", abs(bound), MAX_SERIES_DEGREE, "a series expansion", least=0)
+    _signed_size("bound", bound, MAX_SERIES_DEGREE, "a series expansion")
 
 
 class LaurentPoly:
@@ -220,17 +233,11 @@ class LaurentPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_compatible(self, other: "LaurentPoly") -> None:
-        if self.variables != other.variables:
-            raise ValueError(
-                f"variable mismatch: {self.variables} vs {other.variables}"
-            )
-
     def __add__(self, other):  # noqa: ANN001
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check_compatible(other)
+        _check_compatible(self, other)
         terms = dict(self.terms)
         for exponent, coefficient in other.terms.items():
             terms[exponent] = terms.get(exponent, 0) + coefficient
@@ -260,7 +267,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check_compatible(other)
+        _check_compatible(self, other)
         terms: Dict[Exponent, int] = {}
         get = terms.get
         right = other.terms.items()
@@ -360,6 +367,9 @@ class LaurentPoly:
         )
 
     def __hash__(self):
+        # A constant equals its int (see ``__eq__``), so it hashes as that int.
+        if self.terms.keys() <= {(0,) * len(self.variables)}:
+            return hash(sum(self.terms.values()))
         return hash((self.variables, frozenset(self.terms.items())))
 
     def __bool__(self):
@@ -477,7 +487,8 @@ class BinomialRational:
     The denominator is stored as a multiset ``{monomial exponent: multiplicity}``
     and never expanded.  On construction every factor is brought to canonical
     orientation (monomial graded-lex greater than 1), which makes structural
-    comparison meaningful.  A factor ``(1 - 1)``, an exponent of the wrong
+    comparison meaningful, and the factors are stored in ascending graded-lex
+    order of their monomials.  A factor ``(1 - 1)``, an exponent of the wrong
     length or with an entry that is not an ``int``, and a multiplicity that
     is not a nonnegative ``int`` are rejected with a ``ValueError``.
 
@@ -493,12 +504,11 @@ class BinomialRational:
         num: LaurentPoly,
         den: Mapping[Exponent, int] | None = None,
     ):
-        den = dict(den or {})
         variables = num.variables
         zero_exp = (0,) * len(variables)
         canonical_num = num
         canonical_den: Dict[Exponent, int] = {}
-        for exponent, multiplicity in den.items():
+        for exponent, multiplicity in (den or {}).items():
             exponent = tuple(exponent)
             if len(exponent) != len(variables):
                 raise ValueError(
@@ -532,7 +542,8 @@ class BinomialRational:
             canonical_den = {}
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "num", canonical_num)
-        object.__setattr__(self, "den", canonical_den)
+        order = sorted(canonical_den, key=_glex_key)
+        object.__setattr__(self, "den", {exponent: canonical_den[exponent] for exponent in order})
 
     def __setattr__(self, name, value):  # noqa: ANN001
         raise AttributeError("BinomialRational is immutable")
@@ -554,12 +565,6 @@ class BinomialRational:
             product = product * _binomial(self.variables, exponent) ** multiplicity
         return product
 
-    def _check_compatible(self, other: "BinomialRational") -> None:
-        if self.variables != other.variables:
-            raise ValueError(
-                f"variable mismatch: {self.variables} vs {other.variables}"
-            )
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):  # noqa: ANN001
@@ -577,7 +582,7 @@ class BinomialRational:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check_compatible(other)
+        _check_compatible(self, other)
         lcd: Dict[Exponent, int] = dict(self.den)
         for exponent, multiplicity in other.den.items():
             lcd[exponent] = max(lcd.get(exponent, 0), multiplicity)
@@ -607,7 +612,7 @@ class BinomialRational:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check_compatible(other)
+        _check_compatible(self, other)
         den = dict(self.den)
         for exponent, multiplicity in other.den.items():
             den[exponent] = den.get(exponent, 0) + multiplicity
@@ -631,7 +636,7 @@ class BinomialRational:
         den = dict(self.den)
         if num.is_zero():
             return BinomialRational.zero(self.variables)
-        for exponent in sorted(den, key=_glex_key):
+        for exponent in den:
             while den[exponent]:
                 try:
                     num = divide_by_binomial(num, exponent)
@@ -667,7 +672,7 @@ class BinomialRational:
         if self.num.is_zero():
             return self.num
         terms = self.num.truncate(weights, bound).terms
-        for exponent, multiplicity in sorted(self.den.items(), key=lambda t: _glex_key(t[0])):
+        for exponent, multiplicity in self.den.items():
             step = sum(map(mul, weight_vector, exponent))
             if step <= 0:
                 raise ExpansionError(
@@ -702,9 +707,7 @@ class BinomialRational:
         if not self.den:
             return str(self.num)
         factors = []
-        for exponent, multiplicity in sorted(
-            self.den.items(), key=lambda t: _glex_key(t[0])
-        ):
+        for exponent, multiplicity in self.den.items():
             mono = str(LaurentPoly.monomial(self.variables, exponent))
             factor = f"(1 - {mono})"
             if multiplicity != 1:
@@ -724,9 +727,7 @@ class BinomialRational:
             "numerator": str(self.num),
             "denominator_factors": [
                 [str(LaurentPoly.monomial(self.variables, exponent)), multiplicity]
-                for exponent, multiplicity in sorted(
-                    self.den.items(), key=lambda t: _glex_key(t[0])
-                )
+                for exponent, multiplicity in self.den.items()
             ],
             "variables": list(self.variables),
         }

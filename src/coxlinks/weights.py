@@ -26,8 +26,9 @@ vanishes on the obstruction pairs).  So, for every kind:
   exactly when the coordinate is torus-fixed.
 
 One coordinate table (``_coordinates``) gives the pairs of each kind, as
-``(kind, pairs, excluded levels)`` for the free x and free y coordinates
-and the obstruction pairs.  One walk over it yields each row's weight drop
+``(kind, pairs)``: the free x and free y coordinates, which it takes from
+the rule behind the ``free`` lists of ``Chart.to_record``, and the
+obstruction pairs.  One walk over it yields each row's weight drop
 ``D``: ``WeightData.to_record`` adds ``e`` to it, and
 ``WeightData.calibrated_exponents`` returns ``e - D``, the one view of the
 weights that :mod:`coxlinks.localization` reads.
@@ -50,13 +51,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .charts import MAX_SCAN_N, Chart, IndexPair, _upper_triangle, all_charts, weight_vectors
+from .charts import MAX_SCAN_N, Chart, IndexPair, _free, all_charts, weight_vectors
 from .errors import _link_s, _size
 
 #: A calibrated ``(u, v)`` exponent ``e - D``.
 Exponent = Tuple[int, int]
-#: ``(kind, pairs, excluded)``: a kind's pairs ``(i, j)``, less ``j`` in ``excluded[i - 1]``.
-Coordinates = Tuple[str, Tuple[IndexPair, ...], Sequence[Sequence[int]]]
+#: ``(kind, pairs)``: one coordinate kind and its index pairs ``(i, j)``, sorted.
+Coordinates = Tuple[str, Sequence[IndexPair]]
 
 #: The unit ``e`` of each coordinate kind (see the module docstring).
 UNITS: Dict[str, Tuple[int, int]] = {"x": (1, 0), "y": (0, 1), "obstruction": (1, 1)}
@@ -64,15 +65,12 @@ UNITS: Dict[str, Tuple[int, int]] = {"x": (1, 0), "y": (0, 1), "obstruction": (1
 
 def _coordinates(chart: Chart, link: Tuple[int, ...]) -> Tuple[Coordinates, ...]:
     """The coordinate table of a chart: free x, free y, then the obstruction
-    pairs, each in sorted pair order.  ``(i, j)`` is free on a side when
-    ``j`` is not in that chain's level-``i`` set, the rule behind the
-    ``free`` lists of ``Chart.to_record``; no obstruction pair is excluded."""
-    label = chart.label
-    triangle = _upper_triangle(label.n)
+    pairs, each in sorted pair order."""
+    label, n = chart.label, chart.n
     return (
-        ("x", triangle, label.sx),
-        ("y", triangle, label.sy),
-        ("obstruction", _obstruction_pairs(label.n, link), ((),) * label.n),
+        ("x", _free(label.sx, n)),
+        ("y", _free(label.sy, n)),
+        ("obstruction", _obstruction_pairs(n, link)),
     )
 
 
@@ -84,12 +82,10 @@ def _counts(
     ``D = e`` (``s = 2e``) and its factor vanishes at ``D = -e``
     (``s = 0``).  No row is built."""
     counts = []
-    for kind, pairs, excluded in table:
+    for kind, pairs in table:
         ex, ey = UNITS[kind]
         fixed = vanishing = 0
         for i, j in pairs:
-            if j in excluded[i - 1]:
-                continue
             dx = wx[i - 1] - wx[j - 1]
             dy = wy[i - 1] - wy[j - 1]
             if dx == ex and dy == ey:
@@ -118,10 +114,9 @@ class WeightData:
         """``(kind, i, j, Dx, Dy)`` for each row of the coordinate table, with
         its weight drop ``D = w^i - w^j``, in table order."""
         wx, wy = self.wx, self.wy
-        for kind, pairs, excluded in _coordinates(self.chart, self.link):
+        for kind, pairs in _coordinates(self.chart, self.link):
             for i, j in pairs:
-                if j not in excluded[i - 1]:
-                    yield kind, i, j, wx[i - 1] - wx[j - 1], wy[i - 1] - wy[j - 1]
+                yield kind, i, j, wx[i - 1] - wx[j - 1], wy[i - 1] - wy[j - 1]
 
     def to_record(self) -> dict:
         """The weight vectors and the stored exponents ``s = D + e`` of every row."""

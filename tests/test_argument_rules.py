@@ -35,6 +35,7 @@ from coxlinks.homfly import (
 from coxlinks.localization import MAX_LOCALIZATION_N, calibrated_superpolynomial
 from coxlinks.mfcheck import (
     MAX_SUITE_N,
+    MAX_SUITE_SAMPLES,
     containment_suite,
     negative_control,
     symbolic_gid_check,
@@ -104,9 +105,11 @@ STRICT = [
     ("NestedSetPair", _label, "n", 1, None),
     ("BraidWord", lambda n: BraidWord(n, ()), "strands", 1, None),
     ("containment_suite.n", lambda n: containment_suite(n, 1, 0), "n", 1, MAX_SUITE_N),
-    ("containment_suite.samples", lambda s: containment_suite(3, s, 0), "samples", 1, None),
+    ("containment_suite.samples", lambda s: containment_suite(3, s, 0), "samples", 1,
+     MAX_SUITE_SAMPLES),
     ("negative_control.n", lambda n: negative_control(n, 1, 0), "n", 3, MAX_SUITE_N),
-    ("negative_control.samples", lambda s: negative_control(3, s, 0), "samples", 1, None),
+    ("negative_control.samples", lambda s: negative_control(3, s, 0), "samples", 1,
+     MAX_SUITE_SAMPLES),
     ("symbolic_gid_check", symbolic_gid_check, "n", 1, MAX_SUITE_N),
 ]
 
@@ -222,3 +225,21 @@ def test_no_module_defines_its_own_size_checker(path):
     assert not {
         name for name in names if re.fullmatch(r"_check_\w*(size|positive|suite|argument)\w*", name)
     }
+
+
+@pytest.mark.parametrize("path", _modules(), ids=lambda path: path.stem)
+def test_signed_indices_are_checked_only_by_the_signed_rule(path):
+    # errors._signed_size is the one place that caps |value|.
+    if path.stem == "errors":
+        return
+    calls = [
+        node
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_size"
+        and any(
+            isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "abs"
+            for arg in [*node.args, *(keyword.value for keyword in node.keywords)]
+        )
+    ]
+    assert not calls

@@ -50,6 +50,13 @@ def test_zero_one_and_constants():
     assert LaurentPoly.constant(AQ, -3) == -3
 
 
+@pytest.mark.parametrize("value", (0, 1, -3))
+def test_a_constant_hashes_as_the_int_it_equals(value):
+    constant = LaurentPoly.constant(AQT, value)
+    assert constant == value and hash(constant) == hash(value)
+    assert value in {constant} and constant in {value}
+
+
 def test_variable_and_monomial_constructors():
     q = LaurentPoly.variable(AQ, "q")
     assert str(q) == "q"
@@ -343,6 +350,13 @@ def test_rational_addition_common_denominator():
     total = one_over + one_over
     assert total.num == poly("2")
     assert total.den == {(0, 1): 1}
+
+
+def test_denominator_factors_are_stored_in_ascending_glex_order():
+    # (1 - q^-1) flips to (1 - q), which sorts below (1 - a*q) and (1 - q^2).
+    rational = BinomialRational(poly("1"), {(1, 1): 1, (0, 2): 2, (0, -1): 1})
+    assert list(rational.den) == [(0, 1), (0, 2), (1, 1)]
+    assert str(rational) == "(-q) / ((1 - q) * (1 - q^2)^2 * (1 - a*q))"
 
 
 def test_denominator_orientation_flip():
