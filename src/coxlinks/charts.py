@@ -34,12 +34,11 @@ coordinates partition the upper triangle, the pivots cover every level
 once, and the monomial words are distinct and build an edge-connected
 tableau.  These are theorems about valid labels, and the tests assert them
 for every chart with ``n <= 7``.
-``all_charts`` builds each label with its pivots in one recursion,
-correct by construction; its labels and charts skip re-validation and the
-pivot reading (``NestedSetPair._trusted``, ``Chart._trusted``), and the
-tests compare its charts with ``Chart`` on the publicly rebuilt labels.
-``commuting_charts`` builds its labels with the public constructor and its
-charts with ``Chart``.
+``all_charts`` and ``commuting_charts`` build each label with its pivots
+in one recursion, correct by construction, that ``commuting_charts``
+prunes by the hook rule; their labels and charts skip re-validation and
+the pivot reading (``NestedSetPair._trusted``, ``Chart._trusted``), and
+the tests compare the charts with ``Chart`` on the publicly rebuilt labels.
 
 All values are immutable; every function is pure and thread-safe.
 """
@@ -48,7 +47,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import _is_int, _size
@@ -75,8 +73,8 @@ class NestedSetPair:
     tuple of ``n`` levels, each level a tuple of ``int`` in strictly
     increasing order, nested, inside ``{i+1..n}`` at level ``i``, with level
     sizes summing to ``n - i``.  ``from_lists`` sorts each level and merges
-    repeats first.  Only the chart recursion behind ``all_charts`` skips
-    these checks, through ``_trusted``.
+    repeats first.  Only the chart recursion behind ``all_charts`` and
+    ``commuting_charts`` skips these checks, through ``_trusted``.
 
     Raises:
         ValueError: naming the field that breaks a condition.
@@ -174,8 +172,9 @@ class Chart:
     strictly upper triangle.
 
     The constructor takes the label alone and reads ``pivots`` off it
-    once.  Only the chart recursion behind ``all_charts``, which already
-    holds the pivots, skips that reading, through ``_trusted``.
+    once.  Only the chart recursion behind ``all_charts`` and
+    ``commuting_charts``, which already holds the pivots, skips that
+    reading, through ``_trusted``.
 
     Raises:
         ValueError: if ``label`` is not a :class:`NestedSetPair`.
@@ -382,13 +381,16 @@ def is_commutative(chart: Chart) -> bool:
     return all(j == n or pivots[j - 1][0] == side for side, j in pivots)
 
 
-def _descend(n, found, i, sx, sy, pivots):  # noqa: ANN001, ANN202
-    """One level of the :func:`all_charts` recursion, appending to ``found``.
+def _descend(n, found, i, sx, sy, pivots, hooks):  # noqa: ANN001, ANN202
+    """One level of the chart recursion, appending to ``found``.
 
     ``sx[0]``, ``sy[0]`` are the level-``(i+1)`` sets; ``pivots`` holds the
-    pivots of levels ``i+1..n-1``, so prepending keeps them in level order.
+    pivots of levels ``i+1..n-1``, so prepending keeps them in level order
+    and level ``j``'s pivot is ``pivots[j - i - 1]``.  With ``hooks`` a pivot
+    ``(side, j)`` is kept only when ``j == n`` or level ``j``'s pivot is on
+    ``side``: the rule of :func:`is_commutative`, one level at a time.
     This is a module-level function, not a closure: a closure that calls
-    itself is a reference cycle, and it would keep ``found`` with all ``n!``
+    itself is a reference cycle, and it would keep ``found`` with all its
     charts alive until the next full garbage collection.
     """
     if i == 0:
@@ -396,12 +398,24 @@ def _descend(n, found, i, sx, sy, pivots):  # noqa: ANN001, ANN202
         return
     top_x, top_y = sx[0], sy[0]
     for j in range(i + 1, n + 1):
-        if j not in top_x:
+        sides = pivots[j - i - 1][0] if hooks and j < n else "xy"  # j may join these
+        if "x" in sides and j not in top_x:
             grown = tuple(sorted(top_x + (j,)))
-            _descend(n, found, i - 1, (grown,) + sx, (top_y,) + sy, (("x", j),) + pivots)
-        if j not in top_y:
+            _descend(n, found, i - 1, (grown,) + sx, (top_y,) + sy,
+                     (("x", j),) + pivots, hooks)
+        if "y" in sides and j not in top_y:
             grown = tuple(sorted(top_y + (j,)))
-            _descend(n, found, i - 1, (top_x,) + sx, (grown,) + sy, (("y", j),) + pivots)
+            _descend(n, found, i - 1, (top_x,) + sx, (grown,) + sy,
+                     (("y", j),) + pivots, hooks)
+
+
+def _charts(n: int, hooks: bool) -> List[Chart]:
+    """The body of :func:`all_charts` and, with ``hooks``, :func:`commuting_charts`."""
+    _size("n", n, MAX_ENUMERATION_N, "chart enumeration")
+    found: List[Chart] = []
+    _descend(n, found, n - 1, ((),), ((),), (), hooks)
+    found.sort(key=lambda chart: chart.label.flat_key())
+    return found
 
 
 def all_charts(n: int) -> List[Chart]:
@@ -421,11 +435,7 @@ def all_charts(n: int) -> List[Chart]:
         ValueError: if ``n`` is not an ``int`` or ``n < 1``.
         CapacityError: if ``n > 9`` (factorial growth).
     """
-    _size("n", n, MAX_ENUMERATION_N, "chart enumeration")
-    found: List[Chart] = []
-    _descend(n, found, n - 1, ((),), ((),), ())
-    found.sort(key=lambda chart: chart.label.flat_key())
-    return found
+    return _charts(n, hooks=False)
 
 
 def commuting_charts(n: int) -> List[Chart]:
@@ -433,13 +443,11 @@ def commuting_charts(n: int) -> List[Chart]:
 
     A chart commutes exactly when every word of its monomial vector is a pure
     power ``X^a`` or ``Y^b``, i.e. when its tableau is a *hook-shaped*
-    standard Young tableau; so there are ``2^(n-1)`` of them.  They are
-    generated directly: each flag step ``k = 2..n`` extends one arm ``L`` of
-    the hook, ``m_k = L + m_e`` where ``m_e`` is the current end of that arm
-    (``e = 1`` while the arm is empty).  That is the pivot ``(n+1-k, n+1-e)``
-    on side ``L``, and ``S_L^i`` collects the ``L``-pivot columns at levels
-    ``>= i``.  Each label passes the public constructor, and ``Chart(label)``
-    reads those pivots back off it.  The filter ``[c for c in all_charts(n) if is_commutative(c)]``
+    standard Young tableau; so there are ``2^(n-1)`` of them.  They come from
+    the :func:`all_charts` recursion, pruned by the hook rule of
+    :func:`is_commutative` as it descends: the pivot ``(L, j)`` of level
+    ``i`` is kept only when ``j = n`` or the pivot of level ``j`` is on side
+    ``L`` too.  The filter ``[c for c in all_charts(n) if is_commutative(c)]``
     gives the same list and serves as the test oracle.
 
     The first non-hook shape (two rows of two cells, n = 4) has a commuting
@@ -448,28 +456,14 @@ def commuting_charts(n: int) -> List[Chart]:
     charts whose base points do not commute.
 
     Raises:
-        ValueError: if ``n < 1``.
+        ValueError: if ``n`` is not an ``int`` or ``n < 1``.
         CapacityError: if ``n > 9``, the cap of ``all_charts``.
 
     Examples:
         >>> len(commuting_charts(7)) == 64
         True
     """
-    _size("n", n, MAX_ENUMERATION_N, "chart enumeration")
-    labels = []
-    for sides in product("xy", repeat=n - 1):
-        # chains[L][0] is the latest level's set; they grow toward level 1.
-        # An arm's columns fall as it grows, so prepending keeps levels sorted.
-        chains = {"x": [()], "y": [()]}
-        arm_end = {"x": 1, "y": 1}
-        for k, side in enumerate(sides, start=2):
-            column = n + 1 - arm_end[side]
-            for other, chain in chains.items():
-                chain.insert(0, (column,) + chain[0] if other == side else chain[0])
-            arm_end[side] = k
-        labels.append(NestedSetPair(n, tuple(chains["x"]), tuple(chains["y"])))
-    labels.sort(key=NestedSetPair.flat_key)
-    return [Chart(label) for label in labels]
+    return _charts(n, hooks=True)
 
 
 def standard_tableau_images(n: int) -> Dict[GYT, List[Chart]]:

@@ -135,12 +135,6 @@ class BraidWord:
                 cursor = perm[cursor] - 1
         return count
 
-    def inverse(self) -> "BraidWord":
-        return BraidWord(
-            self.strands,
-            tuple((i, -sign) for i, sign in reversed(self.word)),
-        )
-
     def to_text(self) -> str:
         """Canonical text form, re-parseable by :func:`parse_braid`."""
         tokens = [f"strands={self.strands}"]

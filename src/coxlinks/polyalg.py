@@ -281,6 +281,8 @@ class LaurentPoly:
         return self.__mul__(other)
 
     def __pow__(self, power: int) -> "LaurentPoly":
+        if not _is_int(power):
+            raise ValueError(f"power must be an int, got {power!r}")
         if power < 0:
             return self.monomial_inverse() ** (-power)
         result = LaurentPoly.one(self.variables)

@@ -40,7 +40,7 @@ from coxlinks.mfcheck import (
     negative_control,
     symbolic_gid_check,
 )
-from coxlinks.polyalg import MAX_SERIES_DEGREE
+from coxlinks.polyalg import MAX_SERIES_DEGREE, LaurentPoly
 from coxlinks.twostrand import (
     MAX_TWO_STRAND_INDEX,
     dim_H0_P1,
@@ -65,6 +65,10 @@ def _sum(n):
 def _series(bound):
     """A cheap series to ``bound``: the two-strand unknot over ``(1 - q^2)``."""
     return homology_T2_odd(0).value.truncate_series({"a": 1, "q": 1, "t": 1}, bound)
+
+
+def _power(power):
+    return LaurentPoly.variable(("q",), "q") ** power
 
 
 def _coxeter_word(letters, sign=1):
@@ -140,6 +144,10 @@ CASES = [
     pytest.param(lambda v: coxeter_braid(3, (v,), (0, 0)), True, ValueError,
                  "link_s entry", id="coxeter_braid-link_s-bool"),
     pytest.param(_sum, 0, ValueError, "n", id="calibrated_superpolynomial-below"),
+    # A power must be an int; a bool is not one.
+    pytest.param(_power, True, ValueError, "power", id="LaurentPoly.__pow__-bool"),
+    pytest.param(_power, 1.5, ValueError, "power", id="LaurentPoly.__pow__-float"),
+    pytest.param(_power, "2", ValueError, "power", id="LaurentPoly.__pow__-str"),
     pytest.param(_series, True, ValueError, "bound", id="truncate_series-bool"),
     pytest.param(_series, 40.0, ValueError, "bound", id="truncate_series-float"),
     pytest.param(_sum, MAX_LOCALIZATION_N + 1, CapacityError, "n",

@@ -63,6 +63,16 @@ def test_variable_and_monomial_constructors():
     assert str(LaurentPoly.monomial(AQ, (2, -1))) == "a^2*q^-1"
 
 
+def test_power_rejects_a_non_int_before_it_multiplies(monkeypatch):
+    q = LaurentPoly.variable(AQ, "q")
+    assert [str(q**p) for p in (-2, 0, 1, 3)] == ["q^-2", "1", "q", "q^3"]
+    assert (1 - q) ** 2 == poly("1 - 2*q + q^2")
+    # A bool is an int to Python, but it is refused before any multiplication.
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda *_: pytest.fail("multiplied"))
+    with pytest.raises(ValueError, match="^power must be an int, got True$"):
+        q**True
+
+
 @given(laurent_polys(), laurent_polys(), laurent_polys())
 def test_ring_axioms(f, g, h):
     assert f + g == g + f

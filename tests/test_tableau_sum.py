@@ -22,14 +22,16 @@ Duke Math. J. 2005; proved by Carlsson-Mellit, arXiv 1508.06239) then
 checks every a-degree of it at k = (1, ..., 1).  For other monotone k two
 path identities check it: P1 counts the k-paths by their non-maximal steps
 in every a-degree at q = t = 1, and P2 counts them by area in the lowest
-a-degree.  A third statement is pinned as a conjecture with evidence, not
-as a theorem: the numerator has a negative coefficient exactly when k is
-not a line (ROADMAP item 4).
+a-degree.  Every a-degree is also symmetric under u <-> v.  A further
+statement is pinned as a conjecture with evidence, not as a theorem: the
+numerator has a negative coefficient exactly when k is not a line (ROADMAP
+item 4).
 """
 
 import operator
 import warnings
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations, product
 from fractions import Fraction
 from math import comb
@@ -275,14 +277,17 @@ PATH_CASES = (
     [(n, k) for n in (2, 3) for k in _monotone(n, 3)]
     + [(4, k) for k in _monotone(4, 2)]
     + [(5, (1, 1, 1, 1)), (5, (2, 1, 1, 0))]
+    + [(6, k) for k in ((1, 1, 1, 1, 1), (1, 1, 1, 0, 0), (2, 1, 1, 1, 1), (2, 2, 1, 1, 1))]
 )
 
 
+@lru_cache(maxsize=None)
 def _graded_numerator(n, k):
     """``{(j, x, y): coefficient}``: the numerator N of the value, whose
     denominator is exactly (1 - q^2), read as a^j u^x v^y with c the shift
     exponent: j = A - c, y = (T + c)/2 and x = (Q + T + c)/2.  The library
-    sum is read below n = 4, the sum over every SYT from n = 4 on."""
+    sum is read below n = 4, the sum over every SYT from n = 4 on.  Each
+    (n, k) is summed once a session: an n = 6 sum takes most of a second."""
     if n < 4:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PositivityRegimeWarning)
@@ -322,6 +327,15 @@ def test_a_degrees_at_one_count_the_non_maximal_steps(n, k):
         for j in range(m + 1):
             expected[j] += comb(m, j)
     assert at_one == expected
+
+
+@pytest.mark.parametrize("n, k", PATH_CASES, ids=str)
+def test_every_a_degree_is_symmetric_in_u_and_v(n, k):
+    # N_j(u, v) = N_j(v, u) in every a-degree j.  It follows from the
+    # transpose symmetry of the tableau term, so it checks the generator,
+    # the term and the shift, not the mathematics.
+    graded = _graded_numerator(n, k)
+    assert graded == {(j, y, x): coefficient for (j, x, y), coefficient in graded.items()}
 
 
 # -- the line predicate, a conjecture with evidence ----------------------------------
