@@ -2,10 +2,14 @@
 
 The objects are small matrices over exact scalars: ``int`` for the seeded
 samples, :class:`~coxlinks.polyalg.LaurentPoly` for the symbolic identity.
-The containment test goes through one fraction-free integer elimination,
-the only routine built to take :class:`~fractions.Fraction` entries: it
-clears each row's denominators, so :func:`hessenberg_check` is exact on
-them, and no ``Fraction`` arithmetic runs on the sampling path.
+On a Hessenberg ``g`` everything the containment suite asks for comes from
+one last-column expansion, :func:`_hessenberg_dets`: the leading minors
+(invertibility), every ``F_i``, and the containment test itself.  For any
+other invertible ``g`` (the negative control's), :func:`hessenberg_check`
+runs one fraction-free integer elimination, the only routine built to take
+:class:`~fractions.Fraction` entries: it clears each row's denominators,
+so it is exact on them.  No ``Fraction`` arithmetic runs on the sampling
+path.
 Roles, which the samplers build (the suites check only that ``X`` is upper):
 
 * ``X`` — upper-triangular (``X`` in the Borel), with ``xhat(X) = X -
@@ -37,13 +41,16 @@ from .polyalg import LaurentPoly
 
 Matrix = Tuple[tuple, ...]
 
-#: The sampling suites expand determinants by cofactors, which costs 3-5x
-#: more per two sizes: one sample took 10-13 ms at n = 12 and 30-50 ms at
-#: n = 14 (2-CPU host, Python 3.11), so the CLI's default 500 samples stay
-#: within about 7 s at the cap.
+#: The negative control expands determinants by cofactors, which costs
+#: about 3x more per two sizes: one of its samples took 10-11 ms at n = 12
+#: and 32-35 ms at n = 14 (2-CPU host, Python 3.11).  The containment
+#: suite's Hessenberg expansion grows only polynomially (0.6 ms at n = 12,
+#: 0.8-0.9 ms at n = 14), so the CLI's default 500 samples take about 0.3 s
+#: at the cap; the cap is set by the negative control.
 MAX_SUITE_N = 12
-#: A sample at n = 12 took 10 ms (containment) and 16 ms (negative control)
-#: on that host, so a suite of MAX_SUITE_SAMPLES at n = 12 takes 52-78 s.
+#: A sample at n = 12 took 0.6 ms (containment) and 10-11 ms (negative
+#: control) on that host, so a suite of MAX_SUITE_SAMPLES at n = 12 takes
+#: about 3 s and 50-55 s.
 MAX_SUITE_SAMPLES = 5_000
 
 
@@ -124,9 +131,10 @@ def _is_invertible(a: Matrix) -> bool:
 def det(a: Matrix):  # noqa: ANN201
     """Determinant by first-column cofactor expansion.
 
-    Generic over the scalar ring (ints and LaurentPoly both work).
-    The suites call it on Hessenberg columns, where the cost grows about
-    2^n; ``MAX_SUITE_N`` bounds the size.
+    Generic over the scalar ring (ints and LaurentPoly both work).  Only
+    the negative control and the symbolic check still call it on
+    Hessenberg columns, where the cost grows about 2^n; ``MAX_SUITE_N``
+    bounds the size.
     """
     n = len(a)
     if n == 0:
@@ -149,7 +157,57 @@ def det(a: Matrix):  # noqa: ANN201
     return total
 
 
+def _hessenberg_dets(g: Matrix, columns: Sequence[Sequence] = ()) -> Tuple[list, list]:
+    """Leading minors of a Hessenberg ``g`` and its replaced-column determinants.
+
+    Returns ``(minors, values)``: ``minors[k]`` is the determinant of the
+    leading ``k x k`` block of ``g`` (``minors[0] = 1``), and ``values[k -
+    1]``, for ``k = 1..n-1``, that of rows ``0..k`` of ``g``'s columns
+    ``0..k-1`` followed by ``columns[k]`` (``values`` is empty without
+    ``columns``).  Both come from one expansion along the last column:
+    deleting row ``r`` and the last column leaves a block-triangular
+    matrix, so the cofactor of row ``r`` is ``(-1)^(k-r) minors[r]
+    g[r+1][r] ... g[k][k-1]``.  That is ``O(n^2)`` ring operations and no
+    division.
+
+    Raises:
+        ConsistencyError: ``g`` has a nonzero entry below its subdiagonal.
+    """
+    n = len(g)
+    if any(g[i][j] for i in range(n) for j in range(i - 1)):
+        raise ConsistencyError("g is not Hessenberg: an entry below its subdiagonal is nonzero")
+    minors = [1]
+    values = []
+    for k in range(n):
+        cofactors = [0] * (k + 1)
+        step = 1  # (-1)^(k-r) g[r+1][r] ... g[k][k-1]
+        for r in range(k, 0, -1):
+            cofactors[r] = step * minors[r]
+            step = -step * g[r][r - 1]
+        cofactors[0] = step  # minors[0] = 1
+        minors.append(sum(g[r][k] * c for r, c in enumerate(cofactors)))
+        if k and columns:
+            values.append(sum(columns[k][r] * c for r, c in enumerate(cofactors)))
+    return minors, values
+
+
 # -- the determinant functions and containment --------------------------------
+
+
+def _square_pair(x: Matrix, g: Matrix) -> int:
+    """The size of ``x`` and ``g``, both square and of one size.
+
+    Raises:
+        ValueError: naming ``x`` or ``g``, whichever breaks that shape.
+    """
+    n = len(x)
+    if any(len(row) != n for row in x):
+        raise ValueError(f"x must be a square matrix, got {n} rows of lengths "
+                         f"{[len(row) for row in x]}")
+    if len(g) != n or any(len(row) != n for row in g):
+        raise ValueError(f"g must be a {n} x {n} matrix like x, got {len(g)} rows "
+                         f"of lengths {[len(row) for row in g]}")
+    return n
 
 
 def F(i: int, x: Matrix, g: Matrix):  # noqa: ANN201
@@ -161,7 +219,7 @@ def F(i: int, x: Matrix, g: Matrix):  # noqa: ANN201
         >>> [F(i, x, g) for i in (1, 2)]
         [1, 2]
     """
-    n = len(x)
+    n = _square_pair(x, g)
     if not 1 <= i <= n - 1:
         raise ValueError(f"i must lie in 1..{n - 1}, got {i}")
     return _F(i, xhat(x), g)
@@ -178,8 +236,9 @@ def _F(i: int, hat: Matrix, g: Matrix):  # noqa: ANN202
 
 
 def all_F(x: Matrix, g: Matrix) -> List:
+    n = _square_pair(x, g)
     hat = xhat(x)
-    return [_F(i, hat, g) for i in range(1, len(x))]
+    return [_F(i, hat, g) for i in range(1, n)]
 
 
 def hessenberg_check(g: Matrix, x: Matrix) -> bool:
@@ -192,10 +251,30 @@ def hessenberg_check(g: Matrix, x: Matrix) -> bool:
     elimination on ``g U = X g``; the scaled ``d U`` has the same zeros.
 
     Raises:
+        ValueError: ``x`` or ``g`` is not square, or their sizes differ.
         SingularMatrixError: ``g`` is not invertible.
     """
+    _square_pair(x, g)
     rows, _ = _bareiss_jordan(g, mat_mul(x, g))
     return all(not rows[i][j] for i in range(len(rows)) for j in range(i))
+
+
+def _hessenberg_contains(g: Matrix, x: Matrix) -> bool:
+    """:func:`hessenberg_check` for an invertible Hessenberg ``g``, by minors.
+
+    ``g^-1 X g`` is upper exactly when each column ``j`` of ``X g`` lies in
+    the span of ``g``'s columns ``0..j``.  Those columns are supported on
+    rows ``0..j+1`` and independent there, so the span is the set of
+    vectors supported on those rows whose restriction is dependent on
+    theirs: column ``j`` of ``X g`` must vanish below row ``j+1`` and give
+    a zero replaced-column determinant at ``k = j+1``.
+    """
+    xg = mat_mul(x, g)
+    n = len(xg)
+    if any(xg[i][j] for j in range(n) for i in range(j + 2, n)):
+        return False
+    # Column j of X g is the replaced column at k = j + 1; k = 0 is unused.
+    return not any(_hessenberg_dets(g, (None, *zip(*xg)))[1])
 
 
 # -- seeded sampling suites ----------------------------------------------------
@@ -212,7 +291,7 @@ def sample_hessenberg(rng: random.Random, n: int) -> Matrix:
             tuple(_sample_entry(rng) if i - j <= 1 else 0 for j in range(n))
             for i in range(n)
         )
-        if _is_invertible(g):
+        if _hessenberg_dets(g)[0][-1]:
             return g
 
 
@@ -248,10 +327,10 @@ def containment_suite(n: int, samples: int, seed: int) -> dict:
         if not is_upper(x):
             failures.append({"sample": sample, "reason": "X not upper"})
             continue
-        values = all_F(x, g)
+        values = _hessenberg_dets(g, tuple(zip(*xhat(x))))[1]
         if any(values):
             failures.append({"sample": sample, "reason": f"F = {values}"})
-        elif not hessenberg_check(g, x):
+        elif not _hessenberg_contains(g, x):
             failures.append({"sample": sample, "reason": "containment failed"})
     return {
         "n": n,

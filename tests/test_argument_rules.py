@@ -36,7 +36,10 @@ from coxlinks.localization import MAX_LOCALIZATION_N, calibrated_superpolynomial
 from coxlinks.mfcheck import (
     MAX_SUITE_N,
     MAX_SUITE_SAMPLES,
+    F,
+    all_F,
     containment_suite,
+    hessenberg_check,
     negative_control,
     symbolic_gid_check,
 )
@@ -69,6 +72,11 @@ def _series(bound):
 
 def _power(power):
     return LaurentPoly.variable(("q",), "q") ** power
+
+
+UPPER_2 = ((1, 2), (0, 3))
+ID_2 = ((1, 0), (0, 1))
+ID_3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _coxeter_word(letters, sign=1):
@@ -162,6 +170,21 @@ CASES = [
         pytest.param(call, cap + 1, CapacityError, name, id=f"{label}-cap")
         for label, call, name, cap in LINEAR
     ),
+    # The determinant functions and the containment check take two square
+    # matrices of one size; a mismatch once read a sub-block or raised a bare
+    # IndexError.
+    pytest.param(lambda g: all_F(UPPER_2, g), ID_3, ValueError, "g", id="all_F-g-larger"),
+    pytest.param(lambda g: all_F(UPPER_2, g), ((1,),), ValueError, "g", id="all_F-g-smaller"),
+    pytest.param(lambda x: all_F(x, ID_2), ((1, 2), (0, 3), (0, 0)), ValueError, "x",
+                 id="all_F-x-not-square"),
+    pytest.param(lambda x: F(1, x, ID_3), ((1, 2, 3), (0, 3, 4)), ValueError, "x",
+                 id="F-x-not-square"),
+    pytest.param(lambda g: F(1, UPPER_2, g), ((1, 0), (0,)), ValueError, "g",
+                 id="F-g-ragged"),
+    pytest.param(lambda g: hessenberg_check(g, UPPER_2), ID_3, ValueError, "g",
+                 id="hessenberg_check-g-larger"),
+    pytest.param(lambda x: hessenberg_check(ID_2, x), ((1, 2, 3), (0, 3, 4)), ValueError,
+                 "x", id="hessenberg_check-x-not-square"),
     # The sample count is checked first, so a bad count is named even when
     # n is over the cap too.
     pytest.param(lambda s: containment_suite(MAX_SUITE_N + 1, s, 0), 0, ValueError,

@@ -1,4 +1,4 @@
-"""Hessenberg determinant identities, the containment check and its elimination kernel."""
+"""Hessenberg determinant identities, the containment check and its two kernels."""
 
 import hashlib
 import random
@@ -116,6 +116,101 @@ def test_elimination_agrees_with_fraction_gauss_jordan():
     assert singular >= 100 and contained >= 100
 
 
+def _random_hessenberg(rng, n, scalar):
+    """A Hessenberg matrix with many zeros; often singular.
+
+    About one draw in three copies a combination of the two previous
+    columns into a column, which keeps the Hessenberg shape and makes the
+    matrix singular.
+    """
+    rows = [
+        [scalar(rng) if i - j <= 1 and rng.random() < 0.8 else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    if n >= 2 and rng.randrange(3) == 0:
+        j = rng.randrange(1, n)
+        a, b = scalar(rng), scalar(rng)
+        for row in rows:
+            row[j] = a * row[j - 1] + (b * row[j - 2] if j >= 2 else 0)
+    return tuple(tuple(row) for row in rows)
+
+
+def _int_entry(rng):
+    return rng.randint(-4, 4)
+
+
+def _fraction_entry(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _block(g, k, column):
+    """Rows ``0..k`` of ``g``'s columns ``0..k-1`` followed by ``column``."""
+    return tuple(tuple(g[r][:k]) + (column[r],) for r in range(k + 1))
+
+
+@pytest.mark.parametrize("scalar", (_int_entry, _fraction_entry), ids=("int", "fraction"))
+def test_hessenberg_kernel_matches_the_cofactor_references(scalar):
+    rng = random.Random(33)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        g = _random_hessenberg(rng, n, scalar)
+        columns = tuple(tuple(scalar(rng) for _ in range(n)) for _ in range(n))
+        minors, values = mfcheck._hessenberg_dets(g, columns)
+        assert minors == [det(tuple(row[:k] for row in g[:k])) for k in range(n + 1)]
+        assert (minors[n] == 0) == (not mfcheck._is_invertible(g))
+        singular += minors[n] == 0
+        assert values == [det(_block(g, k, columns[k])) for k in range(1, n)]
+        assert mfcheck._hessenberg_dets(g) == (minors, [])
+        x = tuple(
+            tuple(scalar(rng) if j >= i else 0 for j in range(n)) for i in range(n)
+        )
+        assert mfcheck._hessenberg_dets(g, tuple(zip(*xhat(x))))[1] == all_F(x, g)
+    assert singular >= 50
+
+
+def test_span_test_agrees_with_the_elimination():
+    # Upper X give a Hessenberg X g, so only the non-upper X = (g U + E) g^-1,
+    # with E nonzero only below the subdiagonal, reach the support test: their
+    # replaced-column determinants all vanish, yet X is not contained.
+    rng = random.Random(34)
+    seen = {"contained": 0, "upper": 0, "below": 0}
+    while min(seen.values()) < 40:
+        n = rng.randint(1, 7)
+        g = _random_hessenberg(rng, n, _int_entry)
+        if not mfcheck._is_invertible(g):
+            continue
+        k = sample_strictly_upper(rng, n)
+        contained = _add(mat_mul(g, k), _identity(n, rng.randint(-3, 3)))
+        upper = tuple(
+            tuple(_int_entry(rng) if j >= i else 0 for j in range(n)) for i in range(n)
+        )
+        cases = {"contained": contained, "upper": upper}
+        if n >= 3:
+            j = rng.randrange(n - 2)
+            below = [[0] * n for _ in range(n)]
+            row = j + 2 + rng.randrange(n - j - 2) * rng.randrange(2)  # often j + 2
+            below[row][j] = rng.choice((-1, 1))
+            shifted = _add(mat_mul(g, upper), tuple(map(tuple, below)))
+            cases["below"] = mat_mul(shifted, _reference_inverse(g))
+        for kind, x in cases.items():
+            expected = hessenberg_check(g, x)
+            assert mfcheck._hessenberg_contains(g, x) == expected
+            if kind != "upper":
+                assert expected == (kind == "contained")
+            seen[kind] += kind != "upper" or not expected
+
+
+def test_hessenberg_kernel_rejects_an_entry_below_the_subdiagonal():
+    g = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+    for columns in ((), g):
+        with pytest.raises(ConsistencyError, match="not Hessenberg"):
+            mfcheck._hessenberg_dets(g, columns)
+    assert mfcheck._hessenberg_dets(((1, 2, 3), (4, 5, 6), (0, 8, 9)))[0][-1] == det(
+        ((1, 2, 3), (4, 5, 6), (0, 8, 9))
+    )
+
+
 def test_det_works_symbolically():
     variables = ("p", "q")
     p = LaurentPoly.variable(variables, "p")
@@ -159,6 +254,20 @@ def test_containment_suite_is_clean():
         report = containment_suite(n, 100, seed=n)
         assert report["passed"]
         assert report["failures"] == []
+
+
+def test_containment_suite_reports_the_F_values(monkeypatch):
+    # g = Id and K = diag(0, 1, ..., n-1) give xhat(X) = K, so F_i = i.
+    n = 4
+    diagonal = tuple(tuple(i if i == j else 0 for j in range(n)) for i in range(n))
+    monkeypatch.setattr(mfcheck, "sample_hessenberg", lambda rng, size: _identity(size))
+    monkeypatch.setattr(mfcheck, "sample_strictly_upper", lambda rng, size: diagonal)
+    report = containment_suite(n, 3, seed=0)
+    assert all_F(diagonal, _identity(n)) == [1, 2, 3]
+    assert not report["passed"]
+    assert report["failures"] == [
+        {"sample": sample, "reason": "F = [1, 2, 3]"} for sample in range(3)
+    ]
 
 
 def test_negative_control_breaks_containment_not_F():
@@ -212,8 +321,8 @@ def test_negative_control_needs_room():
 
 @pytest.mark.parametrize("suite", (containment_suite, negative_control))
 def test_suites_are_capped(suite):
-    # Cofactor determinants make n = 40 effectively endless; the cap stops it
-    # before a single sample is drawn.
+    # The negative control's cofactor determinants make n = 40 effectively
+    # endless; the cap stops both suites before a single sample is drawn.
     with pytest.raises(CapacityError, match=f"n <= {MAX_SUITE_N}"):
         suite(MAX_SUITE_N + 1, 1, seed=0)
     with pytest.raises(CapacityError):
