@@ -325,7 +325,13 @@ def _times_generator(
 
 
 def braid_to_hecke(braid: BraidWord) -> Dict[Perm, LaurentPoly]:
-    """Image of the braid under ``s_i -> T_i``, computed letter by letter."""
+    """Image of the braid under ``s_i -> T_i``, computed letter by letter.
+
+    Raises:
+        CapacityError: more than six strands or ``MAX_HOMFLY_LETTERS`` letters.
+    """
+    _size("strands", braid.strands, MAX_HOMFLY_STRANDS, "the Hecke trace")
+    _size("letters", len(braid.word), MAX_HOMFLY_LETTERS, "the Hecke trace", least=0)
     element = {tuple(range(1, braid.strands + 1)): LaurentPoly.one(AZ)}
     for index, sign in braid.word:
         element = _times_generator(element, index, sign)
@@ -336,8 +342,8 @@ def braid_to_hecke(braid: BraidWord) -> Dict[Perm, LaurentPoly]:
 def _trace(perm: Perm) -> LaurentPoly:
     """``tau_m(T_perm)`` on ``m = len(perm)`` strands, by the two Markov rules.
 
-    Braids are capped at six strands, so the cache holds at most
-    ``1! + ... + 6! = 873`` keys; ``_trace.cache_info()`` reports its hits.
+    :func:`markov_trace` caps its elements at six strands, so the cache
+    holds at most ``1! + ... + 6! = 873`` keys (``_trace.cache_info()``).
     """
     m = len(perm)
     if m == 1:
@@ -357,7 +363,11 @@ def markov_trace(element: Dict[Perm, LaurentPoly]) -> LaurentPoly:
     ``element`` maps permutations of ``1..n`` to their coefficients.
     ``tau_n(1) = ((1 - a^2) / z)^(n-1)``; the value is always a Laurent
     polynomial in ``(a, z)``.
+
+    Raises:
+        CapacityError: a permutation on more than six strands.
     """
+    _size("strands", max(map(len, element), default=1), MAX_HOMFLY_STRANDS, "the Hecke trace")
     total = LaurentPoly.zero(AZ)
     for perm, coeff in element.items():
         total = total + coeff * _trace(perm)
@@ -383,7 +393,5 @@ def homfly(braid: BraidWord) -> LaurentPoly:
         >>> print(homfly(parse_braid("strands=2 s1 s1 s1")))
         -a^4 + a^2*z^2 + 2*a^2
     """
-    _size("strands", braid.strands, MAX_HOMFLY_STRANDS, "the Hecke trace")
-    _size("letters", len(braid.word), MAX_HOMFLY_LETTERS, "the Hecke trace", least=0)
     framing = LaurentPoly.monomial(AZ, (braid.writhe() - braid.strands + 1, 0))
     return framing * markov_trace(braid_to_hecke(braid))

@@ -2,14 +2,14 @@
 
 The objects are small matrices over exact scalars: ``int`` for the seeded
 samples, :class:`~coxlinks.polyalg.LaurentPoly` for the symbolic identity.
-On a Hessenberg ``g`` everything the containment suite asks for comes from
-one last-column expansion, :func:`_hessenberg_dets`: the leading minors
-(invertibility), every ``F_i``, and the containment test itself.  For any
-other invertible ``g`` (the negative control's), :func:`hessenberg_check`
-runs one fraction-free integer elimination, the only routine built to take
-:class:`~fractions.Fraction` entries: it clears each row's denominators,
-so it is exact on them.  No ``Fraction`` arithmetic runs on the sampling
-path.
+Determinants are computed two ways.  On a Hessenberg ``g``, one
+last-column expansion, :func:`_hessenberg_dets`, uses only ring operations
+and gives the leading minors (invertibility), every ``F_i`` and the
+containment test.  Every other determinant, and :func:`hessenberg_check`,
+runs one fraction-free elimination, :func:`_bareiss_jordan`, which clears
+each row's denominators, so it is exact on ``int`` and
+:class:`~fractions.Fraction` entries; no ``Fraction`` arithmetic runs on
+the sampling path.
 Roles, which the samplers build (the suites check only that ``X`` is upper):
 
 * ``X`` — upper-triangular (``X`` in the Borel), with ``xhat(X) = X -
@@ -36,21 +36,19 @@ import math
 import random
 from typing import List, Sequence, Tuple
 
-from .errors import ConsistencyError, SingularMatrixError, _size
+from .errors import ConsistencyError, SingularMatrixError, _is_int, _size
 from .polyalg import LaurentPoly
 
 Matrix = Tuple[tuple, ...]
 
-#: The negative control expands determinants by cofactors, which costs
-#: about 3x more per two sizes: one of its samples took 10-11 ms at n = 12
-#: and 32-35 ms at n = 14 (2-CPU host, Python 3.11).  The containment
-#: suite's Hessenberg expansion grows only polynomially (0.6 ms at n = 12,
-#: 0.8-0.9 ms at n = 14), so the CLI's default 500 samples take about 0.3 s
-#: at the cap; the cap is set by the negative control.
+#: Both suites grow polynomially in n: a containment sample took 0.7-0.9 ms
+#: at n = 12 and 1.0-1.5 ms at n = 14, a negative-control sample, one
+#: elimination per determinant, 2.6-2.9 ms and 5.1-5.2 ms (shared 2-CPU
+#: host, Python 3.11).  So the CLI's default 500 containment samples take
+#: about 0.4 s at the cap.
 MAX_SUITE_N = 12
-#: A sample at n = 12 took 0.6 ms (containment) and 10-11 ms (negative
-#: control) on that host, so a suite of MAX_SUITE_SAMPLES at n = 12 takes
-#: about 3 s and 50-55 s.
+#: At those costs a suite of MAX_SUITE_SAMPLES at n = 12 takes about 4 s
+#: (containment) and 13-18 s (negative control) on that host.
 MAX_SUITE_SAMPLES = 5_000
 
 
@@ -78,34 +76,40 @@ def xhat(x: Matrix) -> Matrix:
     )
 
 
-def _bareiss_jordan(a: Matrix, b: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
+def _bareiss_jordan(a: Matrix, b: Sequence[Sequence]) -> Tuple[List[List[int]], int, int]:
     """Solve ``a U = b`` by fraction-free (Bareiss-Jordan) elimination.
 
     Each row of ``[a | b]`` is first scaled by the lcm of its denominators,
     which leaves ``U`` unchanged, so ``int`` and ``Fraction`` entries both
     work and every step stays in the integers: a row update is ``(p v - f
     w) // prev`` with ``prev`` the previous pivot, an exact division because
-    every entry is a minor of the scaled matrix.  At the end the left block
-    is ``d Id`` and the right block is ``d U``.
+    every entry is a minor of the scaled matrix.  A row swap also negates
+    one of the two rows, which keeps both ``U`` and the determinant.  At the
+    end the left block is ``d Id`` and the right block is ``d U``, with
+    ``d`` the determinant of the row-scaled ``a``.
 
     Returns:
-        ``(rows, d)``: the right block ``d U`` as integer rows and ``d != 0``.
+        ``(rows, d, scale)``: the right block ``d U`` as integer rows, ``d !=
+        0`` and the product of the row scales.
 
     Raises:
         SingularMatrixError: ``a`` is not invertible.
     """
     n = len(a)
     work = []
+    scales = 1
     for a_row, b_row in zip(a, b):
         row = (*a_row, *b_row)
         scale = math.lcm(*(v.denominator for v in row))
+        scales *= scale
         work.append([v.numerator * (scale // v.denominator) for v in row])
     prev = 1
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if work[r][col]), None)
         if pivot_row is None:
             raise SingularMatrixError(f"matrix has no inverse (rank < {n})")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
+        if pivot_row != col:  # a signed swap keeps the determinant and U
+            work[col], work[pivot_row] = work[pivot_row], [-v for v in work[col]]
         pivot_line = work[col]
         pivot = pivot_line[col]
         for r in range(n):
@@ -116,45 +120,29 @@ def _bareiss_jordan(a: Matrix, b: Sequence[Sequence]) -> Tuple[List[List[int]], 
                     for v, w in zip(work[r], pivot_line)
                 ]
         prev = pivot
-    return [row[n:] for row in work], prev
-
-
-def _is_invertible(a: Matrix) -> bool:
-    """Whether ``a`` has an inverse, decided exactly without forming it."""
-    try:
-        _bareiss_jordan(a, [()] * len(a))
-    except SingularMatrixError:
-        return False
-    return True
+    return [row[n:] for row in work], prev, scales
 
 
 def det(a: Matrix):  # noqa: ANN201
-    """Determinant by first-column cofactor expansion.
+    """Determinant of an ``int`` or ``Fraction`` matrix, by one elimination.
 
-    Generic over the scalar ring (ints and LaurentPoly both work).  Only
-    the negative control and the symbolic check still call it on
-    Hessenberg columns, where the cost grows about 2^n; ``MAX_SUITE_N``
-    bounds the size.
+    It is the last pivot of :func:`_bareiss_jordan` over the row scales: an
+    ``int`` for integral entries, ``0`` for a singular matrix and ``1`` for
+    the ``0 x 0`` matrix.
+
+    Examples:
+        >>> det(((0, 2), (3, 4)))
+        -6
     """
-    n = len(a)
-    if n == 0:
-        return 1
-    if n == 1:
-        return a[0][0]
-    total = None
-    for i in range(n):
-        entry = a[i][0]
-        if not entry:
-            continue
-        minor = tuple(row[1:] for r, row in enumerate(a) if r != i)
-        term = entry * det(minor)
-        if i % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        zero_like = a[0][0]
-        return zero_like - zero_like  # zero of the scalar ring
-    return total
+    try:
+        _, d, scale = _bareiss_jordan(a, [()] * len(a))
+    except SingularMatrixError:
+        return 0
+    if scale == 1:
+        return d
+    from fractions import Fraction  # here, so importing the CLI loads no fractions
+
+    return Fraction(d, scale)
 
 
 def _hessenberg_dets(g: Matrix, columns: Sequence[Sequence] = ()) -> Tuple[list, list]:
@@ -220,19 +208,14 @@ def F(i: int, x: Matrix, g: Matrix):  # noqa: ANN201
         [1, 2]
     """
     n = _square_pair(x, g)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"i must lie in 1..{n - 1}, got {i}")
+    if not (_is_int(i) and 1 <= i <= n - 1):
+        raise ValueError(f"i must lie in 1..{n - 1}, got {i!r}")
     return _F(i, xhat(x), g)
 
 
 def _F(i: int, hat: Matrix, g: Matrix):  # noqa: ANN202
     """``F(i, X, g)`` from a prebuilt ``hat = xhat(X)``."""
-    size = i + 1
-    columns = [
-        tuple(g[row][col] for row in range(size)) for col in range(i)
-    ]
-    columns.append(tuple(hat[row][i] for row in range(size)))
-    return det(tuple(zip(*columns)))
+    return det(tuple((*g[row][:i], hat[row][i]) for row in range(i + 1)))
 
 
 def all_F(x: Matrix, g: Matrix) -> List:
@@ -255,7 +238,7 @@ def hessenberg_check(g: Matrix, x: Matrix) -> bool:
         SingularMatrixError: ``g`` is not invertible.
     """
     _square_pair(x, g)
-    rows, _ = _bareiss_jordan(g, mat_mul(x, g))
+    rows = _bareiss_jordan(g, mat_mul(x, g))[0]
     return all(not rows[i][j] for i in range(len(rows)) for j in range(i))
 
 
@@ -364,7 +347,7 @@ def negative_control(n: int, samples: int, seed: int) -> dict:
         g_rows = [list(row) for row in sample_hessenberg(rng, n)]
         g_rows[2][0] = rng.randint(1, 9)
         g = tuple(tuple(row) for row in g_rows)
-        if not _is_invertible(g):
+        if not det(g):
             continue
         k = sample_strictly_upper(rng, n)
         x = mat_mul(g, k)  # xhat(X) itself; x_11 = 0 since K kills column 1
@@ -393,7 +376,9 @@ def symbolic_gid_check(n: int) -> bool:
     """``F_i`` at ``g = Id`` equals ``x_{i+1,i+1} - x_11`` as a polynomial.
 
     Builds ``X`` with one Laurent variable per upper-triangular entry and
-    compares the determinant symbolically; exact, no interpolation.
+    compares every ``F_i`` symbolically; exact, no interpolation.  ``g =
+    Id`` is Hessenberg, so they all come from one :func:`_hessenberg_dets`
+    expansion, which needs only ring operations.
 
     Raises:
         ValueError: if ``n`` is not a positive ``int``.
@@ -407,21 +392,16 @@ def symbolic_gid_check(n: int) -> bool:
     names = tuple(
         f"x{i}{j}" for i in range(1, n + 1) for j in range(i, n + 1)
     )
-    zero = LaurentPoly.zero(names)
-    one = LaurentPoly.one(names)
 
     def var(i: int, j: int) -> LaurentPoly:
         return LaurentPoly.variable(names, f"x{i}{j}")
 
     x = tuple(
-        tuple(var(i, j) if i <= j else zero for j in range(1, n + 1))
+        tuple(var(i, j) if i <= j else 0 for j in range(1, n + 1))
         for i in range(1, n + 1)
     )
-    g = tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    values = _hessenberg_dets(identity, tuple(zip(*xhat(x))))[1]
+    return all(
+        value == var(i + 1, i + 1) - var(1, 1) for i, value in enumerate(values, start=1)
     )
-    for i in range(1, n):
-        expected = var(i + 1, i + 1) - var(1, 1)
-        if F(i, x, g) != expected:
-            return False
-    return True

@@ -29,8 +29,10 @@ from coxlinks.homfly import (
     MAX_HOMFLY_LETTERS,
     MAX_HOMFLY_STRANDS,
     BraidWord,
+    braid_to_hecke,
     coxeter_braid,
     homfly,
+    markov_trace,
 )
 from coxlinks.localization import MAX_LOCALIZATION_N, calibrated_superpolynomial
 from coxlinks.mfcheck import (
@@ -104,6 +106,8 @@ LINEAR = [
     # A two-strand word is cheap at the cap; six strands take seconds there.
     ("homfly-letters", lambda c: homfly(BraidWord(2, ((1, 1),) * c)), "letters",
      MAX_HOMFLY_LETTERS),
+    ("braid_to_hecke-letters", lambda c: braid_to_hecke(BraidWord(2, ((1, 1),) * c)),
+     "letters", MAX_HOMFLY_LETTERS),
 ]
 
 
@@ -163,6 +167,10 @@ CASES = [
     # Validated braids reach these caps only through their lengths.
     pytest.param(lambda n: homfly(BraidWord(n, ())), MAX_HOMFLY_STRANDS + 1,
                  CapacityError, "strands", id="homfly-cap"),
+    pytest.param(lambda n: braid_to_hecke(BraidWord(n, ())), MAX_HOMFLY_STRANDS + 1,
+                 CapacityError, "strands", id="braid_to_hecke-cap"),
+    pytest.param(lambda n: markov_trace({tuple(range(1, n + 1)): _power(0)}),
+                 MAX_HOMFLY_STRANDS + 1, CapacityError, "strands", id="markov_trace-cap"),
     pytest.param(lambda c: resolve_homfly(BraidWord(2, ((1, 1),) * c)),
                  MAX_RESOLVER_CROSSINGS + 1, CapacityError, "crossings",
                  id="resolve_homfly-cap"),
@@ -206,6 +214,13 @@ def test_each_entry_point_names_a_bad_size(call, value, error, name):
         assert message == f"{name} {value!r} is not an integer"
     else:
         assert message.startswith(f"{name} must be ")
+
+
+@pytest.mark.parametrize("i", (True, 1.0, 1.5, "1", 0, 3))
+def test_F_rejects_an_index_that_is_not_an_int_in_range(i):
+    # True once read F_1, 1.5 and "1" raised a bare TypeError.
+    with pytest.raises(ValueError, match=rf"^i must lie in 1\.\.2, got {re.escape(repr(i))}$"):
+        F(i, ((1, 5, 7), (0, 2, 6), (0, 0, 3)), ID_3)
 
 
 @pytest.mark.parametrize(

@@ -292,6 +292,17 @@ def test_strand_capacity():
         homfly(BraidWord(7, ((1, 1),)))
 
 
+def test_seven_strands_never_reach_the_trace_cache():
+    # markov_trace is public: seven strands once ran 5,040 permutations and
+    # left the cache far above its documented 873 keys.
+    before = _trace.cache_info().currsize
+    with pytest.raises(CapacityError, match="strands <= 6; got strands = 7"):
+        markov_trace({tuple(range(1, 8)): LaurentPoly.one(AZ)})
+    with pytest.raises(CapacityError, match="strands <= 6; got strands = 7"):
+        braid_to_hecke(coxeter_braid(7, (), (1,) * 6))
+    assert _trace.cache_info().currsize == before
+
+
 def test_resolver_crossing_capacity():
     word = tuple((1, 1) for _ in range(9))
     with pytest.raises(CapacityError):

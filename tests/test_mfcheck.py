@@ -101,7 +101,7 @@ def test_elimination_agrees_with_fraction_gauss_jordan():
                 hessenberg_check(g, x)
             continue
         # Solving g U = Id leaves d U on the right, with d the last pivot.
-        rows, d = mfcheck._bareiss_jordan(g, _identity(n))
+        rows, d, _ = mfcheck._bareiss_jordan(g, _identity(n))
         assert tuple(tuple(Fraction(v, d) for v in row) for row in rows) == reference
         if rng.randrange(2):
             # X = g U g^-1 with U upper, so g^-1 X g = U is contained.
@@ -143,6 +143,18 @@ def _fraction_entry(rng):
     return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
+def _cofactor_det(a):
+    """Test-only reference: first-column cofactor expansion over any ring."""
+    if not a:
+        return 1
+    total = 0
+    for i, row in enumerate(a):
+        if row[0]:
+            minor = tuple(other[1:] for r, other in enumerate(a) if r != i)
+            total += (-1) ** i * row[0] * _cofactor_det(minor)
+    return total
+
+
 def _block(g, k, column):
     """Rows ``0..k`` of ``g``'s columns ``0..k-1`` followed by ``column``."""
     return tuple(tuple(g[r][:k]) + (column[r],) for r in range(k + 1))
@@ -157,10 +169,10 @@ def test_hessenberg_kernel_matches_the_cofactor_references(scalar):
         g = _random_hessenberg(rng, n, scalar)
         columns = tuple(tuple(scalar(rng) for _ in range(n)) for _ in range(n))
         minors, values = mfcheck._hessenberg_dets(g, columns)
-        assert minors == [det(tuple(row[:k] for row in g[:k])) for k in range(n + 1)]
-        assert (minors[n] == 0) == (not mfcheck._is_invertible(g))
+        assert minors == [_cofactor_det(tuple(row[:k] for row in g[:k])) for k in range(n + 1)]
+        assert (minors[n] == 0) == (_reference_inverse(g) is None)
         singular += minors[n] == 0
-        assert values == [det(_block(g, k, columns[k])) for k in range(1, n)]
+        assert values == [_cofactor_det(_block(g, k, columns[k])) for k in range(1, n)]
         assert mfcheck._hessenberg_dets(g) == (minors, [])
         x = tuple(
             tuple(scalar(rng) if j >= i else 0 for j in range(n)) for i in range(n)
@@ -178,7 +190,7 @@ def test_span_test_agrees_with_the_elimination():
     while min(seen.values()) < 40:
         n = rng.randint(1, 7)
         g = _random_hessenberg(rng, n, _int_entry)
-        if not mfcheck._is_invertible(g):
+        if _reference_inverse(g) is None:
             continue
         k = sample_strictly_upper(rng, n)
         contained = _add(mat_mul(g, k), _identity(n, rng.randint(-3, 3)))
@@ -206,18 +218,60 @@ def test_hessenberg_kernel_rejects_an_entry_below_the_subdiagonal():
     for columns in ((), g):
         with pytest.raises(ConsistencyError, match="not Hessenberg"):
             mfcheck._hessenberg_dets(g, columns)
-    assert mfcheck._hessenberg_dets(((1, 2, 3), (4, 5, 6), (0, 8, 9)))[0][-1] == det(
-        ((1, 2, 3), (4, 5, 6), (0, 8, 9))
-    )
+    hessenberg = ((1, 2, 3), (4, 5, 6), (0, 8, 9))
+    assert mfcheck._hessenberg_dets(hessenberg)[0][-1] == _cofactor_det(hessenberg)
 
 
-def test_det_works_symbolically():
-    variables = ("p", "q")
-    p = LaurentPoly.variable(variables, "p")
-    q = LaurentPoly.variable(variables, "q")
+def test_hessenberg_kernel_works_symbolically():
+    variables = ("p", "q", "r")
+    p, q, r = (LaurentPoly.variable(variables, name) for name in variables)
     zero = p - p
-    matrix = ((p, q), (zero, p))
-    assert det(matrix) == p * p
+    g = ((p, q, r), (q, p, zero), (zero, r, p))
+    columns = ((p, q, r), (r, zero, q), (q * r, p, p * q))
+    minors, values = mfcheck._hessenberg_dets(g, columns)
+    assert minors[:3] == [1, p, p * p - q * q]
+    assert minors[3] == _cofactor_det(g)
+    assert values == [_cofactor_det(_block(g, k, columns[k])) for k in (1, 2)]
+
+
+def _permuted_triangular(rng, n, scalar):
+    """``P T`` for a random permutation ``P`` and an invertible upper ``T``.
+
+    Column 0 of ``T`` has one nonzero entry, so elimination swaps rows until
+    it has undone ``P``: the swaps have ``P``'s parity, and ``det = sign(P)
+    det(T)``.  Returns the matrix and ``P``'s sign.
+    """
+    upper = [
+        [(scalar(rng) or 1) if i == j else scalar(rng) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    order = list(range(n))
+    rng.shuffle(order)
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+    return tuple(tuple(upper[i]) for i in order), (-1) ** inversions
+
+
+@pytest.mark.parametrize("scalar", (_int_entry, _fraction_entry), ids=("int", "fraction"))
+def test_det_matches_the_cofactor_reference(scalar):
+    # An unsigned row swap would flip the sign of every odd
+    # permuted-triangular matrix below.
+    rng = random.Random(35)
+    assert det(()) == 1
+    signs = {1: 0, -1: 0}
+    singular = 0
+    for n in range(1, 8):
+        for _ in range(20):
+            a, sign = _permuted_triangular(rng, n, scalar)
+            signs[sign] += n >= 2
+            assert det(a) == _cofactor_det(a) != 0
+            sparse = _random_hessenberg(rng, n, scalar)
+            a = tuple(zip(*sparse)) if rng.randrange(2) else sparse[::-1]
+            value = det(a)
+            assert value == _cofactor_det(a)
+            singular += value == 0
+            if scalar is _int_entry:
+                assert type(value) is int
+    assert min(signs.values()) >= 40 and singular >= 20
 
 
 # -- the determinant functions ---------------------------------------------------------
@@ -321,8 +375,9 @@ def test_negative_control_needs_room():
 
 @pytest.mark.parametrize("suite", (containment_suite, negative_control))
 def test_suites_are_capped(suite):
-    # The negative control's cofactor determinants make n = 40 effectively
-    # endless; the cap stops both suites before a single sample is drawn.
+    # Past the cap the cost keeps growing (a negative-control sample takes
+    # about 0.2 s at n = 40); the cap stops both suites before a single
+    # sample is drawn.
     with pytest.raises(CapacityError, match=f"n <= {MAX_SUITE_N}"):
         suite(MAX_SUITE_N + 1, 1, seed=0)
     with pytest.raises(CapacityError):
